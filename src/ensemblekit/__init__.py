@@ -54,8 +54,6 @@ from .neural import (
     NEConfig,
     NEParams,
     diversity_limit_oracle,
-    forward_ma_weights,
-    forward_stacking,
     init_ne_params,
     ma_weights,
     param_count,
@@ -104,8 +102,6 @@ __all__ = [
     "NEConfig",
     "NEParams",
     "diversity_limit_oracle",
-    "forward_ma_weights",
-    "forward_stacking",
     "init_ne_params",
     "ma_weights",
     "param_count",

@@ -219,8 +219,8 @@ def fit_constant_ma(
         raise ConfigError(f"fit_constant_ma needs steps >= 1, got {steps}")
     proj = _project(np.asarray(predictions, dtype=np.float64), labels, task)
     v = np.zeros(proj.shape[1])
-    state = nn.adam_init([v], learning_rate=learning_rate)
+    state = nn.adam_init(v, learning_rate=learning_rate)
     for _ in range(steps):
         _, grad = _constant_ma_objective(v, proj, labels, task)
-        nn.adam_step_arrays([v], [grad], state)
+        nn.adam_step_arrays(v, grad, state)
     return nn.softmax(v)

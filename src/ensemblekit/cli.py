@@ -6,8 +6,9 @@ record carries raw metrics plus metrics normalized by the single best
 base model on the same dataset. Records are JSON lines appended under a
 per-file exclusive lock, so concurrent runs must target distinct files.
 
-Exit codes: 0 success, 2 usage or data error, 3 numeric failure during
-training. ENSEMBLEKIT_THREADS caps how many seeds run in parallel.
+Exit codes: 0 success, 2 usage or data error, 3 numeric failure (a
+non-finite training loss or metric; nothing is appended then).
+ENSEMBLEKIT_THREADS caps how many seeds run in parallel.
 """
 
 from __future__ import annotations
@@ -99,9 +100,19 @@ def _locked_output(path: str):
 
 
 def _append_records(path: str, records: List[dict]) -> None:
+    # allow_nan=False: bare NaN/Infinity is not JSON, so refuse to write it.
+    lines = [json.dumps(record, sort_keys=True, allow_nan=False) + "\n" for record in records]
     with open(path, "a") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+        fh.writelines(lines)
+
+
+def _finite(values: Dict[str, float], where: str) -> Dict[str, float]:
+    """Return ``values``, or raise NumericError naming the first metric
+    that is not finite; records must never carry NaN or infinity."""
+    for name, value in values.items():
+        if not np.isfinite(value):
+            raise NumericError(f"{where}: metric '{name}' is not finite ({value})")
+    return values
 
 
 def _evaluate(ds: MetaDataset, predictions: np.ndarray, split: str) -> metrics.MetricReport:
@@ -236,13 +247,14 @@ def cmd_run(args) -> int:
         predictions, mode, echo = _run_method(ds, args.method, args, seed)
         report = _evaluate(ds, predictions, "test")
         normalized = metrics.normalize_report(report, reference)
+        where = f"{ds.name} {args.method} seed {seed}"
         return {
             "dataset": ds.name,
             "method": args.method,
             "mode": mode,
             "seed": seed,
-            "metrics": report.as_dict(),
-            "normalized": normalized.as_dict(),
+            "metrics": _finite(report.as_dict(), where),
+            "normalized": _finite(normalized.as_dict(), where),
             "wall_time_seconds": time.perf_counter() - start,
             "config": echo,
         }
@@ -295,6 +307,10 @@ def cmd_sweep_dropout(args) -> int:
             zero, _ = nll_at(0.0)
         records = []
         for rate, value, elapsed in rows:
+            scores = _finite(
+                {"nll": value, "normalized_nll_vs_zero": value / max(zero, 1e-12)},
+                f"{ds.name} {mode} seed {seed} rate {rate}",
+            )
             records.append(
                 {
                     "dataset": ds.name,
@@ -302,8 +318,7 @@ def cmd_sweep_dropout(args) -> int:
                     "mode": mode,
                     "seed": seed,
                     "dropout_rate": rate,
-                    "nll": value,
-                    "normalized_nll_vs_zero": value / max(zero, 1e-12),
+                    **scores,
                     "wall_time_seconds": elapsed,
                     "config": {
                         "layers": args.layers,

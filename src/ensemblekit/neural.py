@@ -19,14 +19,15 @@ needs no compensation. Everything is deterministic in the config seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from . import nn
 from .data import MetaDataset, SyntheticSpec, TaskKind, generate_preferred_model
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, DataValidationError, NumericError, ShapeError
 from .metrics import PROB_CLAMP_HI, PROB_CLAMP_LO
 
 MODE_STACKING = "stacking"
@@ -78,42 +79,42 @@ class NEConfig:
 
 @dataclass
 class NEParams:
-    """Trained (or freshly initialized) ensembler networks."""
+    """Trained (or freshly initialized) ensembler networks.
+
+    ``flat`` holds every trainable parameter. ``nets`` are DenseNets whose
+    parameters are views into it, in ``flat`` order: the stacking column
+    scorer, or the ma column embedder followed by the gating head.
+    """
 
     mode: str
     n_models: int
-    net: Optional[nn.DenseNet] = None  # stacking column scorer
-    mlp1: Optional[nn.DenseNet] = None  # ma shared column embedding
-    mlp2: Optional[nn.DenseNet] = None  # ma gating head
+    layer_dims: List[List[int]]
+    flat: np.ndarray
+    nets: List[nn.DenseNet] = field(init=False, repr=False)
 
-    def parameter_arrays(self) -> List[np.ndarray]:
-        if self.mode == MODE_STACKING:
-            return self.net.parameters()
-        return self.mlp1.parameters() + self.mlp2.parameters()
+    def __post_init__(self):
+        self.nets = [nn.DenseNet(d, p) for d, p in zip(self.layer_dims, self.split(self.flat))]
+
+    def split(self, vector: np.ndarray) -> List[np.ndarray]:
+        """Per-net views of a vector laid out like ``flat``."""
+        return np.split(vector, np.cumsum([nn.dense_param_count(d) for d in self.layer_dims])[:-1])
 
     def parameter_count(self) -> int:
-        return sum(p.size for p in self.parameter_arrays())
+        return self.flat.size
 
 
-def _stacking_dims(n_models: int, hidden_dim: int, layers: int) -> List[int]:
-    return [n_models] + [hidden_dim] * (layers - 1) + [1]
-
-
-def _ma_dims(n_models: int, hidden_dim: int) -> Tuple[List[int], List[int]]:
-    return [n_models, hidden_dim, hidden_dim, hidden_dim], [hidden_dim, n_models]
+def _layer_dims(config: NEConfig, n_models: int) -> List[List[int]]:
+    """Layer dims of the combiner's networks, in ``NEParams.flat`` order."""
+    h = config.hidden_dim
+    if config.mode == MODE_STACKING:
+        return [[n_models] + [h] * (config.layers - 1) + [1]]
+    return [[n_models, h, h, h], [h, n_models]]
 
 
 def param_count(config: NEConfig, n_models: int) -> int:
     """Exact trainable-parameter count; depends on (mode, M, H, L) only,
     never on the number of classes."""
-
-    def count(dims: List[int]) -> int:
-        return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
-
-    if config.mode == MODE_STACKING:
-        return count(_stacking_dims(n_models, config.hidden_dim, config.layers))
-    d1, d2 = _ma_dims(n_models, config.hidden_dim)
-    return count(d1) + count(d2)
+    return sum(nn.dense_param_count(dims) for dims in _layer_dims(config, n_models))
 
 
 def init_ne_params(config: NEConfig, n_models: int) -> NEParams:
@@ -122,16 +123,9 @@ def init_ne_params(config: NEConfig, n_models: int) -> NEParams:
     if n_models < 1:
         raise ConfigError(f"need at least one base model, got {n_models}")
     seeds = np.random.SeedSequence(config.seed).generate_state(2)
-    if config.mode == MODE_STACKING:
-        net = nn.init_dense_net(_stacking_dims(n_models, config.hidden_dim, config.layers), int(seeds[0]))
-        return NEParams(mode=MODE_STACKING, n_models=n_models, net=net)
-    d1, d2 = _ma_dims(n_models, config.hidden_dim)
-    return NEParams(
-        mode=MODE_MA,
-        n_models=n_models,
-        mlp1=nn.init_dense_net(d1, int(seeds[0])),
-        mlp2=nn.init_dense_net(d2, int(seeds[1])),
-    )
+    dims = _layer_dims(config, n_models)
+    flat = np.concatenate([nn.init_dense_net(d, int(s)).flat for d, s in zip(dims, seeds)])
+    return NEParams(mode=config.mode, n_models=n_models, layer_dims=dims, flat=flat)
 
 
 def sample_mask(n_models: int, retain_prob: float, rng: np.random.Generator) -> np.ndarray:
@@ -151,13 +145,6 @@ def sample_mask(n_models: int, retain_prob: float, rng: np.random.Generator) -> 
     return mask
 
 
-def _scaled_inputs(cube: np.ndarray, mask: Optional[np.ndarray], retain_prob: float) -> np.ndarray:
-    """Apply the train-time mask and 1/gamma compensation to a (B, M, C) cube."""
-    if mask is None:
-        return cube
-    return cube * (mask / retain_prob)[None, :, None]
-
-
 def _masked_softmax(scores: np.ndarray, mask: Optional[np.ndarray]) -> np.ndarray:
     """Row-wise softmax over the retained entries; masked entries exactly 0."""
     if mask is None:
@@ -169,118 +156,66 @@ def _masked_softmax(scores: np.ndarray, mask: Optional[np.ndarray]) -> np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# Forward passes (batched); traces are kept only when gradients are needed
+# The column kernel: one shared network applied to every class column
 # ---------------------------------------------------------------------------
 
 
-def _stacking_scores(
-    params: NEParams, cube: np.ndarray, mask: Optional[np.ndarray], retain_prob: float
-) -> Tuple[np.ndarray, List[nn.ForwardTrace]]:
-    x = _scaled_inputs(cube, mask, retain_prob)
-    n_classes = cube.shape[2]
-    scores = np.empty((cube.shape[0], n_classes))
-    traces = []
-    for c in range(n_classes):
-        out, trace = nn.forward(params.net, x[:, :, c])
-        scores[:, c] = out[:, 0]
-        traces.append(trace)
-    return scores, traces
+def _columns_forward(
+    net: nn.DenseNet, x: np.ndarray, pooled: bool
+) -> Tuple[np.ndarray, List[List[np.ndarray]]]:
+    """Run ``net`` on each class column x[:, :, c] of a (B, M, C) cube.
 
-
-def _ma_gate(
-    params: NEParams, cube: np.ndarray, mask: Optional[np.ndarray], retain_prob: float
-) -> Tuple[np.ndarray, List[nn.ForwardTrace], nn.ForwardTrace]:
-    x = _scaled_inputs(cube, mask, retain_prob)
-    embed = None
-    traces1 = []
-    for c in range(cube.shape[2]):
-        out, trace = nn.forward(params.mlp1, x[:, :, c])
-        embed = out if embed is None else embed + out
-        traces1.append(trace)
-    scores, trace2 = nn.forward(params.mlp2, embed)
-    theta = _masked_softmax(scores, mask)
-    return theta, traces1, trace2
-
-
-def _check_cube(params: NEParams, cube: np.ndarray) -> np.ndarray:
-    cube = np.asarray(cube, dtype=np.float64)
-    if cube.ndim != 3 or cube.shape[1] != params.n_models:
-        raise ShapeError(
-            f"prediction cube shape {cube.shape} does not match M={params.n_models}"
-        )
-    return cube
-
-
-def forward_stacking(
-    params: NEParams,
-    z: np.ndarray,
-    mask: Optional[np.ndarray] = None,
-    retain_prob: float = 1.0,
-) -> np.ndarray:
-    """Stacking output for one instance z of shape (M, C).
-
-    Returns class probabilities (C,) when C >= 2, or the raw scalar
-    prediction when C = 1 (regression).
+    Returns the column outputs side by side, (B, C * d_out), or, when
+    ``pooled``, summed over classes in class order (the deep-set
+    embedding), plus each column's activations for _columns_backward.
     """
-    cube = _check_cube(params, np.asarray(z, dtype=np.float64)[None, :, :])
-    scores, _ = _stacking_scores(params, cube, mask, retain_prob)
-    if cube.shape[2] == 1:
-        return float(scores[0, 0])
-    return nn.softmax(scores)[0]
+    outs, acts = [], []
+    for c in range(x.shape[2]):
+        out, a = nn.forward(net, x[:, :, c])
+        outs.append(out)
+        acts.append(a)
+    if pooled:
+        return functools.reduce(np.add, outs), acts
+    return np.concatenate(outs, axis=1), acts
 
 
-def forward_ma_weights(
-    params: NEParams,
-    z: np.ndarray,
-    mask: Optional[np.ndarray] = None,
-    retain_prob: float = 1.0,
-) -> np.ndarray:
-    """Per-instance model-averaging weights theta (M,) for one instance (M, C)."""
-    cube = _check_cube(params, np.asarray(z, dtype=np.float64)[None, :, :])
-    theta, _, _ = _ma_gate(params, cube, mask, retain_prob)
-    return theta[0]
+def _columns_backward(
+    net: nn.DenseNet,
+    acts: List[List[np.ndarray]],
+    dout: np.ndarray,
+    grad: np.ndarray,
+    pooled: bool,
+) -> None:
+    """Add ``net``'s parameter gradients, summed over class columns in
+    class order, into ``grad``; ``dout`` is dLoss/d(_columns_forward output)."""
+    width = net.layer_dims[-1]
+    for c, a in enumerate(acts):
+        nn.backward(net, a, dout if pooled else dout[:, c * width : (c + 1) * width], grad)
 
 
-def predict_stacking(params: NEParams, cube: np.ndarray) -> np.ndarray:
-    """Inference-path stacking predictions: (N, C) probabilities or (N,)."""
-    cube = _check_cube(params, cube)
-    scores, _ = _stacking_scores(params, cube, None, 1.0)
-    if cube.shape[2] == 1:
-        return scores[:, 0]
-    return nn.softmax(scores)
+# ---------------------------------------------------------------------------
+# Forward pass, training loss and analytic gradients
+# ---------------------------------------------------------------------------
 
 
-def ma_weights(params: NEParams, cube: np.ndarray) -> np.ndarray:
-    """Inference-path per-instance weights (N, M); rows are simplex vectors."""
-    cube = _check_cube(params, cube)
-    theta, _, _ = _ma_gate(params, cube, None, 1.0)
-    return theta
+def _forward(
+    params: NEParams, cube: np.ndarray, mask: Optional[np.ndarray], retain_prob: float
+) -> Tuple[np.ndarray, tuple]:
+    """Combiner output on a (B, M, C) cube plus the cache _backward needs.
 
-
-def predict_ma(params: NEParams, cube: np.ndarray) -> np.ndarray:
-    """Inference-path model-averaging predictions: (N, C) or (N,).
-
-    Classification rows are convex combinations of base-model simplex
-    rows, so they sum to 1 up to rounding.
+    The output is (B, C): the stacking column scores, or the ma average
+    of the base models under the per-instance weights theta. Train-time
+    masks zero dropped models' inputs and scale the rest by 1/gamma.
     """
-    cube = _check_cube(params, cube)
-    theta = ma_weights(params, cube)
-    combined = np.einsum("bm,bmc->bc", theta, cube)
-    if cube.shape[2] == 1:
-        return combined[:, 0]
-    return combined
-
-
-def predict(params: NEParams, cube: np.ndarray) -> np.ndarray:
-    """Dispatch to the mode's inference path."""
+    x = cube if mask is None else cube * (mask / retain_prob)[None, :, None]
     if params.mode == MODE_STACKING:
-        return predict_stacking(params, cube)
-    return predict_ma(params, cube)
-
-
-# ---------------------------------------------------------------------------
-# Training loss and analytic gradients
-# ---------------------------------------------------------------------------
+        scores, acts = _columns_forward(params.nets[0], x, pooled=False)
+        return scores, (acts,)
+    embedder, head = params.nets
+    embed, acts = _columns_forward(embedder, x, pooled=True)
+    gate, head_acts = nn.forward(head, embed)
+    theta = _masked_softmax(gate, mask)
+    return np.einsum("bm,bmc->bc", theta, cube), (acts, head_acts, theta)
 
 
 def _nll_output_grad(probs: np.ndarray, labels: np.ndarray) -> Tuple[float, np.ndarray, np.ndarray]:
@@ -294,6 +229,47 @@ def _nll_output_grad(probs: np.ndarray, labels: np.ndarray) -> Tuple[float, np.n
     return loss, u, clamped
 
 
+def _objective(
+    out: np.ndarray, labels: np.ndarray, task: TaskKind, mode: str
+) -> Tuple[float, np.ndarray]:
+    """Training loss of a _forward output and its gradient dLoss/dout:
+    clamped NLL of softmax(scores) (stacking) or of the averaged
+    probabilities (ma), or the MSE of the single output column."""
+    batch = out.shape[0]
+    if task is TaskKind.REGRESSION:
+        resid = out[:, 0] - labels
+        return float(np.mean(resid * resid)), (2.0 * resid / batch)[:, None]
+    rows = np.arange(batch)
+    if mode == MODE_STACKING:
+        probs = nn.softmax(out)
+        loss, u, _ = _nll_output_grad(probs, labels)
+        onehot = np.zeros_like(probs)
+        onehot[rows, labels] = 1.0
+        return loss, (probs - onehot) * u[:, None]
+    loss, u, clamped = _nll_output_grad(out, labels)
+    dout = np.zeros_like(out)
+    dout[rows, labels] = -u / clamped
+    return loss, dout
+
+
+def _backward(params: NEParams, cube: np.ndarray, cache: tuple, dout: np.ndarray) -> np.ndarray:
+    """Gradient of the loss in every parameter, laid out like params.flat."""
+    grad = np.zeros_like(params.flat)
+    if params.mode == MODE_STACKING:
+        _columns_backward(params.nets[0], cache[0], dout, grad, pooled=False)
+        return grad
+    acts, head_acts, theta = cache
+    embedder, head = params.nets
+    grad_embedder, grad_head = params.split(grad)
+    dtheta = np.einsum("bc,bmc->bm", dout, cube)
+    # Softmax Jacobian restricted to the retained support: masked entries
+    # have theta = 0, so their gate gradient vanishes exactly.
+    dgate = theta * (dtheta - np.sum(theta * dtheta, axis=1, keepdims=True))
+    dembed = nn.backward(head, head_acts, dgate, grad_head)
+    _columns_backward(embedder, acts, dembed, grad_embedder, pooled=True)
+    return grad
+
+
 def _training_loss(
     params: NEParams,
     cube: np.ndarray,
@@ -303,21 +279,8 @@ def _training_loss(
     retain_prob: float,
 ) -> float:
     """Forward-only training objective; the finite-difference oracle target."""
-    if params.mode == MODE_STACKING:
-        scores, _ = _stacking_scores(params, cube, mask, retain_prob)
-        if task is TaskKind.CLASSIFICATION:
-            probs = nn.softmax(scores)
-            loss, _, _ = _nll_output_grad(probs, labels)
-            return loss
-        resid = scores[:, 0] - labels
-        return float(np.mean(resid * resid))
-    theta, _, _ = _ma_gate(params, cube, mask, retain_prob)
-    combined = np.einsum("bm,bmc->bc", theta, cube)
-    if task is TaskKind.CLASSIFICATION:
-        loss, _, _ = _nll_output_grad(combined, labels)
-        return loss
-    resid = combined[:, 0] - labels
-    return float(np.mean(resid * resid))
+    out, _ = _forward(params, cube, mask, retain_prob)
+    return _objective(out, labels, task, params.mode)[0]
 
 
 def _loss_and_gradients(
@@ -327,60 +290,54 @@ def _loss_and_gradients(
     task: TaskKind,
     mask: Optional[np.ndarray],
     retain_prob: float,
-) -> Tuple[float, List[np.ndarray]]:
-    """Training loss plus analytic gradients for every parameter array.
+) -> Tuple[float, np.ndarray]:
+    """Training loss plus its analytic gradient, laid out like params.flat."""
+    out, cache = _forward(params, cube, mask, retain_prob)
+    loss, dout = _objective(out, labels, task, params.mode)
+    return loss, _backward(params, cube, cache, dout)
 
-    Gradient order matches params.parameter_arrays().
+
+# ---------------------------------------------------------------------------
+# Inference and training
+# ---------------------------------------------------------------------------
+
+
+def _check_cube(params: NEParams, cube: np.ndarray) -> np.ndarray:
+    cube = np.asarray(cube, dtype=np.float64)
+    if cube.ndim != 3 or cube.shape[1] != params.n_models:
+        raise ShapeError(
+            f"prediction cube shape {cube.shape} does not match M={params.n_models}"
+        )
+    finite = np.isfinite(cube)
+    if not finite.all():
+        i, m, c = np.argwhere(~finite)[0]
+        raise DataValidationError(f"prediction cube entry (instance {i}, model {m}, "
+                                  f"class {c}) is not finite: {cube[i, m, c]}")
+    return cube
+
+
+def predict(params: NEParams, cube: np.ndarray) -> np.ndarray:
+    """Inference-path predictions for an (N, M, C) cube, run unmasked.
+
+    Returns (N, C) class probabilities, or (N,) for regression (C = 1).
+    Stacking rows are the softmax of the column scores; ma rows are
+    convex combinations of base-model simplex rows, so they sum to 1 up
+    to rounding.
     """
-    batch = cube.shape[0]
-    n_classes = cube.shape[2]
+    cube = _check_cube(params, cube)
+    out, _ = _forward(params, cube, None, 1.0)
+    if cube.shape[2] == 1:
+        return out[:, 0]
+    return nn.softmax(out) if params.mode == MODE_STACKING else out
 
-    if params.mode == MODE_STACKING:
-        scores, traces = _stacking_scores(params, cube, mask, retain_prob)
-        if task is TaskKind.CLASSIFICATION:
-            probs = nn.softmax(scores)
-            loss, u, _ = _nll_output_grad(probs, labels)
-            onehot = np.zeros_like(probs)
-            onehot[np.arange(batch), labels] = 1.0
-            dscores = (probs - onehot) * u[:, None]
-        else:
-            resid = scores[:, 0] - labels
-            loss = float(np.mean(resid * resid))
-            dscores = (2.0 * resid / batch)[:, None]
-        grads = None
-        for c in range(n_classes):
-            bundle, _ = nn.backward(params.net, traces[c], dscores[:, c : c + 1])
-            arrays = bundle.parameters()
-            if grads is None:
-                grads = arrays
-            else:
-                grads = [g + a for g, a in zip(grads, arrays)]
-        return loss, grads
 
-    theta, traces1, trace2 = _ma_gate(params, cube, mask, retain_prob)
-    combined = np.einsum("bm,bmc->bc", theta, cube)
-    if task is TaskKind.CLASSIFICATION:
-        loss, u, clamped = _nll_output_grad(combined, labels)
-        dcombined = np.zeros_like(combined)
-        dcombined[np.arange(batch), labels] = -u / clamped
-    else:
-        resid = combined[:, 0] - labels
-        loss = float(np.mean(resid * resid))
-        dcombined = (2.0 * resid / batch)[:, None]
-    dtheta = np.einsum("bc,bmc->bm", dcombined, cube)
-    # Softmax Jacobian restricted to the retained support: masked entries
-    # have theta = 0, so their score gradient vanishes exactly.
-    dscores = theta * (dtheta - np.sum(theta * dtheta, axis=1, keepdims=True))
-    bundle2, dembed = nn.backward(params.mlp2, trace2, dscores)
-    grads1 = None
-    for c in range(n_classes):
-        bundle, _ = nn.backward(params.mlp1, traces1[c], dembed)
-        arrays = bundle.parameters()
-        if grads1 is None:
-            grads1 = arrays
-        else:
-            grads1 = [g + a for g, a in zip(grads1, arrays)]
-    return loss, grads1 + bundle2.parameters()
+def ma_weights(params: NEParams, cube: np.ndarray) -> np.ndarray:
+    """Inference-path per-instance weights (N, M); rows are simplex vectors."""
+    if params.mode != MODE_MA:
+        raise ConfigError(f"ma_weights needs a '{MODE_MA}' combiner, got {params.mode!r}")
+    cube = _check_cube(params, cube)
+    _, (_, _, theta) = _forward(params, cube, None, 1.0)
+    return theta
 
 
 def train(ds: MetaDataset, config: NEConfig) -> Tuple[NEParams, List[float]]:
@@ -400,7 +357,7 @@ def train(ds: MetaDataset, config: NEConfig) -> Tuple[NEParams, List[float]]:
     gamma = config.retain_prob
 
     params = init_ne_params(config, ds.n_models)
-    state = nn.adam_init(params.parameter_arrays(), learning_rate=config.learning_rate)
+    state = nn.adam_init(params.flat, learning_rate=config.learning_rate)
     rng = np.random.default_rng(int(np.random.SeedSequence(config.seed).generate_state(3)[2]))
 
     trace: List[float] = []
@@ -408,12 +365,12 @@ def train(ds: MetaDataset, config: NEConfig) -> Tuple[NEParams, List[float]]:
         for step in range(config.steps):
             idx = rng.integers(0, n, size=batch)
             mask = sample_mask(ds.n_models, gamma, rng)
-            loss, grads = _loss_and_gradients(
+            loss, grad = _loss_and_gradients(
                 params, cube[idx], labels[idx], ds.task, mask, gamma
             )
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite training loss at step {step}")
-            nn.adam_step_arrays(params.parameter_arrays(), grads, state)
+            nn.adam_step_arrays(params.flat, grad, state)
             trace.append(loss)
     return params, trace
 

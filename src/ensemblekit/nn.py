@@ -19,59 +19,44 @@ from .errors import ConfigError, NumericError, ShapeError
 
 @dataclass
 class DenseNet:
-    """Fully connected network.
+    """Fully connected network whose parameters live in one float64 vector.
 
-    ``weights[l]`` has shape (layer_dims[l+1], layer_dims[l]) and
-    ``biases[l]`` shape (layer_dims[l+1],). Hidden layers apply a
-    rectifier; the final layer is identity so outputs live on the whole
-    real line.
+    ``flat`` holds W0, b0, W1, b1, ... in that order; ``weights[l]``
+    (shape (layer_dims[l+1], layer_dims[l])) and ``biases[l]`` (shape
+    (layer_dims[l+1],)) are views into it, so updating ``flat`` in place
+    updates the network. Hidden layers apply a rectifier; the final layer
+    is identity so outputs live on the whole real line.
     """
 
     layer_dims: List[int]
-    weights: List[np.ndarray]
-    biases: List[np.ndarray]
+    flat: np.ndarray
+    weights: List[np.ndarray] = field(init=False, repr=False)
+    biases: List[np.ndarray] = field(init=False, repr=False)
 
-    @property
-    def n_layers(self) -> int:
-        return len(self.weights)
+    def __post_init__(self):
+        size = dense_param_count(self.layer_dims)
+        if self.flat.shape != (size,):
+            raise ShapeError(f"layer dims {self.layer_dims} need {size} parameters, "
+                             f"got shape {self.flat.shape}")
+        self.weights, self.biases = self.unpack(self.flat)
 
-    def parameters(self) -> List[np.ndarray]:
-        """Parameter arrays in a fixed order: W0, b0, W1, b1, ..."""
-        out: List[np.ndarray] = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+    def unpack(self, vector: np.ndarray) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+        """Per-layer weight and bias views of a vector laid out like ``flat``."""
+        weights, biases, start = [], [], 0
+        for fan_in, fan_out in zip(self.layer_dims[:-1], self.layer_dims[1:]):
+            weights.append(vector[start : start + fan_in * fan_out].reshape(fan_out, fan_in))
+            start += fan_in * fan_out
+            biases.append(vector[start : start + fan_out])
+            start += fan_out
+        return weights, biases
 
     def parameter_count(self) -> int:
-        return sum(p.size for p in self.parameters())
+        return self.flat.size
 
 
-@dataclass
-class ForwardTrace:
-    """Cached activations from one forward pass, consumed by backward.
-
-    ``activations[0]`` is the input batch; ``activations[l+1]`` is the
-    post-activation output of layer l.
-    """
-
-    activations: List[np.ndarray]
-    single_instance: bool
-
-
-@dataclass
-class GradientBundle:
-    """Loss gradients for every parameter of a DenseNet."""
-
-    weight_grads: List[np.ndarray]
-    bias_grads: List[np.ndarray]
-
-    def parameters(self) -> List[np.ndarray]:
-        out: List[np.ndarray] = []
-        for w, b in zip(self.weight_grads, self.bias_grads):
-            out.append(w)
-            out.append(b)
-        return out
+def dense_param_count(layer_dims: Sequence[int]) -> int:
+    """Weights plus biases of a DenseNet with these layer dims."""
+    return sum((d_in + 1) * d_out for d_in, d_out in zip(layer_dims[:-1], layer_dims[1:]))
 
 
 def init_dense_net(layer_dims: Sequence[int], seed: int) -> DenseNet:
@@ -87,132 +72,107 @@ def init_dense_net(layer_dims: Sequence[int], seed: int) -> DenseNet:
     if any(d <= 0 for d in dims):
         raise ConfigError(f"layer dims must be positive, got {layer_dims}")
     rng = np.random.default_rng(seed)
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+    net = DenseNet(layer_dims=dims, flat=np.zeros(dense_param_count(dims)))
+    for w, fan_in in zip(net.weights, dims[:-1]):
         bound = np.sqrt(6.0 / fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return DenseNet(layer_dims=dims, weights=weights, biases=biases)
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return net
 
 
-def forward(net: DenseNet, x: np.ndarray) -> Tuple[np.ndarray, ForwardTrace]:
-    """Run the network on one instance (d0,) or a batch (B, d0).
+def forward(net: DenseNet, x: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """Run the network on a batch (B, d0).
 
-    Returns the output plus a trace of post-activation values for
-    backward. Output shape matches the input convention: (d_out,) for a
-    single instance, (B, d_out) for a batch.
+    Returns the output (B, d_out) plus the activations backward needs:
+    ``activations[0]`` is the input and ``activations[l+1]`` the
+    post-activation output of layer l.
     """
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
     if x.ndim != 2 or x.shape[1] != net.layer_dims[0]:
-        raise ShapeError(
-            f"input has shape {np.asarray(x).shape}, expected (..., {net.layer_dims[0]})"
-        )
+        raise ShapeError(f"input has shape {x.shape}, expected (B, {net.layer_dims[0]})")
     activations = [x]
     a = x
-    last = net.n_layers - 1
+    last = len(net.weights) - 1
     for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-        pre = a @ w.T + b
-        a = pre if l == last else np.maximum(pre, 0.0)
+        a = a @ w.T
+        a += b
+        if l < last:
+            np.maximum(a, 0.0, out=a)
         activations.append(a)
-    trace = ForwardTrace(activations=activations, single_instance=single)
-    out = activations[-1][0] if single else activations[-1]
-    return out, trace
+    return a, activations
 
 
 def backward(
-    net: DenseNet, trace: ForwardTrace, output_gradient: np.ndarray
-) -> Tuple[GradientBundle, np.ndarray]:
+    net: DenseNet, activations: List[np.ndarray], output_gradient: np.ndarray, grad: np.ndarray
+) -> np.ndarray:
     """Backpropagate a loss gradient through a cached forward pass.
 
-    ``output_gradient`` is dLoss/dOutput with the same shape as the
-    forward output. Parameter gradients are summed over the batch, so
-    they are exact for any scalar loss of the outputs. Also returns
-    dLoss/dInput.
+    ``output_gradient`` is dLoss/dOutput with the shape of the forward
+    output. Parameter gradients, summed over the batch, are added into
+    ``grad``, a vector laid out like ``net.flat``; adding rather than
+    overwriting lets callers accumulate several passes of a shared
+    network. Returns dLoss/dInput.
     """
     delta = np.asarray(output_gradient, dtype=np.float64)
-    if trace.single_instance:
-        delta = delta[None, :]
-    out = trace.activations[-1]
-    if delta.shape != out.shape:
-        raise ShapeError(f"output gradient shape {delta.shape} != output shape {out.shape}")
-
-    weight_grads: List[np.ndarray] = [np.empty(0)] * net.n_layers
-    bias_grads: List[np.ndarray] = [np.empty(0)] * net.n_layers
-    for l in range(net.n_layers - 1, -1, -1):
-        a_prev = trace.activations[l]
-        weight_grads[l] = delta.T @ a_prev
-        bias_grads[l] = delta.sum(axis=0)
+    if delta.shape != activations[-1].shape:
+        raise ShapeError(
+            f"output gradient shape {delta.shape} != output shape {activations[-1].shape}"
+        )
+    weight_grads, bias_grads = net.unpack(grad)
+    for l in range(len(net.weights) - 1, -1, -1):
+        a_prev = activations[l]
+        weight_grads[l] += delta.T @ a_prev
+        bias_grads[l] += delta.sum(axis=0)
         delta = delta @ net.weights[l]
         if l > 0:
             # a_prev is post-rectifier output of layer l-1: zero entries
             # had non-positive pre-activations, so they block the gradient.
-            delta = delta * (a_prev > 0.0)
-    input_gradient = delta[0] if trace.single_instance else delta
-    return GradientBundle(weight_grads=weight_grads, bias_grads=bias_grads), input_gradient
+            delta *= a_prev > 0.0
+    return delta
 
 
 @dataclass
 class AdamState:
     """Moment estimates and hyperparameters for bias-corrected Adam."""
 
+    first_moment: np.ndarray
+    second_moment: np.ndarray
     learning_rate: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
     step_count: int = 0
-    first_moments: List[np.ndarray] = field(default_factory=list)
-    second_moments: List[np.ndarray] = field(default_factory=list)
 
 
-def adam_init(
-    params: Sequence[np.ndarray],
-    learning_rate: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    epsilon: float = 1e-8,
-) -> AdamState:
-    """Zero-initialized Adam state aligned with a list of parameter arrays."""
+def adam_init(params: np.ndarray, learning_rate: float = 1e-3) -> AdamState:
+    """Zero-initialized Adam state for a parameter vector."""
     if learning_rate < 0:
         raise ConfigError(f"learning rate must be nonnegative, got {learning_rate}")
-    return AdamState(
-        learning_rate=learning_rate,
-        beta1=beta1,
-        beta2=beta2,
-        epsilon=epsilon,
-        step_count=0,
-        first_moments=[np.zeros_like(p) for p in params],
-        second_moments=[np.zeros_like(p) for p in params],
-    )
+    return AdamState(np.zeros_like(params), np.zeros_like(params), learning_rate)
 
 
-def adam_step_arrays(
-    params: Sequence[np.ndarray], grads: Sequence[np.ndarray], state: AdamState
-) -> None:
-    """One bias-corrected Adam update, applied to ``params`` in place."""
-    if len(params) != len(state.first_moments) or len(params) != len(grads):
-        raise ShapeError("params, grads and Adam state must have matching lengths")
+def adam_step_arrays(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
+    """One bias-corrected Adam update of the vector ``params``, in place.
+
+    Raises before touching anything if a gradient entry is not finite.
+    """
+    if params.shape != state.first_moment.shape or grads.shape != params.shape:
+        raise ShapeError(
+            f"params {params.shape}, grads {grads.shape} and Adam state "
+            f"{state.first_moment.shape} must have matching shapes"
+        )
+    if not np.all(np.isfinite(grads)):
+        raise NumericError("non-finite gradient passed to Adam update")
     t = state.step_count + 1
     b1, b2 = state.beta1, state.beta2
-    for p, g, m, v in zip(params, grads, state.first_moments, state.second_moments):
-        if not np.all(np.isfinite(g)):
-            raise NumericError("non-finite gradient passed to Adam update")
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        p -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    m, v = state.first_moment, state.second_moment
+    m *= b1
+    m += (1.0 - b1) * grads
+    v *= b2
+    v += (1.0 - b2) * grads * grads
+    m_hat = m / (1.0 - b1**t)
+    v_hat = v / (1.0 - b2**t)
+    params -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
     state.step_count = t
-
-
-def adam_step(net: DenseNet, grads: GradientBundle, state: AdamState) -> None:
-    """Adam update for a DenseNet whose state was built from net.parameters()."""
-    adam_step_arrays(net.parameters(), grads.parameters(), state)
 
 
 def softmax(values: np.ndarray) -> np.ndarray:

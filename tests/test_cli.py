@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from ensemblekit.cli import main
+from ensemblekit.data import MetaDataset, Split, SyntheticSpec, generate, save_metadataset
 
 RECORD_KEYS = {
     "dataset", "method", "mode", "seed", "metrics",
@@ -33,6 +34,20 @@ def _synth(tmp_path, name="ds", **over):
     for key, value in flags.items():
         argv += [f"--{key}", value]
     assert main(argv) == 0
+    return out
+
+
+def _overflowing_regression(tmp_path):
+    """A valid regression dataset whose first test row predicts a finite
+    1e200 for every model, so the test MSE overflows to infinity."""
+    ds = generate(SyntheticSpec(kind="poly", n_instances=100, n_models=3,
+                                degree=3, seed=0))
+    test_predictions = ds.test.predictions.copy()
+    test_predictions[0] = 1e200
+    ds = MetaDataset(name=ds.name, task=ds.task, val=ds.val,
+                     test=Split(test_predictions, ds.test.labels))
+    out = str(tmp_path / "overflow")
+    save_metadataset(ds, out)
     return out
 
 
@@ -153,6 +168,13 @@ class TestRun:
         assert "error:" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    def test_non_finite_metric_exits_3_before_appending(self, tmp_path, capsys):
+        data = _overflowing_regression(tmp_path)
+        out = str(tmp_path / "runs.jsonl")
+        assert main(["run", "greedy", "--data", data, "--out", out, "--seeds", "0"]) == 3
+        assert "not finite" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_locked_output_exits_2(self, tmp_path, capsys):
         data = _synth(tmp_path)
         out = str(tmp_path / "runs.jsonl")
@@ -222,6 +244,15 @@ class TestSweepDropout:
         record = _read_records(out)[0]
         assert record["method"] == "ne-stack"
         assert record["normalized_nll_vs_zero"] > 0.0
+
+    def test_non_finite_metric_exits_3_before_appending(self, tmp_path, capsys):
+        data = _overflowing_regression(tmp_path)
+        out = str(tmp_path / "sweep.jsonl")
+        argv = ["sweep-dropout", "--data", data, "--out", out,
+                "--seeds", "0", "--rates", "0.0"] + FAST_NE
+        assert main(argv) == 3
+        assert "not finite" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_rate_outside_range_exits_2(self, tmp_path):
         data = _synth(tmp_path)

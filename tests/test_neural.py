@@ -5,15 +5,14 @@ training loop, and the diversity diagnostic."""
 import numpy as np
 import pytest
 
-from ensemblekit.errors import ConfigError, NumericError, ShapeError
+from ensemblekit.errors import ConfigError, DataValidationError, NumericError, ShapeError
 from ensemblekit import neural
 from ensemblekit.data import SyntheticSpec, TaskKind, generate
 from ensemblekit.nn import finite_difference_gradients, gradient_errors
 
 
 def _jitter(params, rng, scale=0.3):
-    for arr in params.parameter_arrays():
-        arr += rng.uniform(-scale, scale, size=arr.shape)
+    params.flat += rng.uniform(-scale, scale, size=params.flat.shape)
 
 
 def _random_case(rng, mode, n_classes):
@@ -56,6 +55,16 @@ class TestConfigValidation:
 
 
 class TestParamCount:
+    def test_nets_are_views_of_one_flat_vector(self):
+        for mode in (neural.MODE_STACKING, neural.MODE_MA):
+            config = neural.NEConfig(mode=mode, layers=3, hidden_dim=4, seed=0)
+            params = neural.init_ne_params(config, 3)
+            assert sum(net.flat.size for net in params.nets) == params.flat.size
+            params.flat[:] = 7.0
+            for net in params.nets:
+                for w, b in zip(net.weights, net.biases):
+                    assert np.all(w == 7.0) and np.all(b == 7.0)
+
     def test_matches_instantiated_networks(self):
         for mode in (neural.MODE_STACKING, neural.MODE_MA):
             for m, h, l in [(2, 3, 1), (5, 8, 3), (10, 32, 4)]:
@@ -146,10 +155,10 @@ class TestForwardModes:
         _jitter(params, rng)
         raw = rng.uniform(0.1, 1.0, size=(20, 3, 4))
         cube = raw / raw.sum(axis=2, keepdims=True)
-        probs = neural.predict_stacking(params, cube)
+        probs = neural.predict(params, cube)
         assert probs.shape == (20, 4)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
-        single = neural.forward_stacking(params, cube[7])
+        single = neural.predict(params, cube[7][None])[0]
         np.testing.assert_allclose(single, probs[7], atol=1e-14)
 
     def test_stacking_regression_raw_scores(self):
@@ -158,9 +167,9 @@ class TestForwardModes:
         params = neural.init_ne_params(config, 3)
         _jitter(params, rng)
         cube = rng.normal(size=(10, 3, 1))
-        out = neural.predict_stacking(params, cube)
+        out = neural.predict(params, cube)
         assert out.shape == (10,)
-        assert neural.forward_stacking(params, cube[2]) == pytest.approx(out[2])
+        assert neural.predict(params, cube[2][None])[0] == pytest.approx(out[2])
 
     def test_ma_weights_are_per_instance_simplex(self):
         rng = np.random.default_rng(13)
@@ -183,7 +192,7 @@ class TestForwardModes:
         raw = rng.uniform(0.1, 1.0, size=(12, 3, 2))
         cube = raw / raw.sum(axis=2, keepdims=True)
         theta = neural.ma_weights(params, cube)
-        combined = neural.predict_ma(params, cube)
+        combined = neural.predict(params, cube)
         want = np.einsum("bm,bmc->bc", theta, cube)
         np.testing.assert_allclose(combined, want, atol=1e-14)
         np.testing.assert_allclose(combined.sum(axis=1), 1.0, atol=1e-12)
@@ -202,6 +211,24 @@ class TestForwardModes:
         b = neural.ma_weights(params, cube[:, :, perm])
         np.testing.assert_allclose(a, b, atol=1e-12)
 
+    @pytest.mark.parametrize("mode", ["stacking", "ma"])
+    def test_non_finite_cube_rejected_with_position(self, mode):
+        config = neural.NEConfig(mode=mode, layers=2, hidden_dim=4, seed=8)
+        params = neural.init_ne_params(config, 3)
+        cube = np.full((4, 3, 2), 0.5)
+        cube[2, 1, 0] = np.nan
+        cube[3, 0, 1] = np.inf
+        entry_points = [neural.predict] + ([neural.ma_weights] if mode == "ma" else [])
+        for entry_point in entry_points:
+            with pytest.raises(DataValidationError, match=r"instance 2, model 1, class 0"):
+                entry_point(params, cube)
+
+    def test_ma_weights_rejects_stacking_params(self):
+        config = neural.NEConfig(mode="stacking", layers=2, hidden_dim=4, seed=8)
+        params = neural.init_ne_params(config, 3)
+        with pytest.raises(ConfigError):
+            neural.ma_weights(params, np.full((2, 3, 2), 0.5))
+
     def test_shape_mismatch_rejected(self):
         config = neural.NEConfig(mode="ma", layers=2, hidden_dim=4, seed=8)
         params = neural.init_ne_params(config, 3)
@@ -218,12 +245,12 @@ class TestTrainingGradients:
     def test_unmasked(self, mode, n_classes):
         rng = np.random.default_rng(16)
         params, cube, labels, task = _random_case(rng, mode, n_classes)
-        loss, grads = neural._loss_and_gradients(params, cube, labels, task, None, 1.0)
+        loss, grad = neural._loss_and_gradients(params, cube, labels, task, None, 1.0)
         numeric = finite_difference_gradients(
             lambda: neural._training_loss(params, cube, labels, task, None, 1.0),
-            params.parameter_arrays(),
+            [params.flat],
         )
-        rel, _ = gradient_errors(grads, numeric)
+        rel, _ = gradient_errors([grad], numeric)
         assert rel < 1e-4
 
     @pytest.mark.parametrize("mode", ["stacking", "ma"])
@@ -235,12 +262,12 @@ class TestTrainingGradients:
         mask = np.ones(n_models)
         mask[: n_models // 2] = 0.0
         gamma = 0.5
-        loss, grads = neural._loss_and_gradients(params, cube, labels, task, mask, gamma)
+        loss, grad = neural._loss_and_gradients(params, cube, labels, task, mask, gamma)
         numeric = finite_difference_gradients(
             lambda: neural._training_loss(params, cube, labels, task, mask, gamma),
-            params.parameter_arrays(),
+            [params.flat],
         )
-        rel, _ = gradient_errors(grads, numeric)
+        rel, _ = gradient_errors([grad], numeric)
         assert rel < 1e-4
 
     def test_single_survivor_mask_kills_gate_gradient(self):
@@ -253,11 +280,10 @@ class TestTrainingGradients:
         cube = rng.normal(size=(6, 3, 1))
         labels = rng.normal(size=6)
         mask = np.array([0.0, 1.0, 0.0])
-        _, grads = neural._loss_and_gradients(
+        _, grad = neural._loss_and_gradients(
             params, cube, labels, TaskKind.REGRESSION, mask, 0.5
         )
-        for g in grads:
-            np.testing.assert_array_equal(g, np.zeros_like(g))
+        np.testing.assert_array_equal(grad, np.zeros_like(params.flat))
 
 
 class TestTrainingLoop:
@@ -270,8 +296,7 @@ class TestTrainingLoop:
         params_b, trace_b = neural.train(ds, config)
         assert len(trace_a) == 40
         assert trace_a == trace_b
-        for pa, pb in zip(params_a.parameter_arrays(), params_b.parameter_arrays()):
-            np.testing.assert_array_equal(pa, pb)
+        np.testing.assert_array_equal(params_a.flat, params_b.flat)
 
     def test_different_seeds_differ(self):
         ds = generate(SyntheticSpec(kind="experts", n_instances=200, n_models=2,
@@ -280,10 +305,7 @@ class TestTrainingLoop:
                     steps=40, batch_size=64)
         a, _ = neural.train(ds, neural.NEConfig(seed=3, **base))
         b, _ = neural.train(ds, neural.NEConfig(seed=4, **base))
-        assert any(
-            not np.array_equal(x, y)
-            for x, y in zip(a.parameter_arrays(), b.parameter_arrays())
-        )
+        assert not np.array_equal(a.flat, b.flat)
 
     def test_training_reduces_loss(self):
         ds = generate(SyntheticSpec(kind="experts", n_instances=500, n_models=2,

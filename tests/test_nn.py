@@ -15,8 +15,7 @@ def _jitter(net, rng, scale=0.3):
     pre-activations on the kink for any instance that deactivates a
     whole layer; finite differences are not meaningful there.
     """
-    for arr in net.parameters():
-        arr += rng.uniform(-scale, scale, size=arr.shape)
+    net.flat += rng.uniform(-scale, scale, size=net.flat.shape)
 
 
 class TestForward:
@@ -24,27 +23,20 @@ class TestForward:
     layers and identity on the final layer."""
 
     def test_hand_computed_single_layer(self):
-        net = nn.DenseNet(
-            layer_dims=[2, 1],
-            weights=[np.array([[2.0, -1.0]])],
-            biases=[np.array([0.5])],
-        )
-        out, _ = nn.forward(net, np.array([3.0, 4.0]))
+        # flat layout W0, b0: W0 = [[2, -1]], b0 = [0.5]
+        net = nn.DenseNet(layer_dims=[2, 1], flat=np.array([2.0, -1.0, 0.5]))
+        out, _ = nn.forward(net, np.array([[3.0, 4.0]]))
         # 2*3 - 1*4 + 0.5 = 2.5; final layer has no ReLU
-        assert out.shape == (1,)
-        assert out[0] == pytest.approx(2.5, abs=1e-15)
+        assert out.shape == (1, 1)
+        assert out[0, 0] == pytest.approx(2.5, abs=1e-15)
 
     def test_hand_computed_hidden_relu(self):
-        net = nn.DenseNet(
-            layer_dims=[1, 2, 1],
-            weights=[np.array([[1.0], [-1.0]]), np.array([[1.0, 1.0]])],
-            biases=[np.zeros(2), np.zeros(1)],
-        )
-        out_pos, _ = nn.forward(net, np.array([2.0]))
-        out_neg, _ = nn.forward(net, np.array([-3.0]))
+        # flat layout W0 (2x1), b0 (2), W1 (1x2), b1 (1)
+        net = nn.DenseNet(layer_dims=[1, 2, 1], flat=np.array([1.0, -1.0, 0, 0, 1.0, 1.0, 0]))
+        out, _ = nn.forward(net, np.array([[2.0], [-3.0]]))
         # hidden = relu([x, -x]); output = relu(x) + relu(-x) = |x|
-        assert out_pos[0] == pytest.approx(2.0)
-        assert out_neg[0] == pytest.approx(3.0)
+        assert out[0, 0] == pytest.approx(2.0)
+        assert out[1, 0] == pytest.approx(3.0)
 
     def test_batch_matches_per_instance(self):
         rng = np.random.default_rng(0)
@@ -53,17 +45,35 @@ class TestForward:
         x = rng.normal(size=(9, 4))
         batch_out, _ = nn.forward(net, x)
         for i in range(9):
-            single, _ = nn.forward(net, x[i])
-            np.testing.assert_allclose(single, batch_out[i], atol=1e-14)
+            single, _ = nn.forward(net, x[i : i + 1])
+            np.testing.assert_allclose(single[0], batch_out[i], atol=1e-14)
 
     def test_trace_records_input_and_activations(self):
         net = nn.init_dense_net([3, 5, 2], seed=2)
         x = np.random.default_rng(3).normal(size=(4, 3))
-        out, trace = nn.forward(net, x)
-        assert len(trace.activations) == 3
-        np.testing.assert_array_equal(trace.activations[0], x)
-        np.testing.assert_array_equal(trace.activations[-1], out)
-        assert np.all(trace.activations[1] >= 0.0)
+        out, activations = nn.forward(net, x)
+        assert len(activations) == 3
+        np.testing.assert_array_equal(activations[0], x)
+        np.testing.assert_array_equal(activations[-1], out)
+        assert np.all(activations[1] >= 0.0)
+
+    def test_rejects_single_instance_vector(self):
+        net = nn.init_dense_net([3, 2], seed=2)
+        with pytest.raises(ShapeError):
+            nn.forward(net, np.zeros(3))
+
+    def test_weights_and_biases_are_views_of_flat(self):
+        net = nn.init_dense_net([3, 4, 2], seed=2)
+        assert net.flat.shape == (net.parameter_count(),)
+        net.flat[:] = np.arange(net.flat.size)
+        np.testing.assert_array_equal(net.weights[0], np.arange(12).reshape(4, 3))
+        np.testing.assert_array_equal(net.biases[0], [12, 13, 14, 15])
+        np.testing.assert_array_equal(net.weights[1], np.arange(16, 24).reshape(2, 4))
+        np.testing.assert_array_equal(net.biases[1], [24, 25])
+
+    def test_rejects_flat_of_wrong_size(self):
+        with pytest.raises(ShapeError):
+            nn.DenseNet(layer_dims=[3, 2], flat=np.zeros(7))
 
 
 class TestInit:
@@ -72,15 +82,12 @@ class TestInit:
     def test_deterministic_per_seed(self):
         a = nn.init_dense_net([5, 7, 2], seed=11)
         b = nn.init_dense_net([5, 7, 2], seed=11)
-        for pa, pb in zip(a.parameters(), b.parameters()):
-            np.testing.assert_array_equal(pa, pb)
+        np.testing.assert_array_equal(a.flat, b.flat)
 
     def test_different_seeds_differ(self):
         a = nn.init_dense_net([5, 7, 2], seed=11)
         b = nn.init_dense_net([5, 7, 2], seed=12)
-        assert any(
-            not np.array_equal(pa, pb) for pa, pb in zip(a.parameters(), b.parameters())
-        )
+        assert not np.array_equal(a.flat, b.flat)
 
     def test_weight_bounds_and_zero_biases(self):
         net = nn.init_dense_net([9, 4, 4], seed=0)
@@ -109,15 +116,16 @@ class TestBackward:
         x = rng.normal(size=(6, dims[0]))
         v = rng.normal(size=(6, dims[-1]))
 
-        out, trace = nn.forward(net, x)
-        bundle, dx = nn.backward(net, trace, v)
+        _, activations = nn.forward(net, x)
+        grad = np.zeros_like(net.flat)
+        nn.backward(net, activations, v, grad)
 
         def loss_fn():
             o, _ = nn.forward(net, x)
             return float(np.sum(o * v))
 
-        numeric = nn.finite_difference_gradients(loss_fn, net.parameters())
-        rel, _ = nn.gradient_errors(bundle.parameters(), numeric)
+        numeric = nn.finite_difference_gradients(loss_fn, [net.flat])
+        rel, _ = nn.gradient_errors([grad], numeric)
         assert rel < 1e-6
 
     def test_input_gradient(self):
@@ -126,8 +134,8 @@ class TestBackward:
         _jitter(net, rng)
         x = rng.normal(size=(3, 4))
         v = rng.normal(size=(3, 2))
-        _, trace = nn.forward(net, x)
-        _, dx = nn.backward(net, trace, v)
+        _, activations = nn.forward(net, x)
+        dx = nn.backward(net, activations, v, np.zeros_like(net.flat))
 
         numeric = np.zeros_like(x)
         h = 1e-6
@@ -147,16 +155,22 @@ class TestBackward:
         _jitter(net, rng)
         x = rng.normal(size=(5, 3))
         v = rng.normal(size=(5, 2))
-        _, trace = nn.forward(net, x)
-        batch_bundle, _ = nn.backward(net, trace, v)
-        summed = [np.zeros_like(p) for p in batch_bundle.parameters()]
+        _, activations = nn.forward(net, x)
+        batch_grad = np.zeros_like(net.flat)
+        nn.backward(net, activations, v, batch_grad)
+        # backward adds into its gradient vector, so one vector
+        # accumulates the per-instance passes
+        summed = np.zeros_like(net.flat)
         for i in range(5):
-            _, tr = nn.forward(net, x[i : i + 1])
-            b, _ = nn.backward(net, tr, v[i : i + 1])
-            for acc, part in zip(summed, b.parameters()):
-                acc += part
-        for got, want in zip(batch_bundle.parameters(), summed):
-            np.testing.assert_allclose(got, want, atol=1e-12)
+            _, acts = nn.forward(net, x[i : i + 1])
+            nn.backward(net, acts, v[i : i + 1], summed)
+        np.testing.assert_allclose(batch_grad, summed, atol=1e-12)
+
+    def test_rejects_mismatched_output_gradient(self):
+        net = nn.init_dense_net([3, 2], seed=4)
+        _, activations = nn.forward(net, np.zeros((5, 3)))
+        with pytest.raises(ShapeError):
+            nn.backward(net, activations, np.zeros((5, 3)), np.zeros_like(net.flat))
 
 
 class TestAdam:
@@ -165,18 +179,18 @@ class TestAdam:
     def test_first_step_is_signed_learning_rate(self):
         # With bias correction the first update is lr * g / (|g| + eps),
         # which is lr * sign(g) up to epsilon.
-        params = [np.array([1.0, -2.0, 3.0])]
-        grads = [np.array([0.5, -4.0, 1e-3])]
+        params = np.array([1.0, -2.0, 3.0])
+        grads = np.array([0.5, -4.0, 1e-3])
         state = nn.adam_init(params, learning_rate=0.1)
-        before = params[0].copy()
+        before = params.copy()
         nn.adam_step_arrays(params, grads, state)
-        moved = before - params[0]
-        np.testing.assert_allclose(moved, 0.1 * np.sign(grads[0]), rtol=1e-4)
+        moved = before - params
+        np.testing.assert_allclose(moved, 0.1 * np.sign(grads), rtol=1e-4)
 
     def test_matches_reference_recursion(self):
         rng = np.random.default_rng(13)
         p = rng.normal(size=(4, 3))
-        params = [p.copy()]
+        params = p.copy()
         state = nn.adam_init(params, learning_rate=0.01)
 
         ref = p.copy()
@@ -185,25 +199,27 @@ class TestAdam:
         b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.01
         grad_seq = [rng.normal(size=(4, 3)) for _ in range(25)]
         for t, g in enumerate(grad_seq, start=1):
-            nn.adam_step_arrays(params, [g], state)
+            nn.adam_step_arrays(params, g, state)
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
             m_hat = m / (1 - b1**t)
             v_hat = v / (1 - b2**t)
             ref -= lr * m_hat / (np.sqrt(v_hat) + eps)
-        np.testing.assert_allclose(params[0], ref, atol=1e-12)
+        np.testing.assert_allclose(params, ref, atol=1e-12)
 
     def test_rejects_non_finite_gradients(self):
-        params = [np.zeros(2)]
+        params = np.zeros(3)
         state = nn.adam_init(params)
         with pytest.raises(NumericError):
-            nn.adam_step_arrays(params, [np.array([np.nan, 0.0])], state)
+            nn.adam_step_arrays(params, np.array([1.0, np.nan, 1.0]), state)
+        np.testing.assert_array_equal(params, 0.0)
+        assert state.step_count == 0
 
     def test_rejects_mismatched_lengths(self):
-        params = [np.zeros(2)]
+        params = np.zeros(2)
         state = nn.adam_init(params)
         with pytest.raises(ShapeError):
-            nn.adam_step_arrays(params, [np.zeros(2), np.zeros(3)], state)
+            nn.adam_step_arrays(params, np.zeros(3), state)
 
 
 class TestSoftmax:
