@@ -7,8 +7,8 @@ base model on the same dataset. Records are JSON lines appended under a
 per-file exclusive lock, so concurrent runs must target distinct files.
 
 Exit codes: 0 success, 2 usage or data error, 3 numeric failure (a
-non-finite training loss or metric; nothing is appended then).
-ENSEMBLEKIT_THREADS caps how many seeds run in parallel.
+non-finite training loss or metric; nothing is appended then). Seeds run
+one after another, and records are appended in seed order.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -45,19 +44,6 @@ _NE_MODE_BY_METHOD = {"ne-stack": neural.MODE_STACKING, "ne-ma": neural.MODE_MA}
 
 # Lower is better for every normalized metric except AUC.
 _HIGHER_IS_BETTER = {"auc"}
-
-
-def _max_workers() -> int:
-    raw = os.environ.get("ENSEMBLEKIT_THREADS", "")
-    if raw.strip() == "":
-        return os.cpu_count() or 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"ENSEMBLEKIT_THREADS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ConfigError(f"ENSEMBLEKIT_THREADS must be >= 1, got {value}")
-    return value
 
 
 def _parse_seeds(text: str) -> List[int]:
@@ -130,10 +116,10 @@ def _single_best_reference(ds: MetaDataset) -> metrics.MetricReport:
     return _evaluate(ds, test_pred, "test")
 
 
-def _ne_config(args, mode: str, seed: int) -> neural.NEConfig:
+def _ne_config(args, mode: str, seed: int, dropout_rate: float) -> neural.NEConfig:
     return neural.NEConfig(
         mode=mode,
-        dropout_rate=args.dropout_rate,
+        dropout_rate=dropout_rate,
         layers=args.layers,
         hidden_dim=args.hidden_dim,
         steps=args.steps,
@@ -182,7 +168,7 @@ def _run_method(ds: MetaDataset, method: str, args, seed: int) -> Tuple[np.ndarr
         mode = _NE_MODE_BY_METHOD[method]
         if getattr(args, "mode", None) not in (None, mode):
             raise ConfigError(f"--mode {args.mode} conflicts with method {method}")
-        config = _ne_config(args, mode, seed)
+        config = _ne_config(args, mode, seed, args.dropout_rate)
         params, _ = neural.train(ds, config)
         echo = {
             "dropout_rate": config.dropout_rate,
@@ -194,16 +180,6 @@ def _run_method(ds: MetaDataset, method: str, args, seed: int) -> Tuple[np.ndarr
         }
         return neural.predict(params, test_p), mode, echo
     raise ConfigError(f"unknown method {method!r}")
-
-
-def _map_seeds(worker, seeds: List[int]) -> List:
-    """Run one worker per seed, capped by ENSEMBLEKIT_THREADS, results in
-    seed order."""
-    workers = min(_max_workers(), len(seeds))
-    if workers <= 1:
-        return [worker(seed) for seed in seeds]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, seeds))
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +236,7 @@ def cmd_run(args) -> int:
         }
 
     with _locked_output(args.out):
-        records = _map_seeds(worker, seeds)
+        records = [worker(seed) for seed in seeds]
         _append_records(args.out, records)
     for record in records:
         print(
@@ -282,17 +258,7 @@ def cmd_sweep_dropout(args) -> int:
 
         def nll_at(rate: float) -> Tuple[float, float]:
             start = time.perf_counter()
-            config = neural.NEConfig(
-                mode=mode,
-                dropout_rate=rate,
-                layers=args.layers,
-                hidden_dim=args.hidden_dim,
-                steps=args.steps,
-                batch_size=args.batch_size,
-                learning_rate=args.lr,
-                seed=seed,
-            )
-            params, _ = neural.train(ds, config)
+            params, _ = neural.train(ds, _ne_config(args, mode, seed, rate))
             report = _evaluate(ds, neural.predict(params, ds.test.predictions), "test")
             return report.nll, time.perf_counter() - start
 
@@ -332,8 +298,7 @@ def cmd_sweep_dropout(args) -> int:
         return records
 
     with _locked_output(args.out):
-        nested = _map_seeds(worker, seeds)
-        records = [record for rows in nested for record in rows]
+        records = [record for seed in seeds for record in worker(seed)]
         _append_records(args.out, records)
     for record in records:
         print(
@@ -342,6 +307,14 @@ def cmd_sweep_dropout(args) -> int:
             f"vs_zero={record['normalized_nll_vs_zero']:.4f}"
         )
     return 0
+
+
+def _finite_number(text: str) -> float:
+    """JSON number hook that refuses NaN, Infinity and overflowing literals."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
 
 
 def _load_records(path: str) -> List[dict]:
@@ -353,8 +326,10 @@ def _load_records(path: str) -> List[dict]:
             if line.strip() == "":
                 continue
             try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
+                records.append(
+                    json.loads(line, parse_float=_finite_number, parse_constant=_finite_number)
+                )
+            except ValueError as exc:  # json.JSONDecodeError is a ValueError
                 raise DataFormatError(f"{path}:{line_no}: invalid record: {exc}") from exc
     if not records:
         raise DataFormatError(f"records file {path} is empty")

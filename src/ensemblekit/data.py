@@ -6,8 +6,9 @@ for a validation split (used for fitting) and a test split (evaluation
 only). Regression datasets use a single pseudo-class column.
 
 The on-disk layout is one directory per dataset: ``manifest.json`` plus
-``<split>_predictions.csv`` / ``<split>_labels.csv``. Floats are written
-with 17 significant digits, so a save/load round trip is exact.
+``<split>_predictions.csv`` / ``<split>_labels.csv``, written by
+``np.savetxt`` with ``%.17g`` (17 significant digits, so a save/load round
+trip is exact; class labels use ``%d``) and read back by ``np.loadtxt``.
 """
 
 from __future__ import annotations
@@ -159,32 +160,37 @@ def save_metadataset(ds: MetaDataset, path: str) -> None:
     with open(os.path.join(path, "manifest.json"), "w", newline="\n") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    label_fmt = "%d" if ds.task is TaskKind.CLASSIFICATION else _FLOAT_FMT
+    header = ",".join(_prediction_header(ds.n_models, ds.n_classes))
     for split_name in SPLIT_NAMES:
         split: Split = getattr(ds, split_name)
-        flat = split.predictions.reshape(split.n_instances, -1)
-        lines = [",".join(_prediction_header(ds.n_models, ds.n_classes))]
-        for row in flat:
-            lines.append(",".join(_FLOAT_FMT % v for v in row))
-        with open(os.path.join(path, f"{split_name}_predictions.csv"), "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-        if ds.task is TaskKind.CLASSIFICATION:
-            label_strs = [str(int(v)) for v in split.labels]
-        else:
-            label_strs = [_FLOAT_FMT % v for v in split.labels]
-        with open(os.path.join(path, f"{split_name}_labels.csv"), "w", newline="\n") as fh:
-            fh.write("\n".join(["label"] + label_strs) + "\n")
+        stem = os.path.join(path, split_name)
+        np.savetxt(f"{stem}_predictions.csv", split.predictions.reshape(split.n_instances, -1),
+                   fmt=_FLOAT_FMT, delimiter=",", header=header, comments="")
+        np.savetxt(f"{stem}_labels.csv", split.labels, fmt=label_fmt, header="label", comments="")
 
 
-def _read_csv_rows(path: str) -> Tuple[List[str], List[List[str]]]:
+def _read_csv(path: str, n_columns: int) -> Tuple[List[str], np.ndarray]:
+    """Return the header cells and the (rows, n_columns) float64 body of a
+    CSV file; every error names the file."""
     if not os.path.isfile(path):
         raise FileNotFoundError(f"missing dataset file: {path}")
     with open(path, "r") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip() != ""]
-    if not lines:
-        raise DataFormatError(f"{path} is empty")
-    header = lines[0].split(",")
-    rows = [line.split(",") for line in lines[1:]]
-    return header, rows
+        header = fh.readline().rstrip("\n")
+        try:
+            with warnings.catch_warnings():
+                # An empty or header-only file is rejected below instead.
+                warnings.simplefilter("ignore", UserWarning)
+                values = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: {exc}") from exc
+    if values.shape[0] == 0:
+        raise DataFormatError(f"{path} is empty or holds only a header")
+    if values.shape[1] != n_columns:
+        raise DataFormatError(
+            f"{path}: rows must have {n_columns} columns, got {values.shape[1]}"
+        )
+    return header.split(","), values
 
 
 def load_metadataset(path: str) -> MetaDataset:
@@ -218,32 +224,22 @@ def load_metadataset(path: str) -> MetaDataset:
     expected_header = _prediction_header(n_models, n_classes)
     for split_name in SPLIT_NAMES:
         pred_path = os.path.join(path, f"{split_name}_predictions.csv")
-        header, rows = _read_csv_rows(pred_path)
+        header, values = _read_csv(pred_path, n_models * n_classes)
         if header != expected_header:
             raise DataFormatError(
                 f"{pred_path}: header does not match manifest "
                 f"({n_models} models x {n_classes} classes)"
             )
-        try:
-            values = np.array([[float(v) for v in row] for row in rows], dtype=np.float64)
-        except ValueError as exc:
-            raise DataFormatError(f"{pred_path}: non-numeric prediction value: {exc}") from exc
-        if values.ndim != 2 or values.shape[1] != n_models * n_classes:
-            raise DataFormatError(f"{pred_path}: rows must have {n_models * n_classes} columns")
         preds = values.reshape(-1, n_models, n_classes)
 
         label_path = os.path.join(path, f"{split_name}_labels.csv")
-        label_header, label_rows = _read_csv_rows(label_path)
+        label_header, label_values = _read_csv(label_path, 1)
         if label_header != ["label"]:
             raise DataFormatError(f"{label_path}: expected single 'label' column")
-        try:
-            labels = np.array([float(r[0]) for r in label_rows], dtype=np.float64)
-        except (ValueError, IndexError) as exc:
-            raise DataFormatError(f"{label_path}: non-numeric label: {exc}") from exc
+        labels = label_values[:, 0]
         if labels.shape[0] != preds.shape[0]:
             raise DataFormatError(
-                f"{split_name} split: {preds.shape[0]} prediction rows but "
-                f"{labels.shape[0]} labels"
+                f"{label_path}: {labels.shape[0]} labels for {preds.shape[0]} prediction rows"
             )
         splits[split_name] = Split(predictions=preds, labels=labels)
 

@@ -99,8 +99,11 @@ def mse(predictions: np.ndarray, targets: np.ndarray) -> float:
     targets = np.asarray(targets, dtype=np.float64).reshape(-1)
     if predictions.shape != targets.shape:
         raise ShapeError("predictions and targets disagree on the number of instances")
-    diff = predictions - targets
-    return float(np.mean(diff * diff))
+    # Large finite inputs overflow to inf here; callers reject the
+    # non-finite result, so numpy's overflow warning is noise.
+    with np.errstate(over="ignore"):
+        diff = predictions - targets
+        return float(np.mean(diff * diff))
 
 
 def regression_nll(predictions: np.ndarray, targets: np.ndarray) -> float:

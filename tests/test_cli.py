@@ -1,6 +1,6 @@
 """End-to-end tests for the command line interface: dataset synthesis,
 validation, run records, dropout sweeps, report aggregation, exit codes,
-output locking, and the worker-thread environment knob."""
+output locking, seed order, and records across BLAS thread counts."""
 
 import fcntl
 import json
@@ -11,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+import ensemblekit
 from ensemblekit.cli import main
 from ensemblekit.data import MetaDataset, Split, SyntheticSpec, generate, save_metadataset
 
@@ -54,6 +55,14 @@ def _overflowing_regression(tmp_path):
 def _read_records(path):
     with open(path) as fh:
         return [json.loads(line) for line in fh if line.strip()]
+
+
+def _assert_only_error_line(err, fragment):
+    """stderr holds the CLI's one error line and nothing else, such as a
+    numpy warning."""
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    assert lines[0].startswith("error:") and fragment in lines[0]
 
 
 class TestSynthAndValidate:
@@ -172,7 +181,7 @@ class TestRun:
         data = _overflowing_regression(tmp_path)
         out = str(tmp_path / "runs.jsonl")
         assert main(["run", "greedy", "--data", data, "--out", out, "--seeds", "0"]) == 3
-        assert "not finite" in capsys.readouterr().err
+        _assert_only_error_line(capsys.readouterr().err, "not finite")
         assert not os.path.exists(out)
 
     def test_locked_output_exits_2(self, tmp_path, capsys):
@@ -199,28 +208,36 @@ class TestRun:
 
 
 class TestThreadEnvironment:
-    def test_single_worker_cap_accepted(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ENSEMBLEKIT_THREADS", "1")
+    def test_single_worker_cap_accepted(self, tmp_path):
+        """Seeds run one after another on one thread: three seeds give
+        three records, in the order the seeds were listed."""
         data = _synth(tmp_path)
         out = str(tmp_path / "runs.jsonl")
         assert main(["run", "akaike", "--data", data, "--out", out,
-                     "--seeds", "0,1,2"]) == 0
-        assert len(_read_records(out)) == 3
+                     "--seeds", "2,0,1"]) == 0
+        assert [r["seed"] for r in _read_records(out)] == [2, 0, 1]
 
-    def test_invalid_value_exits_2(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("ENSEMBLEKIT_THREADS", "many")
-        data = _synth(tmp_path)
-        out = str(tmp_path / "runs.jsonl")
-        assert main(["run", "akaike", "--data", data, "--out", out,
-                     "--seeds", "0"]) == 2
-        assert "ENSEMBLEKIT_THREADS" in capsys.readouterr().err
-
-    def test_non_positive_value_exits_2(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ENSEMBLEKIT_THREADS", "0")
-        data = _synth(tmp_path)
-        out = str(tmp_path / "runs.jsonl")
-        assert main(["run", "akaike", "--data", data, "--out", out,
-                     "--seeds", "0"]) == 2
+    @pytest.mark.parametrize("method", ["ne-stack", "ne-ma"])
+    def test_records_identical_across_blas_threads(self, tmp_path, method):
+        data = _synth(tmp_path, n="400", models="5", classes="10")
+        # The child imports the same package as this test.
+        src = os.path.dirname(os.path.dirname(ensemblekit.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        runs = []
+        for threads in ("1", "2"):
+            out = str(tmp_path / f"runs_{threads}.jsonl")
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            proc = subprocess.run(
+                [sys.executable, "-m", "ensemblekit", "run", method, "--data", data,
+                 "--out", out, "--seeds", "0", "--steps", "200", "--batch-size", "128"],
+                capture_output=True, text=True, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            records = _read_records(out)
+            for record in records:
+                record.pop("wall_time_seconds")
+            runs.append(records)
+        assert runs[0] == runs[1]
 
 
 class TestSweepDropout:
@@ -251,7 +268,7 @@ class TestSweepDropout:
         argv = ["sweep-dropout", "--data", data, "--out", out,
                 "--seeds", "0", "--rates", "0.0"] + FAST_NE
         assert main(argv) == 3
-        assert "not finite" in capsys.readouterr().err
+        _assert_only_error_line(capsys.readouterr().err, "not finite")
         assert not os.path.exists(out)
 
     def test_rate_outside_range_exits_2(self, tmp_path):
@@ -331,6 +348,18 @@ class TestReport:
         path = str(tmp_path / "records.jsonl")
         open(path, "w").close()
         assert main(["report", "--records", path]) == 2
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, value):
+        path = str(tmp_path / "records.jsonl")
+        good = ('{"dataset": "d", "method": "b", "seed": 0, '
+                '"normalized": {"nll": 1.0}}')
+        bad = good.replace('"b"', '"a"').replace("1.0", value)
+        with open(path, "w") as fh:
+            fh.write(good + "\n" + bad + "\n")
+        assert main(["report", "--records", path]) == 2
+        _assert_only_error_line(capsys.readouterr().err, f"{path}:2:")
+        assert not os.path.exists(path + ".summary.csv")
 
 
 class TestEntryPoint:

@@ -4,6 +4,7 @@ synthetic generators."""
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,9 @@ from ensemblekit.data import (
     load_metadataset,
     save_metadataset,
 )
+
+
+GOLDEN_CSV = os.path.join(os.path.dirname(__file__), "data", "golden_csv.json")
 
 
 def _tiny_classification():
@@ -185,6 +189,66 @@ class TestSaveLoadRoundtrip:
         lines[1] = ",".join(["0.9"] * 6)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataValidationError):
+            load_metadataset(str(out))
+
+
+def _ragged(lines):
+    return lines[:2] + [lines[2].rsplit(",", 1)[0]] + lines[3:]
+
+
+def _non_numeric(lines):
+    _, sep, rest = lines[3].partition(",")
+    return lines[:3] + ["abc" + sep + rest] + lines[4:]
+
+
+class TestCsvFiles:
+    """The files on disk are exactly what the writer always wrote, and a
+    malformed file is rejected with an error that names it."""
+
+    @pytest.mark.parametrize("kind", ["experts", "preferred", "poly"])
+    def test_save_matches_golden_bytes(self, tmp_path, kind):
+        with open(GOLDEN_CSV) as fh:
+            golden = json.load(fh)[kind]
+        ds = generate(SyntheticSpec(**golden["spec"]))
+        out = tmp_path / "ds"
+        save_metadataset(ds, str(out))
+        assert sorted(os.listdir(out)) == sorted(golden["files"])
+        for name, text in golden["files"].items():
+            assert (out / name).read_bytes() == text.encode(), name
+        back = load_metadataset(str(out))
+        for split in ("val", "test"):
+            for field in ("predictions", "labels"):
+                want = getattr(getattr(ds, split), field)
+                got = getattr(getattr(back, split), field)
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "name, edit",
+        [
+            ("val_predictions.csv", lambda lines: lines[:1]),
+            ("test_predictions.csv", lambda lines: []),
+            ("val_predictions.csv", _ragged),
+            ("test_predictions.csv", _non_numeric),
+            ("val_predictions.csv", lambda lines: [line.rsplit(",", 1)[0] for line in lines]),
+            ("val_labels.csv", lambda lines: lines[:1]),
+            ("test_labels.csv", lambda lines: lines[:1] + [line + ",0" for line in lines[1:]]),
+            ("test_labels.csv", _non_numeric),
+            ("val_labels.csv", lambda lines: lines[:-2]),
+        ],
+        ids=["header-only", "empty", "ragged-row", "non-numeric", "short-rows",
+             "header-only-labels", "two-column-labels", "non-numeric-label",
+             "missing-labels"],
+    )
+    def test_malformed_file_is_named(self, tmp_path, name, edit):
+        ds = generate(SyntheticSpec(kind="experts", n_instances=10, n_models=2,
+                                    n_classes=3, seed=0))
+        out = tmp_path / "ds"
+        save_metadataset(ds, str(out))
+        path = out / name
+        lines = path.read_text().splitlines()
+        path.write_text("".join(line + "\n" for line in edit(lines)))
+        with pytest.raises(DataFormatError, match=re.escape(str(path))):
             load_metadataset(str(out))
 
 

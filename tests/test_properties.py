@@ -4,16 +4,19 @@
 * stacking probabilities are equivariant under a permutation of the
   class columns, and model-averaging weights are invariant under it;
 * row i of ``predict`` depends on row i of the cube only;
-* classification outputs and ma weights are simplex rows.
+* classification outputs and ma weights are simplex rows;
+* fitting never reads the test split.
 
 Examples are derandomized, so every run checks the same cases.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ensemblekit import neural
+from ensemblekit.data import MetaDataset, SyntheticSpec, generate
 
 PROPERTY = settings(max_examples=20, derandomize=True, database=None, deadline=None)
 
@@ -82,3 +85,21 @@ def test_outputs_are_simplex_rows(mode, batch, n_models, n_classes, seed):
     for r in rows:
         assert np.all(r >= 0.0)
         np.testing.assert_allclose(r.sum(axis=1), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["experts", "poly"])
+@pytest.mark.parametrize("mode", [neural.MODE_STACKING, neural.MODE_MA])
+@settings(max_examples=3, derandomize=True, database=None, deadline=None)
+@given(n_test=st.integers(2, 40), seed=seeds)
+def test_fitting_never_reads_the_test_split(mode, kind, n_test, seed):
+    spec = SyntheticSpec(kind=kind, n_instances=30, n_models=3, n_classes=4, degree=3, seed=seed)
+    ds = generate(spec)
+    other = generate(SyntheticSpec(kind=kind, n_instances=n_test, n_models=3, n_classes=4,
+                                   degree=3, seed=seed + 1))
+    swapped = MetaDataset(name=ds.name, task=ds.task, val=ds.val, test=other.test)
+    config = neural.NEConfig(mode=mode, dropout_rate=0.5, layers=2, hidden_dim=4,
+                             steps=20, batch_size=16, seed=seed)
+    params, trace = neural.train(ds, config)
+    swapped_params, swapped_trace = neural.train(swapped, config)
+    assert params.flat.tobytes() == swapped_params.flat.tobytes()
+    assert trace == swapped_trace
