@@ -7,8 +7,15 @@ base model on the same dataset. Records are JSON lines appended under a
 per-file exclusive lock, so concurrent runs must target distinct files.
 
 Exit codes: 0 success, 2 usage or data error, 3 numeric failure (a
-non-finite training loss or metric; nothing is appended then). Seeds run
-one after another, and records are appended in seed order.
+non-finite training loss or metric; nothing is appended then).
+
+Seeds of `run` and `sweep-dropout` run in forked worker processes, one
+per usable CPU and never more than there are seeds; a single seed, a
+single CPU or a platform without fork runs them one after another in
+this process. The parent loads the data, holds the lock, appends the
+records in the order `--seeds` lists them and prints; only seeds and
+records cross between processes, so the records are the same either way.
+A worker's error re-raises in the parent with its type and message.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import json
 import os
 import sys
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -99,6 +106,41 @@ def _finite(values: Dict[str, float], where: str) -> Dict[str, float]:
         if not np.isfinite(value):
             raise NumericError(f"{where}: metric '{name}' is not finite ({value})")
     return values
+
+
+# The worker of the running _map_seeds call. Forked children inherit it,
+# so a closure over the loaded dataset never has to be pickled.
+_seed_worker: Optional[Callable] = None
+
+
+def _call_seed_worker(seed: int):
+    return _seed_worker(seed)
+
+
+def _map_seeds(worker: Callable, seeds: List[int]) -> List:
+    """``[worker(seed) for seed in seeds]``, with the seeds spread over
+    ``min(len(seeds), usable CPUs)`` forked worker processes.
+
+    Results come back in seed order, and a worker's exception re-raises
+    here. A worker process that dies raises BrokenProcessPool.
+    """
+    global _seed_worker
+    n_workers = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        n_workers = min(len(seeds), len(os.sched_getaffinity(0)))
+    if n_workers == 1:
+        return [worker(seed) for seed in seeds]
+    # Imported here, so that single-seed commands start no slower.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    _seed_worker = worker
+    try:
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(n_workers, mp_context=context) as pool:
+            return list(pool.map(_call_seed_worker, seeds))
+    finally:
+        _seed_worker = None
 
 
 def _evaluate(ds: MetaDataset, predictions: np.ndarray, split: str) -> metrics.MetricReport:
@@ -236,7 +278,7 @@ def cmd_run(args) -> int:
         }
 
     with _locked_output(args.out):
-        records = [worker(seed) for seed in seeds]
+        records = _map_seeds(worker, seeds)
         _append_records(args.out, records)
     for record in records:
         print(
@@ -298,7 +340,7 @@ def cmd_sweep_dropout(args) -> int:
         return records
 
     with _locked_output(args.out):
-        records = [record for seed in seeds for record in worker(seed)]
+        records = [record for rows in _map_seeds(worker, seeds) for record in rows]
         _append_records(args.out, records)
     for record in records:
         print(
@@ -412,12 +454,9 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_ne_flags(parser: argparse.ArgumentParser, include_mode: bool) -> None:
-    if include_mode:
-        parser.add_argument("--mode", choices=[neural.MODE_STACKING, neural.MODE_MA],
-                            default=None, help="ensembler mode")
-    parser.add_argument("--dropout-rate", type=float, default=0.75,
-                        help="base-model dropout rate in [0, 1)")
+def _add_ne_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--mode", choices=[neural.MODE_STACKING, neural.MODE_MA],
+                        default=None, help="ensembler mode")
     parser.add_argument("--layers", type=int, default=4, help="stacking network depth")
     parser.add_argument("--hidden-dim", type=int, default=32, help="hidden width")
     parser.add_argument("--steps", type=int, default=10000, help="training steps")
@@ -455,7 +494,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", default="0,1,2", help="comma-separated seeds")
     p.add_argument("--n", type=int, default=baselines.DEFAULT_N,
                    help="ensemble size for random/top-n/quick/greedy")
-    _add_ne_flags(p, include_mode=True)
+    p.add_argument("--dropout-rate", type=float, default=0.75,
+                   help="base-model dropout rate in [0, 1)")
+    _add_ne_flags(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("sweep-dropout", help="train over a dropout-rate grid")
@@ -463,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="JSON-lines records file")
     p.add_argument("--seeds", default="0,1,2", help="comma-separated seeds")
     p.add_argument("--rates", required=True, help="comma-separated dropout rates")
-    _add_ne_flags(p, include_mode=True)
+    _add_ne_flags(p)
     p.set_defaults(func=cmd_sweep_dropout)
 
     p = sub.add_parser("report", help="aggregate run records into a table")

@@ -18,7 +18,7 @@ import json
 import os
 import warnings
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -170,6 +170,31 @@ def save_metadataset(ds: MetaDataset, path: str) -> None:
         np.savetxt(f"{stem}_labels.csv", split.labels, fmt=label_fmt, header="label", comments="")
 
 
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return "_" not in cell  # float() takes digit separators; numpy does not
+
+
+def _csv_fault(path: str, n_columns: int) -> Optional[str]:
+    """Describe the first data line of ``path`` that np.loadtxt cannot
+    read: a row with the wrong number of cells, or a cell that is not a
+    number. Lines and columns count from 1; the header is line 1."""
+    with open(path, "r") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if line_no == 1 or not line.strip():
+                continue
+            cells = line.rstrip("\n").split(",")
+            if len(cells) != n_columns:
+                return f"line {line_no} has {len(cells)} columns, expected {n_columns}"
+            for column, cell in enumerate(cells, start=1):
+                if not _is_number(cell):
+                    return f"line {line_no}, column {column}: {cell!r} is not a number"
+    return None
+
+
 def _read_csv(path: str, n_columns: int) -> Tuple[List[str], np.ndarray]:
     """Return the header cells and the (rows, n_columns) float64 body of a
     CSV file; every error names the file."""
@@ -183,7 +208,8 @@ def _read_csv(path: str, n_columns: int) -> Tuple[List[str], np.ndarray]:
                 warnings.simplefilter("ignore", UserWarning)
                 values = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
         except ValueError as exc:
-            raise DataFormatError(f"{path}: {exc}") from exc
+            # numpy counts rows from its own start; name the file's line.
+            raise DataFormatError(f"{path}: {_csv_fault(path, n_columns) or exc}") from exc
     if values.shape[0] == 0:
         raise DataFormatError(f"{path} is empty or holds only a header")
     if values.shape[1] != n_columns:

@@ -190,7 +190,8 @@ def _columns_backward(
     class order, into ``grad``; ``dout`` is dLoss/d(_columns_forward output)."""
     width = net.layer_dims[-1]
     for c, a in enumerate(acts):
-        nn.backward(net, a, dout if pooled else dout[:, c * width : (c + 1) * width], grad)
+        column_dout = dout if pooled else dout[:, c * width : (c + 1) * width]
+        nn.backward(net, a, column_dout, grad, input_gradient=False)
 
 
 # ---------------------------------------------------------------------------

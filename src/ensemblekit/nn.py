@@ -10,7 +10,7 @@ checker used to validate the analytic gradients.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -102,15 +102,20 @@ def forward(net: DenseNet, x: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray]]
 
 
 def backward(
-    net: DenseNet, activations: List[np.ndarray], output_gradient: np.ndarray, grad: np.ndarray
-) -> np.ndarray:
+    net: DenseNet,
+    activations: List[np.ndarray],
+    output_gradient: np.ndarray,
+    grad: np.ndarray,
+    input_gradient: bool = True,
+) -> Optional[np.ndarray]:
     """Backpropagate a loss gradient through a cached forward pass.
 
     ``output_gradient`` is dLoss/dOutput with the shape of the forward
     output. Parameter gradients, summed over the batch, are added into
     ``grad``, a vector laid out like ``net.flat``; adding rather than
     overwriting lets callers accumulate several passes of a shared
-    network. Returns dLoss/dInput.
+    network. Returns dLoss/dInput, or None without computing it when
+    ``input_gradient`` is false.
     """
     delta = np.asarray(output_gradient, dtype=np.float64)
     if delta.shape != activations[-1].shape:
@@ -122,12 +127,12 @@ def backward(
         a_prev = activations[l]
         weight_grads[l] += delta.T @ a_prev
         bias_grads[l] += delta.sum(axis=0)
-        delta = delta @ net.weights[l]
         if l > 0:
+            delta = delta @ net.weights[l]
             # a_prev is post-rectifier output of layer l-1: zero entries
             # had non-positive pre-activations, so they block the gradient.
             delta *= a_prev > 0.0
-    return delta
+    return delta @ net.weights[0] if input_gradient else None
 
 
 @dataclass

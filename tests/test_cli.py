@@ -1,18 +1,22 @@
 """End-to-end tests for the command line interface: dataset synthesis,
 validation, run records, dropout sweeps, report aggregation, exit codes,
-output locking, seed order, and records across BLAS thread counts."""
+output locking, the forked seed mapper, and records across BLAS thread
+counts."""
 
 import fcntl
 import json
 import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
 
 import ensemblekit
+from ensemblekit import cli
 from ensemblekit.cli import main
+from ensemblekit.errors import ConfigError
 from ensemblekit.data import MetaDataset, Split, SyntheticSpec, generate, save_metadataset
 
 RECORD_KEYS = {
@@ -55,6 +59,21 @@ def _overflowing_regression(tmp_path):
 def _read_records(path):
     with open(path) as fh:
         return [json.loads(line) for line in fh if line.strip()]
+
+
+def _untimed_records(path):
+    records = _read_records(path)
+    for record in records:
+        record.pop("wall_time_seconds")
+    return records
+
+
+def _child_env(**extra):
+    """Environment for a child interpreter that imports the same package
+    as this test."""
+    src = os.path.dirname(os.path.dirname(ensemblekit.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 def _assert_only_error_line(err, fragment):
@@ -209,35 +228,127 @@ class TestRun:
 
 class TestThreadEnvironment:
     def test_single_worker_cap_accepted(self, tmp_path):
-        """Seeds run one after another on one thread: three seeds give
-        three records, in the order the seeds were listed."""
+        """Seeds 2,0,1 run in up to min(3, usable CPUs) forked workers and
+        give three records, in the order the seeds were listed."""
         data = _synth(tmp_path)
         out = str(tmp_path / "runs.jsonl")
         assert main(["run", "akaike", "--data", data, "--out", out,
                      "--seeds", "2,0,1"]) == 0
         assert [r["seed"] for r in _read_records(out)] == [2, 0, 1]
 
-    @pytest.mark.parametrize("method", ["ne-stack", "ne-ma"])
-    def test_records_identical_across_blas_threads(self, tmp_path, method):
+    @pytest.mark.parametrize(
+        "method, seeds",
+        [
+            pytest.param("ne-stack", "0", id="ne-stack"),
+            pytest.param("ne-ma", "0", id="ne-ma"),
+            pytest.param("ne-ma", "0,1", id="ne-ma-two-seeds"),
+        ],
+    )
+    def test_records_identical_across_blas_threads(self, tmp_path, method, seeds):
         data = _synth(tmp_path, n="400", models="5", classes="10")
-        # The child imports the same package as this test.
-        src = os.path.dirname(os.path.dirname(ensemblekit.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         runs = []
         for threads in ("1", "2"):
             out = str(tmp_path / f"runs_{threads}.jsonl")
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
             proc = subprocess.run(
                 [sys.executable, "-m", "ensemblekit", "run", method, "--data", data,
-                 "--out", out, "--seeds", "0", "--steps", "200", "--batch-size", "128"],
-                capture_output=True, text=True, env=env,
+                 "--out", out, "--seeds", seeds, "--steps", "200", "--batch-size", "128"],
+                capture_output=True, text=True, env=_child_env(OPENBLAS_NUM_THREADS=threads),
             )
             assert proc.returncode == 0, proc.stderr
-            records = _read_records(out)
-            for record in records:
-                record.pop("wall_time_seconds")
-            runs.append(records)
+            runs.append(_untimed_records(out))
+        assert [r["seed"] for r in runs[0]] == [int(seed) for seed in seeds.split(",")]
         assert runs[0] == runs[1]
+
+
+class TestSeedMapper:
+    """cli._map_seeds forks one worker per seed up to the usable CPUs;
+    results, records and errors are those of the serial loop."""
+
+    def test_workers_are_capped_and_order_is_kept(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        results = cli._map_seeds(lambda seed: (seed, os.getpid()), [2, 0, 1, 3])
+        assert [seed for seed, _ in results] == [2, 0, 1, 3]
+        pids = {pid for _, pid in results}
+        assert os.getpid() not in pids
+        assert 1 <= len(pids) <= 2
+
+    def test_one_cpu_runs_in_this_process(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        results = cli._map_seeds(lambda seed: (seed, os.getpid()), [1, 0])
+        assert results == [(1, os.getpid()), (0, os.getpid())]
+
+    def test_worker_error_keeps_type_and_message(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+        def worker(seed):
+            if seed == 1:
+                raise ConfigError(f"seed {seed} is bad")
+            return seed
+
+        with pytest.raises(ConfigError, match="^seed 1 is bad$"):
+            cli._map_seeds(worker, [0, 1])
+
+    def test_dead_worker_raises_instead_of_hanging(self):
+        code = textwrap.dedent("""
+            import os
+            from concurrent.futures.process import BrokenProcessPool
+            from ensemblekit import cli
+            os.sched_getaffinity = lambda pid: {0, 1}
+            try:
+                cli._map_seeds(lambda seed: os._exit(7), [0, 1])
+            except BrokenProcessPool:
+                print("broken")
+        """)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=_child_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "broken\n"
+
+    def test_run_records_match_single_seed_runs(self, tmp_path):
+        data = _synth(tmp_path)
+        flags = ["--dropout-rate", "0.5"] + FAST_NE
+        multi = str(tmp_path / "multi.jsonl")
+        single = str(tmp_path / "single.jsonl")
+        assert main(["run", "ne-ma", "--data", data, "--out", multi,
+                     "--seeds", "2,0,1"] + flags) == 0
+        for seed in ("2", "0", "1"):
+            assert main(["run", "ne-ma", "--data", data, "--out", single,
+                         "--seeds", seed] + flags) == 0
+        records = _untimed_records(multi)
+        assert [r["seed"] for r in records] == [2, 0, 1]
+        assert records == _untimed_records(single)
+
+    def test_sweep_records_match_single_seed_runs(self, tmp_path):
+        data = _synth(tmp_path)
+        flags = ["--rates", "0.0,0.5"] + FAST_NE
+        multi = str(tmp_path / "multi.jsonl")
+        single = str(tmp_path / "single.jsonl")
+        assert main(["sweep-dropout", "--data", data, "--out", multi,
+                     "--seeds", "0,1"] + flags) == 0
+        for seed in ("0", "1"):
+            assert main(["sweep-dropout", "--data", data, "--out", single,
+                         "--seeds", seed] + flags) == 0
+        records = _untimed_records(multi)
+        assert [(r["seed"], r["dropout_rate"]) for r in records] == [
+            (0, 0.0), (0, 0.5), (1, 0.0), (1, 0.5)]
+        assert records == _untimed_records(single)
+
+    def test_numeric_blowup_in_workers_exits_3(self, tmp_path):
+        data = _synth(tmp_path)
+        errors = []
+        for seeds in ("0,1", "0"):
+            out = str(tmp_path / f"runs_{len(seeds)}.jsonl")
+            proc = subprocess.run(
+                [sys.executable, "-m", "ensemblekit", "run", "ne-ma", "--data", data,
+                 "--out", out, "--seeds", seeds, "--lr", "1e200",
+                 "--dropout-rate", "0.0"] + FAST_NE,
+                capture_output=True, text=True, env=_child_env(), timeout=120,
+            )
+            assert proc.returncode == 3
+            _assert_only_error_line(proc.stderr, "non-finite")
+            assert not os.path.exists(out)
+            errors.append(proc.stderr)
+        assert errors[0] == errors[1]
 
 
 class TestSweepDropout:
@@ -269,6 +380,16 @@ class TestSweepDropout:
                 "--seeds", "0", "--rates", "0.0"] + FAST_NE
         assert main(argv) == 3
         _assert_only_error_line(capsys.readouterr().err, "not finite")
+        assert not os.path.exists(out)
+
+    def test_dropout_rate_flag_is_rejected(self, tmp_path):
+        """The sweep takes its rates from --rates only."""
+        data = _synth(tmp_path)
+        out = str(tmp_path / "sweep.jsonl")
+        with pytest.raises(SystemExit) as err:
+            main(["sweep-dropout", "--data", data, "--out", out, "--seeds", "0",
+                  "--rates", "0.0", "--dropout-rate", "0.5"] + FAST_NE)
+        assert err.value.code == 2
         assert not os.path.exists(out)
 
     def test_rate_outside_range_exits_2(self, tmp_path):

@@ -251,6 +251,28 @@ class TestCsvFiles:
         with pytest.raises(DataFormatError, match=re.escape(str(path))):
             load_metadataset(str(out))
 
+    @pytest.mark.parametrize(
+        "edit, where",
+        [
+            (_non_numeric, "line 4, column 1: 'abc' is not a number"),
+            (_ragged, "line 3 has 5 columns, expected 6"),
+        ],
+        ids=["non-numeric", "ragged-row"],
+    )
+    def test_malformed_row_names_file_line(self, tmp_path, edit, where):
+        """Lines count from 1 with the header as line 1, as an editor
+        shows them; columns count from 1."""
+        ds = generate(SyntheticSpec(kind="experts", n_instances=10, n_models=2,
+                                    n_classes=3, seed=0))
+        out = tmp_path / "ds"
+        save_metadataset(ds, str(out))
+        path = out / "val_predictions.csv"
+        lines = path.read_text().splitlines()
+        path.write_text("".join(line + "\n" for line in edit(lines)))
+        with pytest.raises(DataFormatError) as err:
+            load_metadataset(str(out))
+        assert str(err.value) == f"{path}: {where}"
+
 
 class TestExpertsGenerator:
     """Each instance has exactly one competent model (its region's

@@ -149,6 +149,19 @@ class TestBackward:
                 numeric[i, j] = (up - down) / (2 * h)
         np.testing.assert_allclose(dx, numeric, atol=1e-7)
 
+    @pytest.mark.parametrize("dims", [[3, 1], [4, 6, 2], [5, 8, 8, 1]])
+    def test_skipped_input_gradient_keeps_parameter_gradients(self, dims):
+        rng = np.random.default_rng(11)
+        net = nn.init_dense_net(dims, seed=6)
+        _jitter(net, rng)
+        _, activations = nn.forward(net, rng.normal(size=(4, dims[0])))
+        v = rng.normal(size=(4, dims[-1]))
+        full = np.zeros_like(net.flat)
+        skipped = np.zeros_like(net.flat)
+        assert nn.backward(net, activations, v, full).shape == (4, dims[0])
+        assert nn.backward(net, activations, v, skipped, input_gradient=False) is None
+        np.testing.assert_array_equal(skipped, full)
+
     def test_batch_gradient_is_sum_of_instances(self):
         rng = np.random.default_rng(10)
         net = nn.init_dense_net([3, 4, 2], seed=4)
