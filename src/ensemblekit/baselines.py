@@ -15,10 +15,9 @@ from typing import Tuple
 
 import numpy as np
 
-from . import nn
+from . import metrics, nn
 from .data import TaskKind
 from .errors import ConfigError, ShapeError
-from .metrics import PROB_CLAMP_HI, PROB_CLAMP_LO
 
 DEFAULT_N = 50
 
@@ -67,18 +66,9 @@ def _project(predictions: np.ndarray, labels: np.ndarray, task: TaskKind) -> np.
     return predictions[:, :, 0]
 
 
-def _projected_loss(projected: np.ndarray, labels: np.ndarray, task: TaskKind) -> np.ndarray:
-    """Loss per column of a projected (N, K) matrix: clamped NLL or MSE."""
-    if task is TaskKind.CLASSIFICATION:
-        p = np.clip(projected, PROB_CLAMP_LO, PROB_CLAMP_HI)
-        return -np.log(p).mean(axis=0)
-    diff = projected - np.asarray(labels, dtype=np.float64)[:, None]
-    return (diff * diff).mean(axis=0)
-
-
 def model_losses(predictions: np.ndarray, labels: np.ndarray, task: TaskKind) -> np.ndarray:
     """Per-model validation loss (M,): clamped NLL or MSE."""
-    return _projected_loss(_project(predictions, labels, task), labels, task)
+    return metrics.loss(_project(predictions, labels, task), labels, task)
 
 
 def single_best(predictions: np.ndarray, labels: np.ndarray, task: TaskKind) -> int:
@@ -127,7 +117,7 @@ def greedy_select(
     picks = []
     for k in range(n_slots):
         candidates = (running[:, None] + proj) / (k + 1)
-        losses = _projected_loss(candidates, labels, task)
+        losses = metrics.loss(candidates, labels, task)
         best = int(np.argmin(losses))
         picks.append(best)
         running += proj[:, best]
@@ -148,17 +138,17 @@ def quick_select(
     if n < 1:
         raise ConfigError(f"quick needs n >= 1, got {n}")
     proj = _project(predictions, labels, task)
-    losses = _projected_loss(proj, labels, task)
+    losses = metrics.loss(proj, labels, task)
     order = np.argsort(losses, kind="stable")
     first = int(order[0])
     picks = [first]
     running = proj[:, first].copy()
-    current_loss = float(_projected_loss(running[:, None], labels, task)[0])
+    current_loss = float(metrics.loss(running, labels, task))
     for m in order[1:]:
         if len(picks) >= n:
             break
         candidate = (running + proj[:, m]) / (len(picks) + 1)
-        cand_loss = float(_projected_loss(candidate[:, None], labels, task)[0])
+        cand_loss = float(metrics.loss(candidate, labels, task))
         if cand_loss < current_loss:
             picks.append(int(m))
             running += proj[:, m]
@@ -184,20 +174,9 @@ def _constant_ma_objective(
     """Validation loss of softmax(v)-weighted averaging and its gradient in v."""
     w = nn.softmax(v)
     combined = projected @ w
-    n = projected.shape[0]
-    if task is TaskKind.CLASSIFICATION:
-        inside = (combined > PROB_CLAMP_LO) & (combined < PROB_CLAMP_HI)
-        clamped = np.clip(combined, PROB_CLAMP_LO, PROB_CLAMP_HI)
-        loss = float(np.mean(-np.log(clamped)))
-        dl_dcomb = np.where(inside, -1.0 / clamped, 0.0) / n
-    else:
-        targets = np.asarray(labels, dtype=np.float64)
-        resid = combined - targets
-        loss = float(np.mean(resid * resid))
-        dl_dcomb = 2.0 * resid / n
-    dl_dw = projected.T @ dl_dcomb
+    dl_dw = projected.T @ metrics.loss_gradient(combined, labels, task)
     dl_dv = w * (dl_dw - float(np.dot(w, dl_dw)))
-    return loss, dl_dv
+    return float(metrics.loss(combined, labels, task)), dl_dv
 
 
 def fit_constant_ma(
@@ -206,15 +185,13 @@ def fit_constant_ma(
     task: TaskKind,
     steps: int = 2000,
     learning_rate: float = 1e-3,
-    seed: int = 0,
 ) -> np.ndarray:
     """Learn a constant simplex weight vector by Adam on the validation loss.
 
     Weights are the softmax of a free vector initialized at zero, so the
     fit starts from the uniform average. The optimization is full-batch
-    and deterministic; ``seed`` is accepted for interface uniformity.
+    and deterministic.
     """
-    del seed
     if steps < 1:
         raise ConfigError(f"fit_constant_ma needs steps >= 1, got {steps}")
     proj = _project(np.asarray(predictions, dtype=np.float64), labels, task)

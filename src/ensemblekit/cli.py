@@ -203,13 +203,11 @@ def _run_method(ds: MetaDataset, method: str, args, seed: int) -> Tuple[np.ndarr
         return static(weights), "", {}
     if method == "ma":
         weights = baselines.fit_constant_ma(
-            val_p, val_y, ds.task, steps=args.steps, learning_rate=args.lr, seed=seed
+            val_p, val_y, ds.task, steps=args.steps, learning_rate=args.lr
         )
         return static(weights), "", {"steps": args.steps, "lr": args.lr}
     if method in _NE_MODE_BY_METHOD:
         mode = _NE_MODE_BY_METHOD[method]
-        if getattr(args, "mode", None) not in (None, mode):
-            raise ConfigError(f"--mode {args.mode} conflicts with method {method}")
         config = _ne_config(args, mode, seed, args.dropout_rate)
         params, _ = neural.train(ds, config)
         echo = {
@@ -292,7 +290,6 @@ def cmd_sweep_dropout(args) -> int:
     ds = load_metadataset(args.data)
     seeds = _parse_seeds(args.seeds)
     rates = _parse_rates(args.rates)
-    mode = args.mode or neural.MODE_MA
 
     def worker(seed: int) -> List[dict]:
         rows = []
@@ -300,7 +297,7 @@ def cmd_sweep_dropout(args) -> int:
 
         def nll_at(rate: float) -> Tuple[float, float]:
             start = time.perf_counter()
-            params, _ = neural.train(ds, _ne_config(args, mode, seed, rate))
+            params, _ = neural.train(ds, _ne_config(args, args.mode, seed, rate))
             report = _evaluate(ds, neural.predict(params, ds.test.predictions), "test")
             return report.nll, time.perf_counter() - start
 
@@ -317,13 +314,13 @@ def cmd_sweep_dropout(args) -> int:
         for rate, value, elapsed in rows:
             scores = _finite(
                 {"nll": value, "normalized_nll_vs_zero": value / max(zero, 1e-12)},
-                f"{ds.name} {mode} seed {seed} rate {rate}",
+                f"{ds.name} {args.mode} seed {seed} rate {rate}",
             )
             records.append(
                 {
                     "dataset": ds.name,
-                    "method": "ne-ma" if mode == neural.MODE_MA else "ne-stack",
-                    "mode": mode,
+                    "method": "ne-ma" if args.mode == neural.MODE_MA else "ne-stack",
+                    "mode": args.mode,
                     "seed": seed,
                     "dropout_rate": rate,
                     **scores,
@@ -455,8 +452,6 @@ def cmd_report(args) -> int:
 
 
 def _add_ne_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--mode", choices=[neural.MODE_STACKING, neural.MODE_MA],
-                        default=None, help="ensembler mode")
     parser.add_argument("--layers", type=int, default=4, help="stacking network depth")
     parser.add_argument("--hidden-dim", type=int, default=32, help="hidden width")
     parser.add_argument("--steps", type=int, default=10000, help="training steps")
@@ -504,6 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="JSON-lines records file")
     p.add_argument("--seeds", default="0,1,2", help="comma-separated seeds")
     p.add_argument("--rates", required=True, help="comma-separated dropout rates")
+    p.add_argument("--mode", choices=[neural.MODE_STACKING, neural.MODE_MA],
+                   default=neural.MODE_MA, help="ensembler mode")
     _add_ne_flags(p)
     p.set_defaults(func=cmd_sweep_dropout)
 

@@ -421,13 +421,12 @@ def _fit_polynomial_pool(spec: SyntheticSpec, rng: np.random.Generator):
     pool_y = _true_function(pool_x) + spec.noise_scale * rng.standard_normal(_POOL_SIZE)
     fits = []
     boot_indices = []
-    rank_warning = getattr(np.exceptions, "RankWarning", UserWarning)
     for _ in range(spec.n_models):
         idx = rng.integers(0, _POOL_SIZE, size=_POOL_SIZE)
         with warnings.catch_warnings():
             # High-degree fits on few distinct points are rank deficient on
             # purpose; the wild extrapolations are the phenomenon of interest.
-            warnings.simplefilter("ignore", rank_warning)
+            warnings.simplefilter("ignore", np.exceptions.RankWarning)
             poly = np.polynomial.Polynomial.fit(pool_x[idx], pool_y[idx], spec.degree)
         fits.append(poly)
         boot_indices.append(idx)

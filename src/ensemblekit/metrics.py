@@ -6,6 +6,7 @@ binary problems) rank-based AUC. Regression uses mean squared error; its
 log-likelihood is the unit-variance Gaussian one, an affine function of
 MSE, so both orderings agree. Reports can be normalized against the
 single best base model, which makes numbers comparable across datasets.
+``loss`` and ``loss_gradient`` define that loss once for every fitter.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from .data import TaskKind
 from .errors import DataValidationError, ShapeError, UndefinedMetricError
 
 PROB_CLAMP_LO = 1e-7
@@ -42,6 +44,31 @@ def _check_labels(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return labels
 
 
+def loss(values: np.ndarray, targets: np.ndarray, task: TaskKind):
+    """Mean loss over axis 0 of (N,) or (N, K) values: a scalar, or one
+    loss per column.
+
+    Classification values are true-class probabilities, scored by NLL with
+    each probability clamped into [1e-7, 1 - 1e-7]. Regression values are
+    predictions, scored by squared error against the (N,) ``targets``.
+    """
+    if task is TaskKind.CLASSIFICATION:
+        return np.mean(-np.log(np.clip(values, PROB_CLAMP_LO, PROB_CLAMP_HI)), axis=0)
+    targets = np.asarray(targets, dtype=np.float64)
+    diff = values - targets.reshape((-1,) + (1,) * (values.ndim - 1))
+    return np.mean(diff * diff, axis=0)
+
+
+def loss_gradient(values: np.ndarray, targets: np.ndarray, task: TaskKind) -> np.ndarray:
+    """dLoss/dvalues of ``loss`` for (N,) values; 0 where the clamp binds."""
+    n = values.shape[0]
+    if task is TaskKind.CLASSIFICATION:
+        inside = (values > PROB_CLAMP_LO) & (values < PROB_CLAMP_HI)
+        clamped = np.clip(values, PROB_CLAMP_LO, PROB_CLAMP_HI)
+        return np.where(inside, -1.0 / clamped, 0.0) / n
+    return 2.0 * (values - np.asarray(targets, dtype=np.float64)) / n
+
+
 def nll(probs: np.ndarray, labels: np.ndarray) -> float:
     """Mean negative log-likelihood of the true class, clamped.
 
@@ -54,9 +81,7 @@ def nll(probs: np.ndarray, labels: np.ndarray) -> float:
     labels = _check_labels(labels, probs.shape[1])
     if labels.shape[0] != probs.shape[0]:
         raise ShapeError("probs and labels disagree on the number of instances")
-    p_true = probs[np.arange(probs.shape[0]), labels]
-    p_true = np.clip(p_true, PROB_CLAMP_LO, PROB_CLAMP_HI)
-    return float(np.mean(-np.log(p_true)))
+    return float(loss(probs[np.arange(probs.shape[0]), labels], labels, TaskKind.CLASSIFICATION))
 
 
 def error_rate(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -102,8 +127,7 @@ def mse(predictions: np.ndarray, targets: np.ndarray) -> float:
     # Large finite inputs overflow to inf here; callers reject the
     # non-finite result, so numpy's overflow warning is noise.
     with np.errstate(over="ignore"):
-        diff = predictions - targets
-        return float(np.mean(diff * diff))
+        return float(loss(predictions, targets, TaskKind.REGRESSION))
 
 
 def regression_nll(predictions: np.ndarray, targets: np.ndarray) -> float:

@@ -20,15 +20,15 @@ needs no compensation. Everything is deterministic in the config seed.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from . import nn
+from . import metrics, nn
 from .data import MetaDataset, SyntheticSpec, TaskKind, generate_preferred_model
 from .errors import ConfigError, DataValidationError, NumericError, ShapeError
-from .metrics import PROB_CLAMP_HI, PROB_CLAMP_LO
 
 MODE_STACKING = "stacking"
 MODE_MA = "ma"
@@ -97,7 +97,8 @@ class NEParams:
 
     def split(self, vector: np.ndarray) -> List[np.ndarray]:
         """Per-net views of a vector laid out like ``flat``."""
-        return np.split(vector, np.cumsum([nn.dense_param_count(d) for d in self.layer_dims])[:-1])
+        bounds = [0, *itertools.accumulate(map(nn.dense_param_count, self.layer_dims))]
+        return [vector[start:end] for start, end in zip(bounds, bounds[1:])]
 
     def parameter_count(self) -> int:
         return self.flat.size
@@ -147,12 +148,9 @@ def sample_mask(n_models: int, retain_prob: float, rng: np.random.Generator) -> 
 
 def _masked_softmax(scores: np.ndarray, mask: Optional[np.ndarray]) -> np.ndarray:
     """Row-wise softmax over the retained entries; masked entries exactly 0."""
-    if mask is None:
-        return nn.softmax(scores)
-    blocked = np.where(mask[None, :] > 0, scores, -np.inf)
-    shifted = blocked - blocked.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    if mask is not None:
+        scores = np.where(mask[None, :] > 0, scores, -np.inf)
+    return nn.softmax(scores)
 
 
 # ---------------------------------------------------------------------------
@@ -219,38 +217,24 @@ def _forward(
     return np.einsum("bm,bmc->bc", theta, cube), (acts, head_acts, theta)
 
 
-def _nll_output_grad(probs: np.ndarray, labels: np.ndarray) -> Tuple[float, np.ndarray, np.ndarray]:
-    """Clamped mean NLL, per-instance weight u (0 where clamped), true-class p."""
-    n = probs.shape[0]
-    p_true = probs[np.arange(n), labels]
-    clamped = np.clip(p_true, PROB_CLAMP_LO, PROB_CLAMP_HI)
-    loss = float(np.mean(-np.log(clamped)))
-    inside = (p_true > PROB_CLAMP_LO) & (p_true < PROB_CLAMP_HI)
-    u = np.where(inside, 1.0 / n, 0.0)
-    return loss, u, clamped
-
-
 def _objective(
     out: np.ndarray, labels: np.ndarray, task: TaskKind, mode: str
 ) -> Tuple[float, np.ndarray]:
-    """Training loss of a _forward output and its gradient dLoss/dout:
-    clamped NLL of softmax(scores) (stacking) or of the averaged
-    probabilities (ma), or the MSE of the single output column."""
-    batch = out.shape[0]
-    if task is TaskKind.REGRESSION:
-        resid = out[:, 0] - labels
-        return float(np.mean(resid * resid)), (2.0 * resid / batch)[:, None]
-    rows = np.arange(batch)
-    if mode == MODE_STACKING:
-        probs = nn.softmax(out)
-        loss, u, _ = _nll_output_grad(probs, labels)
-        onehot = np.zeros_like(probs)
-        onehot[rows, labels] = 1.0
-        return loss, (probs - onehot) * u[:, None]
-    loss, u, clamped = _nll_output_grad(out, labels)
-    dout = np.zeros_like(out)
-    dout[rows, labels] = -u / clamped
-    return loss, dout
+    """Training loss of a _forward output and its gradient dLoss/dout.
+
+    The loss is ``metrics.loss`` of one value per row: the true-class
+    probability (of softmax(scores) for stacking, of the averaged
+    probabilities for ma), or the single regression column.
+    """
+    classification = task is TaskKind.CLASSIFICATION
+    softmax = classification and mode == MODE_STACKING
+    scored = nn.softmax(out) if softmax else out
+    rows, columns = np.arange(out.shape[0]), (labels if classification else 0)
+    values = scored[rows, columns]
+    dscored = np.zeros_like(scored)
+    dscored[rows, columns] = metrics.loss_gradient(values, labels, task)
+    dout = nn.softmax_backward(scored, dscored) if softmax else dscored
+    return float(metrics.loss(values, labels, task)), dout
 
 
 def _backward(params: NEParams, cube: np.ndarray, cache: tuple, dout: np.ndarray) -> np.ndarray:
@@ -262,10 +246,7 @@ def _backward(params: NEParams, cube: np.ndarray, cache: tuple, dout: np.ndarray
     acts, head_acts, theta = cache
     embedder, head = params.nets
     grad_embedder, grad_head = params.split(grad)
-    dtheta = np.einsum("bc,bmc->bm", dout, cube)
-    # Softmax Jacobian restricted to the retained support: masked entries
-    # have theta = 0, so their gate gradient vanishes exactly.
-    dgate = theta * (dtheta - np.sum(theta * dtheta, axis=1, keepdims=True))
+    dgate = nn.softmax_backward(theta, np.einsum("bc,bmc->bm", dout, cube))
     dembed = nn.backward(head, head_acts, dgate, grad_head)
     _columns_backward(embedder, acts, dembed, grad_embedder, pooled=True)
     return grad

@@ -3,8 +3,8 @@
 Everything a small combiner network needs and nothing more: fully
 connected layers with rectifier hidden activations and an identity final
 layer, hand-derived backpropagation, a bias-corrected Adam optimizer, a
-numerically stable softmax, and a central finite-difference gradient
-checker used to validate the analytic gradients.
+numerically stable softmax with its backward pass, and a central
+finite-difference gradient checker used to validate the analytic gradients.
 """
 
 from __future__ import annotations
@@ -135,16 +135,18 @@ def backward(
     return delta @ net.weights[0] if input_gradient else None
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 @dataclass
 class AdamState:
-    """Moment estimates and hyperparameters for bias-corrected Adam."""
+    """Moment estimates, learning rate and step count for bias-corrected Adam."""
 
     first_moment: np.ndarray
     second_moment: np.ndarray
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step_count: int = 0
 
 
@@ -168,15 +170,14 @@ def adam_step_arrays(params: np.ndarray, grads: np.ndarray, state: AdamState) ->
     if not np.all(np.isfinite(grads)):
         raise NumericError("non-finite gradient passed to Adam update")
     t = state.step_count + 1
-    b1, b2 = state.beta1, state.beta2
     m, v = state.first_moment, state.second_moment
-    m *= b1
-    m += (1.0 - b1) * grads
-    v *= b2
-    v += (1.0 - b2) * grads * grads
-    m_hat = m / (1.0 - b1**t)
-    v_hat = v / (1.0 - b2**t)
-    params -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grads
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grads * grads
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    params -= state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
     state.step_count = t
 
 
@@ -188,6 +189,12 @@ def softmax(values: np.ndarray) -> np.ndarray:
     shifted = v - v.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def softmax_backward(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
+    """dLoss/dvalues of ``probs = softmax(values)`` from dLoss/dprobs;
+    an entry with probability 0 (a masked one) gets exactly 0."""
+    return probs * (dprobs - np.sum(probs * dprobs, axis=-1, keepdims=True))
 
 
 def finite_difference_gradients(

@@ -1,7 +1,7 @@
 """End-to-end tests for the command line interface: dataset synthesis,
 validation, run records, dropout sweeps, report aggregation, exit codes,
-output locking, the forked seed mapper, and records across BLAS thread
-counts."""
+output locking, the forked seed mapper, records across BLAS thread
+counts, and edge-case datasets."""
 
 import fcntl
 import json
@@ -17,7 +17,9 @@ import ensemblekit
 from ensemblekit import cli
 from ensemblekit.cli import main
 from ensemblekit.errors import ConfigError
-from ensemblekit.data import MetaDataset, Split, SyntheticSpec, generate, save_metadataset
+from ensemblekit.data import (
+    MetaDataset, Split, SyntheticSpec, TaskKind, generate, save_metadataset,
+)
 
 RECORD_KEYS = {
     "dataset", "method", "mode", "seed", "metrics",
@@ -148,13 +150,15 @@ class TestRun:
             assert set(record) == RECORD_KEYS
             assert np.isfinite(record["metrics"]["nll"])
 
-    def test_ne_methods_reject_conflicting_mode_flag(self, tmp_path, capsys):
+    def test_mode_flag_is_rejected(self, tmp_path):
+        """The method names the mode: ne-stack or ne-ma."""
         data = _synth(tmp_path)
         out = str(tmp_path / "runs.jsonl")
-        argv = ["run", "ne-stack", "--data", data, "--out", out,
-                "--mode", "ma", "--seeds", "0"] + FAST_NE
-        assert main(argv) == 2
-        assert "mode" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as err:
+            main(["run", "ne-stack", "--data", data, "--out", out,
+                  "--mode", "stacking", "--seeds", "0"] + FAST_NE)
+        assert err.value.code == 2
+        assert not os.path.exists(out)
 
     def test_records_append_across_invocations(self, tmp_path):
         data = _synth(tmp_path)
@@ -481,6 +485,85 @@ class TestReport:
         assert main(["report", "--records", path]) == 2
         _assert_only_error_line(capsys.readouterr().err, f"{path}:2:")
         assert not os.path.exists(path + ".summary.csv")
+
+
+class TestEdgeCases:
+    def test_single_model_dataset_runs_every_method(self, tmp_path):
+        """synth needs M >= 2, but a loaded dataset may hold one model."""
+        ds = generate(SyntheticSpec(kind="experts", n_instances=200, n_models=2,
+                                    n_classes=3, seed=0))
+        data = str(tmp_path / "one-model")
+        save_metadataset(MetaDataset(
+            name="one-model", task=ds.task,
+            val=Split(ds.val.predictions[:, :1], ds.val.labels),
+            test=Split(ds.test.predictions[:, :1], ds.test.labels),
+        ), data)
+        out = str(tmp_path / "runs.jsonl")
+        for method in cli.METHODS:
+            argv = ["run", method, "--data", data, "--out", out,
+                    "--seeds", "0", "--n", "2"] + FAST_NE
+            assert main(argv) == 0, method
+        records = _read_records(out)
+        assert [r["method"] for r in records] == list(cli.METHODS)
+        for record in records:
+            values = list(record["metrics"].values()) + list(record["normalized"].values())
+            assert np.all(np.isfinite(values)), record
+
+    def test_binary_test_split_with_one_class_has_no_auc(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        val = Split(rng.dirichlet(np.ones(2), size=(80, 3)), rng.integers(0, 2, size=80))
+        test = Split(rng.dirichlet(np.ones(2), size=(40, 3)), np.zeros(40, dtype=np.int64))
+        data = str(tmp_path / "one-class")
+        save_metadataset(MetaDataset(name="one-class", task=TaskKind.CLASSIFICATION,
+                                     val=val, test=test), data)
+        out = str(tmp_path / "runs.jsonl")
+        for method in ("single-best", "greedy", "ne-stack"):
+            assert main(["run", method, "--data", data, "--out", out,
+                         "--seeds", "0,1", "--n", "2"] + FAST_NE) == 0
+        records = _read_records(out)
+        assert len(records) == 6
+        for record in records:
+            assert set(record["metrics"]) == {"nll", "error_rate"}
+            assert set(record["normalized"]) == {"nll", "error_rate"}
+        summary = str(tmp_path / "summary.csv")
+        assert main(["report", "--records", out, "--out", summary]) == 0
+        capsys.readouterr()
+        with open(summary) as fh:
+            rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+        assert {(row[1], row[2]) for row in rows} == {
+            (m, k) for m in ("single-best", "greedy", "ne-stack") for k in ("nll", "error_rate")
+        }
+        assert {row[5] for row in rows} == {"2"}
+
+    @pytest.mark.parametrize("method", ["ne-stack", "ne-ma"])
+    def test_batch_size_above_n_trains_on_batches_of_n(self, tmp_path, method):
+        data = _synth(tmp_path, n="50")
+        outs = {}
+        for batch in ("50", "4096"):
+            outs[batch] = str(tmp_path / f"runs-{batch}.jsonl")
+            assert main(["run", method, "--data", data, "--out", outs[batch], "--seeds", "0",
+                         "--steps", "30", "--layers", "2", "--hidden-dim", "4",
+                         "--batch-size", batch]) == 0
+        small, large = (_untimed_records(outs[b])[0] for b in ("50", "4096"))
+        assert large["config"].pop("batch_size") == 4096
+        assert small["config"].pop("batch_size") == 50
+        assert small == large
+
+    def test_lock_file_stays_and_a_second_run_appends(self, tmp_path):
+        """The lock file is never removed. Removing it would race: a run
+        that opened the old file could lock it while a later run locks a
+        new file of the same name, and both would append."""
+        data = _synth(tmp_path)
+        out = str(tmp_path / "runs.jsonl")
+        for seeds in ("0", "1"):
+            assert main(["run", "single-best", "--data", data, "--out", out,
+                         "--seeds", seeds]) == 0
+            assert os.path.isfile(out + ".lock")
+            with open(out + ".lock") as lock:
+                # Released: this process can take it without waiting.
+                fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                fcntl.flock(lock, fcntl.LOCK_UN)
+        assert [r["seed"] for r in _read_records(out)] == [0, 1]
 
 
 class TestEntryPoint:

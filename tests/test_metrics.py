@@ -1,5 +1,6 @@
-"""Tests for evaluation metrics: clamped NLL, error rate, tie-averaged
-AUC, MSE, Gaussian regression NLL, ambiguity, and report helpers."""
+"""Tests for evaluation metrics: the shared loss and its gradient, clamped
+NLL, error rate, tie-averaged AUC, MSE, Gaussian regression NLL,
+ambiguity, and report helpers."""
 
 import math
 
@@ -8,6 +9,8 @@ import pytest
 
 from ensemblekit.errors import DataValidationError, ShapeError, UndefinedMetricError
 from ensemblekit import metrics
+from ensemblekit.data import TaskKind
+from ensemblekit.nn import finite_difference_gradients, gradient_errors
 
 
 def _auc_pair_counting(scores, labels):
@@ -22,6 +25,50 @@ def _auc_pair_counting(scores, labels):
             elif p == n:
                 wins += 0.5
     return wins / (len(pos) * len(neg))
+
+
+class TestLoss:
+    """The one loss every fitter uses: clamped NLL of true-class
+    probabilities, or squared error of predictions, with its gradient."""
+
+    @pytest.mark.parametrize("task", list(TaskKind), ids=lambda task: task.value)
+    def test_gradient_matches_finite_differences(self, task):
+        rng = np.random.default_rng(17)
+        if task is TaskKind.CLASSIFICATION:
+            values = rng.uniform(0.05, 0.95, size=30)
+            # Inside the clamp zone by more than the difference step.
+            clamped = [0, 1, 2, 3]
+            values[clamped] = [0.0, 1e-9, 1.0 - 1e-9, 1.0]
+            targets, step = rng.integers(0, 3, size=30), 1e-8
+        else:
+            values, targets, step = rng.normal(size=30), rng.normal(size=30), 1e-5
+            clamped = []
+        grad = metrics.loss_gradient(values, targets, task)
+        numeric = finite_difference_gradients(
+            lambda: float(metrics.loss(values, targets, task)), [values], step=step
+        )
+        rel, _ = gradient_errors([grad], numeric)
+        assert rel < 1e-4
+        assert np.all(grad[clamped] == 0.0)
+        assert np.all(numeric[0][clamped] == 0.0)
+
+    def test_nll_is_loss_of_true_class_column(self):
+        rng = np.random.default_rng(3)
+        probs = rng.dirichlet(np.ones(4), size=50)
+        probs[0] = [0.0, 1.0, 0.0, 0.0]
+        labels = rng.integers(0, 4, size=50)
+        want = metrics.loss(probs[np.arange(50), labels], labels, TaskKind.CLASSIFICATION)
+        assert metrics.nll(probs, labels) == float(want)
+
+    @pytest.mark.parametrize("task", list(TaskKind), ids=lambda task: task.value)
+    def test_columns_are_scored_separately(self, task):
+        rng = np.random.default_rng(4)
+        values = rng.uniform(0.0, 1.0, size=(40, 3))
+        targets = rng.normal(size=40)
+        got = metrics.loss(values, targets, task)
+        assert got.shape == (3,)
+        for k in range(3):
+            assert got[k] == pytest.approx(metrics.loss(values[:, k], targets, task), rel=1e-12)
 
 
 class TestNll:
