@@ -47,7 +47,6 @@ from .metrics import (
     mse,
     nll,
     normalize_report,
-    regression_nll,
     regression_report,
 )
 from .neural import (
@@ -97,7 +96,6 @@ __all__ = [
     "mse",
     "nll",
     "normalize_report",
-    "regression_nll",
     "regression_report",
     "NEConfig",
     "NEParams",

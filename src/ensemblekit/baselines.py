@@ -197,7 +197,10 @@ def fit_constant_ma(
     proj = _project(np.asarray(predictions, dtype=np.float64), labels, task)
     v = np.zeros(proj.shape[1])
     state = nn.adam_init(v, learning_rate=learning_rate)
-    for _ in range(steps):
-        _, grad = _constant_ma_objective(v, proj, labels, task)
-        nn.adam_step_arrays(v, grad, state)
+    # An overflowing objective reaches Adam as a non-finite gradient, which
+    # raises NumericError there; numpy's warning on the way is noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(steps):
+            _, grad = _constant_ma_objective(v, proj, labels, task)
+            nn.adam_step_arrays(v, grad, state)
     return nn.softmax(v)

@@ -1,21 +1,27 @@
 """Command-line front door for dataset prep, method runs, and reports.
 
-Subcommands: validate, synth, run, sweep-dropout, report. Methods fit on
-the validation split and are evaluated on the test split; every run
-record carries raw metrics plus metrics normalized by the single best
-base model on the same dataset. Records are JSON lines appended under a
-per-file exclusive lock, so concurrent runs must target distinct files.
+Subcommands: validate, synth, run, report. Methods fit on the validation
+split and are evaluated on the test split; every run record carries raw
+metrics plus metrics normalized by the single best base model on the
+same dataset. Records are JSON lines appended under a per-file exclusive
+lock, so concurrent runs must target distinct files.
+
+`run ne-stack` and `run ne-ma` take a list of dropout rates, which makes
+the dropout ablation one run: one record per (seed, rate) pair, with the
+rate in `config.dropout_rate`. `report` shows one row per method and
+rate (`ne-ma@0.75`), so each rate's normalized NLL reads off the table.
 
 Exit codes: 0 success, 2 usage or data error, 3 numeric failure (a
 non-finite training loss or metric; nothing is appended then).
 
-Seeds of `run` and `sweep-dropout` run in forked worker processes, one
-per usable CPU and never more than there are seeds; a single seed, a
-single CPU or a platform without fork runs them one after another in
-this process. The parent loads the data, holds the lock, appends the
-records in the order `--seeds` lists them and prints; only seeds and
-records cross between processes, so the records are the same either way.
-A worker's error re-raises in the parent with its type and message.
+The (seed, rate) tasks of `run` run in forked worker processes, one per
+usable CPU and never more than there are tasks; a single task, a single
+CPU or a platform without fork runs them one after another in this
+process. The parent loads the data, holds the lock, appends the records
+seed-major in the order `--seeds` and `--dropout-rate` list them and
+prints; only tasks and records cross between processes, so the records
+are the same either way. A worker's error re-raises in the parent with
+its type and message.
 """
 
 from __future__ import annotations
@@ -53,27 +59,16 @@ _NE_MODE_BY_METHOD = {"ne-stack": neural.MODE_STACKING, "ne-ma": neural.MODE_MA}
 _HIGHER_IS_BETTER = {"auc"}
 
 
-def _parse_seeds(text: str) -> List[int]:
+def _parse_list(text: str, flag: str, kind: type) -> list:
+    """The comma-separated values of ``flag``, each converted by ``kind``."""
     try:
-        seeds = [int(part) for part in text.split(",") if part.strip() != ""]
+        values = [kind(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
-        raise ConfigError(f"--seeds must be comma-separated integers, got {text!r}") from None
-    if not seeds:
-        raise ConfigError("--seeds must name at least one seed")
-    return seeds
-
-
-def _parse_rates(text: str) -> List[float]:
-    try:
-        rates = [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise ConfigError(f"--rates must be comma-separated floats, got {text!r}") from None
-    if not rates:
-        raise ConfigError("--rates must name at least one rate")
-    for r in rates:
-        if not 0.0 <= r < 1.0:
-            raise ConfigError(f"dropout rates must lie in [0, 1), got {r}")
-    return rates
+        raise ConfigError(f"{flag} must be a comma-separated list of {kind.__name__}s, "
+                          f"got {text!r}") from None
+    if not values:
+        raise ConfigError(f"{flag} must name at least one value")
+    return values
 
 
 @contextlib.contextmanager
@@ -110,37 +105,38 @@ def _finite(values: Dict[str, float], where: str) -> Dict[str, float]:
 
 # The worker of the running _map_seeds call. Forked children inherit it,
 # so a closure over the loaded dataset never has to be pickled.
-_seed_worker: Optional[Callable] = None
+_task_worker: Optional[Callable] = None
 
 
-def _call_seed_worker(seed: int):
-    return _seed_worker(seed)
+def _call_task_worker(task):
+    return _task_worker(task)
 
 
-def _map_seeds(worker: Callable, seeds: List[int]) -> List:
-    """``[worker(seed) for seed in seeds]``, with the seeds spread over
-    ``min(len(seeds), usable CPUs)`` forked worker processes.
+def _map_seeds(worker: Callable, tasks: List) -> List:
+    """``[worker(task) for task in tasks]``, with the tasks (seeds, or
+    (seed, rate) pairs) spread over ``min(len(tasks), usable CPUs)``
+    forked worker processes.
 
-    Results come back in seed order, and a worker's exception re-raises
+    Results come back in task order, and a worker's exception re-raises
     here. A worker process that dies raises BrokenProcessPool.
     """
-    global _seed_worker
+    global _task_worker
     n_workers = 1
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        n_workers = min(len(seeds), len(os.sched_getaffinity(0)))
+        n_workers = min(len(tasks), len(os.sched_getaffinity(0)))
     if n_workers == 1:
-        return [worker(seed) for seed in seeds]
-    # Imported here, so that single-seed commands start no slower.
+        return [worker(task) for task in tasks]
+    # Imported here, so that single-task commands start no slower.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    _seed_worker = worker
+    _task_worker = worker
     try:
         context = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(n_workers, mp_context=context) as pool:
-            return list(pool.map(_call_seed_worker, seeds))
+            return list(pool.map(_call_task_worker, tasks))
     finally:
-        _seed_worker = None
+        _task_worker = None
 
 
 def _evaluate(ds: MetaDataset, predictions: np.ndarray, split: str) -> metrics.MetricReport:
@@ -158,22 +154,19 @@ def _single_best_reference(ds: MetaDataset) -> metrics.MetricReport:
     return _evaluate(ds, test_pred, "test")
 
 
-def _ne_config(args, mode: str, seed: int, dropout_rate: float) -> neural.NEConfig:
-    return neural.NEConfig(
-        mode=mode,
-        dropout_rate=dropout_rate,
-        layers=args.layers,
-        hidden_dim=args.hidden_dim,
-        steps=args.steps,
-        batch_size=args.batch_size,
-        learning_rate=args.lr,
-        seed=seed,
-    )
+def _label(method: str, config: dict) -> str:
+    """A record's row in `report`: ``method@<rate>`` when its config names
+    a dropout rate, else the plain method name."""
+    rate = config.get("dropout_rate")
+    return method if rate is None else f"{method}@{rate:g}"
 
 
-def _run_method(ds: MetaDataset, method: str, args, seed: int) -> Tuple[np.ndarray, str, Dict]:
+def _run_method(
+    ds: MetaDataset, method: str, args, seed: int, rate: float
+) -> Tuple[np.ndarray, str, Dict]:
     """Fit one method on the validation split; return test predictions,
-    the NE mode tag (empty for baselines), and a config echo."""
+    the NE mode tag (empty for baselines), and a config echo. Only the
+    NE methods use the dropout ``rate``."""
     val_p, val_y = ds.val.predictions, ds.val.labels
     test_p = ds.test.predictions
 
@@ -207,8 +200,16 @@ def _run_method(ds: MetaDataset, method: str, args, seed: int) -> Tuple[np.ndarr
         )
         return static(weights), "", {"steps": args.steps, "lr": args.lr}
     if method in _NE_MODE_BY_METHOD:
-        mode = _NE_MODE_BY_METHOD[method]
-        config = _ne_config(args, mode, seed, args.dropout_rate)
+        config = neural.NEConfig(
+            mode=_NE_MODE_BY_METHOD[method],
+            dropout_rate=rate,
+            layers=args.layers,
+            hidden_dim=args.hidden_dim,
+            steps=args.steps,
+            batch_size=args.batch_size,
+            learning_rate=args.lr,
+            seed=seed,
+        )
         params, _ = neural.train(ds, config)
         echo = {
             "dropout_rate": config.dropout_rate,
@@ -218,7 +219,7 @@ def _run_method(ds: MetaDataset, method: str, args, seed: int) -> Tuple[np.ndarr
             "batch_size": config.batch_size,
             "lr": config.learning_rate,
         }
-        return neural.predict(params, test_p), mode, echo
+        return neural.predict(params, test_p), config.mode, echo
     raise ConfigError(f"unknown method {method!r}")
 
 
@@ -254,16 +255,24 @@ def cmd_synth(args) -> int:
 
 
 def cmd_run(args) -> int:
+    seeds = _parse_list(args.seeds, "--seeds", int)
+    rates = _parse_list(args.dropout_rate, "--dropout-rate", float)
+    for rate in rates:
+        if not 0.0 <= rate < 1.0:
+            raise ConfigError(f"dropout rates must lie in [0, 1), got {rate}")
+    if len(rates) > 1 and args.method not in _NE_MODE_BY_METHOD:
+        raise ConfigError(f"{args.method} has no dropout rate; a list of "
+                          f"{len(rates)} rates would repeat each record")
     ds = load_metadataset(args.data)
-    seeds = _parse_seeds(args.seeds)
     reference = _single_best_reference(ds)
 
-    def worker(seed: int) -> dict:
+    def worker(task: Tuple[int, float]) -> dict:
+        seed, rate = task
         start = time.perf_counter()
-        predictions, mode, echo = _run_method(ds, args.method, args, seed)
+        predictions, mode, echo = _run_method(ds, args.method, args, seed, rate)
         report = _evaluate(ds, predictions, "test")
         normalized = metrics.normalize_report(report, reference)
-        where = f"{ds.name} {args.method} seed {seed}"
+        where = f"{ds.name} {_label(args.method, echo)} seed {seed}"
         return {
             "dataset": ds.name,
             "method": args.method,
@@ -276,74 +285,12 @@ def cmd_run(args) -> int:
         }
 
     with _locked_output(args.out):
-        records = _map_seeds(worker, seeds)
+        records = _map_seeds(worker, [(seed, rate) for seed in seeds for rate in rates])
         _append_records(args.out, records)
     for record in records:
         print(
-            f"{record['dataset']} {record['method']} seed={record['seed']} "
-            f"normalized_nll={record['normalized']['nll']:.6f}"
-        )
-    return 0
-
-
-def cmd_sweep_dropout(args) -> int:
-    ds = load_metadataset(args.data)
-    seeds = _parse_seeds(args.seeds)
-    rates = _parse_rates(args.rates)
-
-    def worker(seed: int) -> List[dict]:
-        rows = []
-        trained: Dict[float, float] = {}
-
-        def nll_at(rate: float) -> Tuple[float, float]:
-            start = time.perf_counter()
-            params, _ = neural.train(ds, _ne_config(args, args.mode, seed, rate))
-            report = _evaluate(ds, neural.predict(params, ds.test.predictions), "test")
-            return report.nll, time.perf_counter() - start
-
-        for rate in rates:
-            value, elapsed = nll_at(rate)
-            trained[rate] = value
-            rows.append((rate, value, elapsed))
-        # Per-seed normalization against the zero-dropout run; train one if
-        # the rate list does not include it.
-        zero = trained.get(0.0)
-        if zero is None:
-            zero, _ = nll_at(0.0)
-        records = []
-        for rate, value, elapsed in rows:
-            scores = _finite(
-                {"nll": value, "normalized_nll_vs_zero": value / max(zero, 1e-12)},
-                f"{ds.name} {args.mode} seed {seed} rate {rate}",
-            )
-            records.append(
-                {
-                    "dataset": ds.name,
-                    "method": "ne-ma" if args.mode == neural.MODE_MA else "ne-stack",
-                    "mode": args.mode,
-                    "seed": seed,
-                    "dropout_rate": rate,
-                    **scores,
-                    "wall_time_seconds": elapsed,
-                    "config": {
-                        "layers": args.layers,
-                        "hidden_dim": args.hidden_dim,
-                        "steps": args.steps,
-                        "batch_size": args.batch_size,
-                        "lr": args.lr,
-                    },
-                }
-            )
-        return records
-
-    with _locked_output(args.out):
-        records = [record for rows in _map_seeds(worker, seeds) for record in rows]
-        _append_records(args.out, records)
-    for record in records:
-        print(
-            f"{record['dataset']} {record['method']} seed={record['seed']} "
-            f"rate={record['dropout_rate']} nll={record['nll']:.6f} "
-            f"vs_zero={record['normalized_nll_vs_zero']:.4f}"
+            f"{record['dataset']} {_label(record['method'], record['config'])} "
+            f"seed={record['seed']} normalized_nll={record['normalized']['nll']:.6f}"
         )
     return 0
 
@@ -380,11 +327,12 @@ def cmd_report(args) -> int:
     grouped: Dict[Tuple[str, str], Dict[str, List[float]]] = {}
     for record in records:
         try:
-            key = (record["dataset"], record["method"])
+            key = (record["dataset"], _label(record["method"], record.get("config", {})))
             normalized = record["normalized"]
-        except (KeyError, TypeError):
+        except (AttributeError, KeyError, TypeError, ValueError):
             raise DataFormatError(
-                "records must carry 'dataset', 'method' and 'normalized' fields"
+                "records must carry 'dataset', 'method' and 'normalized' fields, "
+                "and a number as config 'dropout_rate' if they name one"
             ) from None
         bucket = grouped.setdefault(key, {})
         for metric_name, value in normalized.items():
@@ -405,8 +353,9 @@ def cmd_report(args) -> int:
             reverse = metric_name in _HIGHER_IS_BETTER
             ordered = sorted(candidates, key=lambda mv: (-mv[1] if reverse else mv[1], mv[0]))
             best[metric_name] = ordered[0][0]
+        width = max(12, *map(len, methods))
         print(f"dataset: {dataset}")
-        header = "  {:<12}".format("method") + "".join(f"{m:>22}" for m in metric_names)
+        header = f"  {'method':<{width}}" + "".join(f"{m:>22}" for m in metric_names)
         print(header)
         for method in methods:
             cells = []
@@ -430,7 +379,7 @@ def cmd_report(args) -> int:
                         "best": best[metric_name] == method,
                     }
                 )
-            print("  {:<12}".format(method) + "".join(cells))
+            print(f"  {method:<{width}}" + "".join(cells))
         print()
 
     out_path = args.out or args.records + ".summary.csv"
@@ -449,14 +398,6 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
-
-
-def _add_ne_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--layers", type=int, default=4, help="stacking network depth")
-    parser.add_argument("--hidden-dim", type=int, default=32, help="hidden width")
-    parser.add_argument("--steps", type=int, default=10000, help="training steps")
-    parser.add_argument("--batch-size", type=int, default=2048, help="training batch size")
-    parser.add_argument("--lr", type=float, default=1e-3, help="Adam learning rate")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -489,20 +430,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", default="0,1,2", help="comma-separated seeds")
     p.add_argument("--n", type=int, default=baselines.DEFAULT_N,
                    help="ensemble size for random/top-n/quick/greedy")
-    p.add_argument("--dropout-rate", type=float, default=0.75,
-                   help="base-model dropout rate in [0, 1)")
-    _add_ne_flags(p)
+    p.add_argument("--dropout-rate", default="0.75",
+                   help="comma-separated base-model dropout rates in [0, 1); "
+                        "a list needs ne-stack or ne-ma")
+    p.add_argument("--layers", type=int, default=4, help="stacking network depth")
+    p.add_argument("--hidden-dim", type=int, default=32, help="hidden width")
+    p.add_argument("--steps", type=int, default=10000, help="training steps")
+    p.add_argument("--batch-size", type=int, default=2048, help="training batch size")
+    p.add_argument("--lr", type=float, default=1e-3, help="Adam learning rate")
     p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("sweep-dropout", help="train over a dropout-rate grid")
-    p.add_argument("--data", required=True, help="dataset directory")
-    p.add_argument("--out", required=True, help="JSON-lines records file")
-    p.add_argument("--seeds", default="0,1,2", help="comma-separated seeds")
-    p.add_argument("--rates", required=True, help="comma-separated dropout rates")
-    p.add_argument("--mode", choices=[neural.MODE_STACKING, neural.MODE_MA],
-                   default=neural.MODE_MA, help="ensembler mode")
-    _add_ne_flags(p)
-    p.set_defaults(func=cmd_sweep_dropout)
 
     p = sub.add_parser("report", help="aggregate run records into a table")
     p.add_argument("--records", required=True, help="JSON-lines records file")

@@ -82,6 +82,22 @@ class MetaDataset:
         return self.val.predictions.shape[2]
 
 
+def check_simplex(cube: np.ndarray, where: str) -> None:
+    """Raise DataValidationError unless every (instance, model) row of an
+    (N, M, C) classification cube is a probability simplex: entries in
+    [0, 1] that sum to 1 within SIMPLEX_TOL. ``where`` starts the message."""
+    if np.any(cube < -1e-12) or np.any(cube > 1.0 + 1e-12):
+        raise DataValidationError(f"{where}: predictions must be probabilities in [0, 1]")
+    sums = cube.sum(axis=2)
+    bad = np.abs(sums - 1.0) > SIMPLEX_TOL
+    if np.any(bad):
+        i, m = map(int, np.argwhere(bad)[0])
+        raise DataValidationError(
+            f"{where}: probabilities for instance {i}, model {m} "
+            f"sum to {sums[i, m]:.6f}, expected 1 within {SIMPLEX_TOL}"
+        )
+
+
 def _sanitize_split(split: Split, task: TaskKind, split_name: str) -> Split:
     preds = np.array(split.predictions, dtype=np.float64, copy=True)
     if preds.ndim != 3:
@@ -104,18 +120,7 @@ def _sanitize_split(split: Split, task: TaskKind, split_name: str) -> Split:
     if task is TaskKind.CLASSIFICATION:
         if c < 2:
             raise DataValidationError("classification datasets need at least 2 classes")
-        if np.any(preds < -1e-12) or np.any(preds > 1.0 + 1e-12):
-            raise DataValidationError(
-                f"{split_name} predictions must be probabilities in [0, 1]"
-            )
-        sums = preds.sum(axis=2)
-        bad = np.abs(sums - 1.0) > SIMPLEX_TOL
-        if np.any(bad):
-            i, m_bad = map(int, np.argwhere(bad)[0])
-            raise DataValidationError(
-                f"{split_name} split: probabilities for instance {i}, model {m_bad} "
-                f"sum to {sums[i, m_bad]:.6f}, expected 1 within {SIMPLEX_TOL}"
-            )
+        check_simplex(preds, f"{split_name} split")
         if not np.all(labels == labels.astype(np.int64)):
             raise DataValidationError(f"{split_name} labels must be class indices")
         labels = labels.astype(np.int64)
@@ -327,14 +332,16 @@ def generate_complementary_experts(spec: SyntheticSpec) -> MetaDataset:
     the remaining 0.1 evenly. Every other model assigns 0.9 to class 0,
     a dump class that is never the true label, puts the remaining 0.1 on
     the true class and zero elsewhere. Labels are uniform over classes
-    1..C-1. Any fixed model is therefore right in only one region out of
-    M, while for C >= 3 the reliable model can be recognized from the
-    prediction pattern alone, which is what rewards per-instance weights.
+    1..C-1, so C must be at least 3: with C = 2 every label would be 1.
+    Any fixed model is therefore right in only one region out of M, while
+    the reliable model can be recognized from the prediction pattern
+    alone, which is what rewards per-instance weights.
     """
     _check_sizes(spec)
     m_models, n_classes = spec.n_models, spec.n_classes
-    if n_classes < 2:
-        raise ConfigError(f"n_classes must be at least 2, got {n_classes}")
+    if n_classes < 3:
+        raise ConfigError(f"n_classes must be at least 3 (class 0 is never a label), "
+                          f"got {n_classes}")
     rng = np.random.default_rng(spec.seed)
 
     def one_split(n: int) -> Split:

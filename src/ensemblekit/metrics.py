@@ -50,13 +50,16 @@ def loss(values: np.ndarray, targets: np.ndarray, task: TaskKind):
 
     Classification values are true-class probabilities, scored by NLL with
     each probability clamped into [1e-7, 1 - 1e-7]. Regression values are
-    predictions, scored by squared error against the (N,) ``targets``.
+    predictions, scored by squared error against the (N,) ``targets``; a
+    squared error too large for float64 gives an infinite loss, which
+    every caller rejects, so numpy's overflow warning is silenced.
     """
     if task is TaskKind.CLASSIFICATION:
         return np.mean(-np.log(np.clip(values, PROB_CLAMP_LO, PROB_CLAMP_HI)), axis=0)
     targets = np.asarray(targets, dtype=np.float64)
-    diff = values - targets.reshape((-1,) + (1,) * (values.ndim - 1))
-    return np.mean(diff * diff, axis=0)
+    with np.errstate(over="ignore"):
+        diff = values - targets.reshape((-1,) + (1,) * (values.ndim - 1))
+        return np.mean(diff * diff, axis=0)
 
 
 def loss_gradient(values: np.ndarray, targets: np.ndarray, task: TaskKind) -> np.ndarray:
@@ -124,15 +127,7 @@ def mse(predictions: np.ndarray, targets: np.ndarray) -> float:
     targets = np.asarray(targets, dtype=np.float64).reshape(-1)
     if predictions.shape != targets.shape:
         raise ShapeError("predictions and targets disagree on the number of instances")
-    # Large finite inputs overflow to inf here; callers reject the
-    # non-finite result, so numpy's overflow warning is noise.
-    with np.errstate(over="ignore"):
-        return float(loss(predictions, targets, TaskKind.REGRESSION))
-
-
-def regression_nll(predictions: np.ndarray, targets: np.ndarray) -> float:
-    """Unit-variance Gaussian negative log-likelihood: affine in MSE."""
-    return _GAUSS_CONST + 0.5 * mse(predictions, targets)
+    return float(loss(predictions, targets, TaskKind.REGRESSION))
 
 
 def ambiguity(weights: np.ndarray, base_preds: np.ndarray) -> float:
@@ -201,6 +196,7 @@ def classification_report(probs: np.ndarray, labels: np.ndarray) -> MetricReport
 
 
 def regression_report(predictions: np.ndarray, targets: np.ndarray) -> MetricReport:
+    """MSE, and the unit-variance Gaussian NLL, which is affine in it."""
     value = mse(predictions, targets)
     return MetricReport(nll=_GAUSS_CONST + 0.5 * value, mse=value)
 

@@ -27,7 +27,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import metrics, nn
-from .data import MetaDataset, SyntheticSpec, TaskKind, generate_preferred_model
+from .data import MetaDataset, SyntheticSpec, TaskKind, check_simplex, generate_preferred_model
 from .errors import ConfigError, DataValidationError, NumericError, ShapeError
 
 MODE_STACKING = "stacking"
@@ -99,9 +99,6 @@ class NEParams:
         """Per-net views of a vector laid out like ``flat``."""
         bounds = [0, *itertools.accumulate(map(nn.dense_param_count, self.layer_dims))]
         return [vector[start:end] for start, end in zip(bounds, bounds[1:])]
-
-    def parameter_count(self) -> int:
-        return self.flat.size
 
 
 def _layer_dims(config: NEConfig, n_models: int) -> List[List[int]]:
@@ -295,6 +292,8 @@ def _check_cube(params: NEParams, cube: np.ndarray) -> np.ndarray:
         i, m, c = np.argwhere(~finite)[0]
         raise DataValidationError(f"prediction cube entry (instance {i}, model {m}, "
                                   f"class {c}) is not finite: {cube[i, m, c]}")
+    if cube.shape[2] > 1:
+        check_simplex(cube, "prediction cube")
     return cube
 
 

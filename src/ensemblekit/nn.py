@@ -50,9 +50,6 @@ class DenseNet:
             start += fan_out
         return weights, biases
 
-    def parameter_count(self) -> int:
-        return self.flat.size
-
 
 def dense_param_count(layer_dims: Sequence[int]) -> int:
     """Weights plus biases of a DenseNet with these layer dims."""

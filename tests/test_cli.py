@@ -1,11 +1,13 @@
 """End-to-end tests for the command line interface: dataset synthesis,
-validation, run records, dropout sweeps, report aggregation, exit codes,
-output locking, the forked seed mapper, records across BLAS thread
-counts, and edge-case datasets."""
+validation, run records, dropout sweeps (one `run` over a list of
+dropout rates) and their report rows, report aggregation, exit codes,
+output locking, the forked task mapper, records across BLAS thread
+counts, edge-case datasets, and the commands shown in README."""
 
 import fcntl
 import json
 import os
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -58,6 +60,17 @@ def _overflowing_regression(tmp_path):
     return out
 
 
+def _scaled_regression(tmp_path, scale=1e155):
+    """A valid poly dataset with predictions and targets multiplied by
+    ``scale``, so every squared error overflows float64."""
+    ds = generate(SyntheticSpec(kind="poly", n_instances=100, n_models=3,
+                                degree=3, seed=0))
+    splits = [Split(s.predictions * scale, s.labels * scale) for s in (ds.val, ds.test)]
+    out = str(tmp_path / "scaled")
+    save_metadataset(MetaDataset(name=ds.name, task=ds.task, val=splits[0], test=splits[1]), out)
+    return out
+
+
 def _read_records(path):
     with open(path) as fh:
         return [json.loads(line) for line in fh if line.strip()]
@@ -76,6 +89,30 @@ def _child_env(**extra):
     src = os.path.dirname(os.path.dirname(ensemblekit.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def _readme_commands(path):
+    """The argument lists of the `ensemblekit ...` lines in the ```sh
+    blocks of a markdown file, with backslash continuations joined."""
+    commands, in_block, line = [], False, ""
+    with open(path) as fh:
+        for raw in fh:
+            if raw.startswith("```"):
+                in_block, line = raw.strip() == "```sh", ""
+                continue
+            if not in_block:
+                continue
+            line += raw.strip()
+            if line.endswith("\\"):
+                line = line[:-1] + " "
+                continue
+            if line.startswith("ensemblekit "):
+                commands.append(shlex.split(line)[1:])
+            line = ""
+    return commands
 
 
 def _assert_only_error_line(err, fragment):
@@ -207,6 +244,17 @@ class TestRun:
         _assert_only_error_line(capsys.readouterr().err, "not finite")
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("method", ["single-best", "greedy", "ma", "ne-ma", "ne-stack"])
+    def test_overflowing_squared_error_exits_3_without_warning(self, tmp_path, capsys, method):
+        """Targets near 1e155: the loss is infinite from the single-best
+        reference on, and numpy's overflow warning must not reach stderr."""
+        data = _scaled_regression(tmp_path)
+        out = str(tmp_path / "runs.jsonl")
+        assert main(["run", method, "--data", data, "--out", out, "--seeds", "0",
+                     "--n", "2"] + FAST_NE) == 3
+        _assert_only_error_line(capsys.readouterr().err, "finite")
+        assert not os.path.exists(out)
+
     def test_locked_output_exits_2(self, tmp_path, capsys):
         data = _synth(tmp_path)
         out = str(tmp_path / "runs.jsonl")
@@ -323,19 +371,22 @@ class TestSeedMapper:
         assert records == _untimed_records(single)
 
     def test_sweep_records_match_single_seed_runs(self, tmp_path):
+        """A (seed, rate) grid writes seed-major records, each equal to the
+        record of a run with that one seed and rate."""
         data = _synth(tmp_path)
-        flags = ["--rates", "0.0,0.5"] + FAST_NE
-        multi = str(tmp_path / "multi.jsonl")
-        single = str(tmp_path / "single.jsonl")
-        assert main(["sweep-dropout", "--data", data, "--out", multi,
-                     "--seeds", "0,1"] + flags) == 0
-        for seed in ("0", "1"):
-            assert main(["sweep-dropout", "--data", data, "--out", single,
-                         "--seeds", seed] + flags) == 0
-        records = _untimed_records(multi)
-        assert [(r["seed"], r["dropout_rate"]) for r in records] == [
-            (0, 0.0), (0, 0.5), (1, 0.0), (1, 0.5)]
-        assert records == _untimed_records(single)
+        for method in ("ne-ma", "ne-stack"):
+            multi = str(tmp_path / f"multi-{method}.jsonl")
+            single = str(tmp_path / f"single-{method}.jsonl")
+            assert main(["run", method, "--data", data, "--out", multi, "--seeds", "0,1",
+                         "--dropout-rate", "0,0.5"] + FAST_NE) == 0
+            for seed in ("0", "1"):
+                for rate in ("0", "0.5"):
+                    assert main(["run", method, "--data", data, "--out", single,
+                                 "--seeds", seed, "--dropout-rate", rate] + FAST_NE) == 0
+            records = _untimed_records(multi)
+            assert [(r["seed"], r["config"]["dropout_rate"]) for r in records] == [
+                (0, 0.0), (0, 0.5), (1, 0.0), (1, 0.5)]
+            assert records == _untimed_records(single)
 
     def test_numeric_blowup_in_workers_exits_3(self, tmp_path):
         data = _synth(tmp_path)
@@ -356,51 +407,62 @@ class TestSeedMapper:
 
 
 class TestSweepDropout:
-    def test_zero_rate_normalizes_to_one(self, tmp_path):
-        data = _synth(tmp_path)
-        out = str(tmp_path / "sweep.jsonl")
-        argv = ["sweep-dropout", "--data", data, "--out", out,
-                "--seeds", "0", "--rates", "0.0,0.5"] + FAST_NE
-        assert main(argv) == 0
-        records = _read_records(out)
-        assert [r["dropout_rate"] for r in records] == [0.0, 0.5]
-        assert records[0]["normalized_nll_vs_zero"] == pytest.approx(1.0)
-        assert records[0]["method"] == "ne-ma"
+    """A dropout sweep is one `run ne-stack` or `run ne-ma` over a list of
+    rates: one record per (seed, rate), and one report row per rate."""
 
-    def test_missing_zero_rate_still_normalized(self, tmp_path):
+    @staticmethod
+    def _assert_rejected_before_loading(tmp_path, monkeypatch, method, rates):
         data = _synth(tmp_path)
         out = str(tmp_path / "sweep.jsonl")
-        argv = ["sweep-dropout", "--data", data, "--out", out, "--seeds", "0",
-                "--rates", "0.5", "--mode", "stacking"] + FAST_NE
-        assert main(argv) == 0
-        record = _read_records(out)[0]
-        assert record["method"] == "ne-stack"
-        assert record["normalized_nll_vs_zero"] > 0.0
+
+        def load(path):
+            raise AssertionError("the dataset was loaded before the rates were checked")
+
+        monkeypatch.setattr(cli, "load_metadataset", load)
+        assert main(["run", method, "--data", data, "--out", out, "--seeds", "0,1",
+                     "--dropout-rate", rates] + FAST_NE) == 2
+        assert not os.path.exists(out)
+        assert not os.path.exists(out + ".lock")
+
+    def test_report_shows_one_row_per_rate(self, tmp_path, capsys):
+        data = _synth(tmp_path)
+        out = str(tmp_path / "sweep.jsonl")
+        assert main(["run", "ne-ma", "--data", data, "--out", out, "--seeds", "0,1",
+                     "--dropout-rate", "0,0.5"] + FAST_NE) == 0
+        assert main(["run", "greedy", "--data", data, "--out", out, "--seeds", "0,1"]) == 0
+        summary = str(tmp_path / "summary.csv")
+        assert main(["report", "--records", out, "--out", summary]) == 0
+        assert "ne-ma@0.5" in capsys.readouterr().out
+        with open(summary) as fh:
+            rows = {(cells[1], cells[2]): cells for cells in
+                    (line.split(",") for line in fh.read().splitlines()[1:])}
+        assert {method for method, _ in rows} == {"greedy", "ne-ma@0", "ne-ma@0.5"}
+        assert {cells[5] for cells in rows.values()} == {"2"}
+        records = _read_records(out)
+        for rate, label in ((0.0, "ne-ma@0"), (0.5, "ne-ma@0.5")):
+            nll = [r["normalized"]["nll"] for r in records
+                   if r["config"].get("dropout_rate") == rate]
+            assert float(rows[(label, "nll")][3]) == pytest.approx(np.mean(nll), rel=1e-11)
 
     def test_non_finite_metric_exits_3_before_appending(self, tmp_path, capsys):
         data = _overflowing_regression(tmp_path)
         out = str(tmp_path / "sweep.jsonl")
-        argv = ["sweep-dropout", "--data", data, "--out", out,
-                "--seeds", "0", "--rates", "0.0"] + FAST_NE
+        argv = ["run", "ne-ma", "--data", data, "--out", out,
+                "--seeds", "0", "--dropout-rate", "0.0,0.5"] + FAST_NE
         assert main(argv) == 3
         _assert_only_error_line(capsys.readouterr().err, "not finite")
         assert not os.path.exists(out)
 
-    def test_dropout_rate_flag_is_rejected(self, tmp_path):
-        """The sweep takes its rates from --rates only."""
-        data = _synth(tmp_path)
-        out = str(tmp_path / "sweep.jsonl")
-        with pytest.raises(SystemExit) as err:
-            main(["sweep-dropout", "--data", data, "--out", out, "--seeds", "0",
-                  "--rates", "0.0", "--dropout-rate", "0.5"] + FAST_NE)
-        assert err.value.code == 2
-        assert not os.path.exists(out)
+    def test_rate_outside_range_exits_2(self, tmp_path, monkeypatch):
+        self._assert_rejected_before_loading(tmp_path, monkeypatch, "ne-ma", "0.5,1.0")
 
-    def test_rate_outside_range_exits_2(self, tmp_path):
-        data = _synth(tmp_path)
-        out = str(tmp_path / "sweep.jsonl")
-        assert main(["sweep-dropout", "--data", data, "--out", out,
-                     "--seeds", "0", "--rates", "0.5,1.0"]) == 2
+    @pytest.mark.parametrize("method, rates", [
+        pytest.param("ne-ma", "abc", id="not-a-number"),
+        pytest.param("ne-stack", ",", id="empty"),
+        pytest.param("greedy", "0,0.5", id="list-on-a-baseline"),
+    ])
+    def test_bad_rate_list_exits_2_before_loading(self, tmp_path, monkeypatch, method, rates):
+        self._assert_rejected_before_loading(tmp_path, monkeypatch, method, rates)
 
 
 class TestReport:
@@ -531,7 +593,8 @@ class TestEdgeCases:
         with open(summary) as fh:
             rows = [line.split(",") for line in fh.read().splitlines()[1:]]
         assert {(row[1], row[2]) for row in rows} == {
-            (m, k) for m in ("single-best", "greedy", "ne-stack") for k in ("nll", "error_rate")
+            (m, k) for m in ("single-best", "greedy", "ne-stack@0.75")
+            for k in ("nll", "error_rate")
         }
         assert {row[5] for row in rows} == {"2"}
 
@@ -573,8 +636,22 @@ class TestEntryPoint:
             capture_output=True, text=True,
         )
         assert proc.returncode == 0
-        for command in ("validate", "synth", "run", "sweep-dropout", "report"):
+        for command in ("validate", "synth", "run", "report"):
             assert command in proc.stdout
+        assert "sweep-dropout" not in proc.stdout
+
+    def test_readme_commands_parse(self):
+        """Every `ensemblekit ...` line in README's shell blocks parses
+        (without running), so a removed or renamed subcommand or flag in
+        the docs fails here."""
+        commands = _readme_commands(README)
+        assert len(commands) >= 5
+        parser = cli.build_parser()
+        for argv in commands:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README command does not parse: ensemblekit {shlex.join(argv)}")
 
     def test_missing_subcommand_is_an_argparse_error(self):
         with pytest.raises(SystemExit) as err:

@@ -330,11 +330,12 @@ class TestExpertsGenerator:
             errs = np.mean(np.argmax(preds[:, m, :], axis=1) != labels)
             assert abs(errs - 0.5) < 0.05
 
-    def test_two_classes_accepted(self):
-        ds = generate(SyntheticSpec(kind="experts", n_instances=20, n_models=2,
-                                    n_classes=2, seed=0))
-        assert ds.n_classes == 2
-        np.testing.assert_array_equal(ds.val.labels, np.ones(20, dtype=ds.val.labels.dtype))
+    def test_two_classes_rejected(self):
+        """Labels avoid the dump class 0, so two classes would label every
+        instance 1."""
+        with pytest.raises(ConfigError, match="at least 3"):
+            generate(SyntheticSpec(kind="experts", n_instances=20, n_models=2,
+                                   n_classes=2, seed=0))
 
     def test_rejects_single_model_or_class(self):
         with pytest.raises(ConfigError):

@@ -157,7 +157,7 @@ class TestRegressionMetrics:
         rng = np.random.default_rng(3)
         pred = rng.normal(size=50)
         target = rng.normal(size=50)
-        nll = metrics.regression_nll(pred, target)
+        nll = metrics.regression_report(pred, target).nll
         want = 0.5 * math.log(2 * math.pi) + 0.5 * metrics.mse(pred, target)
         assert nll == pytest.approx(want, abs=1e-14)
 

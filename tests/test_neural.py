@@ -70,7 +70,7 @@ class TestParamCount:
             for m, h, l in [(2, 3, 1), (5, 8, 3), (10, 32, 4)]:
                 config = neural.NEConfig(mode=mode, layers=l, hidden_dim=h, seed=0)
                 params = neural.init_ne_params(config, m)
-                assert neural.param_count(config, m) == params.parameter_count()
+                assert neural.param_count(config, m) == params.flat.size
 
     def test_hand_computed_ma_count(self):
         # shared embedder [3, 4, 4, 4]: 16 + 20 + 20 = 56
@@ -95,7 +95,7 @@ class TestParamCount:
                 cube = raw / raw.sum(axis=2, keepdims=True)
                 out = neural.predict(params, cube)
                 assert out.shape == (3, n_classes)
-            assert neural.param_count(config, 4) == params.parameter_count()
+            assert neural.param_count(config, 4) == params.flat.size
 
 
 class TestMaskSampling:
@@ -221,6 +221,24 @@ class TestForwardModes:
         entry_points = [neural.predict] + ([neural.ma_weights] if mode == "ma" else [])
         for entry_point in entry_points:
             with pytest.raises(DataValidationError, match=r"instance 2, model 1, class 0"):
+                entry_point(params, cube)
+
+    @pytest.mark.parametrize("mode", ["stacking", "ma"])
+    def test_non_simplex_cube_rejected_with_position(self, mode):
+        """Classification rows must be simplexes at inference, as at load."""
+        config = neural.NEConfig(mode=mode, layers=2, hidden_dim=4, seed=8)
+        params = neural.init_ne_params(config, 3)
+        entry_points = [neural.predict] + ([neural.ma_weights] if mode == "ma" else [])
+        cube = np.full((4, 3, 2), 0.5)
+        cube[2, 1] = [0.5, 0.7]
+        cube[3, 0] = [0.9, 0.3]
+        for entry_point in entry_points:
+            with pytest.raises(DataValidationError, match=r"instance 2, model 1 sum to 1\.2"):
+                entry_point(params, cube)
+        cube[2, 1] = [1.5, -0.5]
+        cube[3, 0] = [0.5, 0.5]
+        for entry_point in entry_points:
+            with pytest.raises(DataValidationError, match=r"probabilities in \[0, 1\]"):
                 entry_point(params, cube)
 
     def test_ma_weights_rejects_stacking_params(self):

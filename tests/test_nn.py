@@ -64,7 +64,7 @@ class TestForward:
 
     def test_weights_and_biases_are_views_of_flat(self):
         net = nn.init_dense_net([3, 4, 2], seed=2)
-        assert net.flat.shape == (net.parameter_count(),)
+        assert net.flat.shape == (nn.dense_param_count(net.layer_dims),)
         net.flat[:] = np.arange(net.flat.size)
         np.testing.assert_array_equal(net.weights[0], np.arange(12).reshape(4, 3))
         np.testing.assert_array_equal(net.biases[0], [12, 13, 14, 15])
@@ -101,7 +101,7 @@ class TestInit:
         dims = [6, 10, 10, 3]
         net = nn.init_dense_net(dims, seed=0)
         expected = sum((i + 1) * o for i, o in zip(dims[:-1], dims[1:]))
-        assert net.parameter_count() == expected
+        assert net.flat.size == expected
 
 
 class TestBackward:
