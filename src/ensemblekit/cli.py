@@ -60,7 +60,8 @@ _HIGHER_IS_BETTER = {"auc"}
 
 
 def _parse_list(text: str, flag: str, kind: type) -> list:
-    """The comma-separated values of ``flag``, each converted by ``kind``."""
+    """The comma-separated values of ``flag``, each converted by ``kind``;
+    a value listed twice would write its records twice."""
     try:
         values = [kind(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
@@ -68,6 +69,8 @@ def _parse_list(text: str, flag: str, kind: type) -> list:
                           f"got {text!r}") from None
     if not values:
         raise ConfigError(f"{flag} must name at least one value")
+    if len(set(values)) != len(values):
+        raise ConfigError(f"{flag} lists a value more than once, got {text!r}")
     return values
 
 
@@ -156,9 +159,14 @@ def _single_best_reference(ds: MetaDataset) -> metrics.MetricReport:
 
 def _label(method: str, config: dict) -> str:
     """A record's row in `report`: ``method@<rate>`` when its config names
-    a dropout rate, else the plain method name."""
+    a dropout rate, else the plain method name. The rate is written with
+    ``:g`` when that reads back as the same number, else in full, so
+    distinct rates get distinct rows."""
     rate = config.get("dropout_rate")
-    return method if rate is None else f"{method}@{rate:g}"
+    if rate is None:
+        return method
+    text = f"{rate:g}"
+    return f"{method}@{text if float(text) == rate else repr(float(rate))}"
 
 
 def _run_method(

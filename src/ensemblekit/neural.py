@@ -11,10 +11,12 @@ Two modes share one training loop:
   and the prediction is the weighted average of the base models.
 
 Training regularizes with base-model dropout: each step samples one
-Bernoulli retention mask shared across the batch, zeroes the dropped
-models' inputs (and their MA weights, renormalizing over the survivors),
-and scales retained inputs by 1/gamma so the inference-time forward pass
-needs no compensation. Everything is deterministic in the config seed.
+Bernoulli retention mask shared across the batch, and the dropped models
+leave the step. Only the retained models' predictions, scaled by 1/gamma
+so the inference-time forward pass needs no compensation, reach the
+networks' first layers, and the MA weights are a softmax over the
+retained models alone. The result equals zeroing the dropped models'
+inputs and weights. Everything is deterministic in the config seed.
 """
 
 from __future__ import annotations
@@ -91,14 +93,16 @@ class NEParams:
     layer_dims: List[List[int]]
     flat: np.ndarray
     nets: List[nn.DenseNet] = field(init=False, repr=False)
+    _bounds: List[Tuple[int, int]] = field(init=False, repr=False)
 
     def __post_init__(self):
+        bounds = [0, *itertools.accumulate(map(nn.dense_param_count, self.layer_dims))]
+        self._bounds = list(zip(bounds, bounds[1:]))
         self.nets = [nn.DenseNet(d, p) for d, p in zip(self.layer_dims, self.split(self.flat))]
 
     def split(self, vector: np.ndarray) -> List[np.ndarray]:
         """Per-net views of a vector laid out like ``flat``."""
-        bounds = [0, *itertools.accumulate(map(nn.dense_param_count, self.layer_dims))]
-        return [vector[start:end] for start, end in zip(bounds, bounds[1:])]
+        return [vector[start:end] for start, end in self._bounds]
 
 
 def _layer_dims(config: NEConfig, n_models: int) -> List[List[int]]:
@@ -143,22 +147,16 @@ def sample_mask(n_models: int, retain_prob: float, rng: np.random.Generator) -> 
     return mask
 
 
-def _masked_softmax(scores: np.ndarray, mask: Optional[np.ndarray]) -> np.ndarray:
-    """Row-wise softmax over the retained entries; masked entries exactly 0."""
-    if mask is not None:
-        scores = np.where(mask[None, :] > 0, scores, -np.inf)
-    return nn.softmax(scores)
-
-
 # ---------------------------------------------------------------------------
 # The column kernel: one shared network applied to every class column
 # ---------------------------------------------------------------------------
 
 
 def _columns_forward(
-    net: nn.DenseNet, x: np.ndarray, pooled: bool
+    net: nn.DenseNet, x: np.ndarray, keep: Optional[np.ndarray], pooled: bool
 ) -> Tuple[np.ndarray, List[List[np.ndarray]]]:
-    """Run ``net`` on each class column x[:, :, c] of a (B, M, C) cube.
+    """Run ``net`` on each class column x[:, :, c] of a (B, M, C) cube,
+    or of a (B, k, C) cube of the models ``keep`` only.
 
     Returns the column outputs side by side, (B, C * d_out), or, when
     ``pooled``, summed over classes in class order (the deep-set
@@ -166,7 +164,7 @@ def _columns_forward(
     """
     outs, acts = [], []
     for c in range(x.shape[2]):
-        out, a = nn.forward(net, x[:, :, c])
+        out, a = nn.forward(net, x[:, :, c], columns=keep)
         outs.append(out)
         acts.append(a)
     if pooled:
@@ -179,14 +177,20 @@ def _columns_backward(
     acts: List[List[np.ndarray]],
     dout: np.ndarray,
     grad: np.ndarray,
+    keep: Optional[np.ndarray],
     pooled: bool,
 ) -> None:
     """Add ``net``'s parameter gradients, summed over class columns in
-    class order, into ``grad``; ``dout`` is dLoss/d(_columns_forward output)."""
+    class order, into ``grad``; ``dout`` is dLoss/d(_columns_forward output).
+    With ``keep``, only those columns of the first layer's weights get a
+    gradient, scattered once after the class columns are summed."""
     width = net.layer_dims[-1]
+    first = None if keep is None else np.zeros((net.layer_dims[1], keep.size))
     for c, a in enumerate(acts):
         column_dout = dout if pooled else dout[:, c * width : (c + 1) * width]
-        nn.backward(net, a, column_dout, grad, input_gradient=False)
+        nn.backward(net, a, column_dout, grad, input_gradient=False, first_weight_grad=first)
+    if keep is not None:
+        net.unpack(grad)[0][0][:, keep] += first
 
 
 # ---------------------------------------------------------------------------
@@ -200,18 +204,28 @@ def _forward(
     """Combiner output on a (B, M, C) cube plus the cache _backward needs.
 
     The output is (B, C): the stacking column scores, or the ma average
-    of the base models under the per-instance weights theta. Train-time
-    masks zero dropped models' inputs and scale the rest by 1/gamma.
+    of the base models under the per-instance weights theta. A train-time
+    mask drops models from the pass: the first layer sees the kept
+    models' columns only, scaled by 1/gamma, and theta (the cache's last
+    entry) is a softmax over the kept models' gate scores. Unmasked,
+    every model is kept.
     """
-    x = cube if mask is None else cube * (mask / retain_prob)[None, :, None]
+    if mask is None:
+        keep, kept, x = None, cube, cube
+    else:
+        keep = np.flatnonzero(mask)
+        # take, unlike cube[:, keep], returns a C-contiguous array, so the
+        # reductions over models below see the memory layout they always did.
+        kept = cube.take(keep, axis=1)
+        x = kept * (1.0 / retain_prob)
     if params.mode == MODE_STACKING:
-        scores, acts = _columns_forward(params.nets[0], x, pooled=False)
-        return scores, (acts,)
+        scores, acts = _columns_forward(params.nets[0], x, keep, pooled=False)
+        return scores, (keep, acts)
     embedder, head = params.nets
-    embed, acts = _columns_forward(embedder, x, pooled=True)
+    embed, acts = _columns_forward(embedder, x, keep, pooled=True)
     gate, head_acts = nn.forward(head, embed)
-    theta = _masked_softmax(gate, mask)
-    return np.einsum("bm,bmc->bc", theta, cube), (acts, head_acts, theta)
+    theta = nn.softmax(gate if keep is None else gate.take(keep, axis=1))
+    return np.einsum("bm,bmc->bc", theta, kept), (keep, kept, acts, head_acts, theta)
 
 
 def _objective(
@@ -223,29 +237,39 @@ def _objective(
     probability (of softmax(scores) for stacking, of the averaged
     probabilities for ma), or the single regression column.
     """
-    classification = task is TaskKind.CLASSIFICATION
-    softmax = classification and mode == MODE_STACKING
+    if task is TaskKind.REGRESSION:
+        values = out[:, 0]
+        dout = metrics.loss_gradient(values, labels, task)[:, None]
+        return float(metrics.loss(values, labels, task)), dout
+    softmax = mode == MODE_STACKING
     scored = nn.softmax(out) if softmax else out
-    rows, columns = np.arange(out.shape[0]), (labels if classification else 0)
-    values = scored[rows, columns]
+    rows = np.arange(out.shape[0])
+    values = scored[rows, labels]
     dscored = np.zeros_like(scored)
-    dscored[rows, columns] = metrics.loss_gradient(values, labels, task)
+    dscored[rows, labels] = metrics.loss_gradient(values, labels, task)
     dout = nn.softmax_backward(scored, dscored) if softmax else dscored
     return float(metrics.loss(values, labels, task)), dout
 
 
-def _backward(params: NEParams, cube: np.ndarray, cache: tuple, dout: np.ndarray) -> np.ndarray:
-    """Gradient of the loss in every parameter, laid out like params.flat."""
+def _backward(params: NEParams, cache: tuple, dout: np.ndarray) -> np.ndarray:
+    """Gradient of the loss in every parameter, laid out like params.flat.
+    Models a mask dropped get exactly 0: their first-layer weight columns,
+    and their rows and biases of the ma head."""
     grad = np.zeros_like(params.flat)
     if params.mode == MODE_STACKING:
-        _columns_backward(params.nets[0], cache[0], dout, grad, pooled=False)
+        keep, acts = cache
+        _columns_backward(params.nets[0], acts, dout, grad, keep, pooled=False)
         return grad
-    acts, head_acts, theta = cache
+    keep, kept, acts, head_acts, theta = cache
     embedder, head = params.nets
     grad_embedder, grad_head = params.split(grad)
-    dgate = nn.softmax_backward(theta, np.einsum("bc,bmc->bm", dout, cube))
+    dgate = nn.softmax_backward(theta, np.einsum("bc,bmc->bm", dout, kept))
+    if keep is not None:
+        kept_dgate = dgate
+        dgate = np.zeros((dgate.shape[0], params.n_models))
+        dgate[:, keep] = kept_dgate
     dembed = nn.backward(head, head_acts, dgate, grad_head)
-    _columns_backward(embedder, acts, dembed, grad_embedder, pooled=True)
+    _columns_backward(embedder, acts, dembed, grad_embedder, keep, pooled=True)
     return grad
 
 
@@ -273,7 +297,7 @@ def _loss_and_gradients(
     """Training loss plus its analytic gradient, laid out like params.flat."""
     out, cache = _forward(params, cube, mask, retain_prob)
     loss, dout = _objective(out, labels, task, params.mode)
-    return loss, _backward(params, cube, cache, dout)
+    return loss, _backward(params, cache, dout)
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +341,8 @@ def ma_weights(params: NEParams, cube: np.ndarray) -> np.ndarray:
     if params.mode != MODE_MA:
         raise ConfigError(f"ma_weights needs a '{MODE_MA}' combiner, got {params.mode!r}")
     cube = _check_cube(params, cube)
-    _, (_, _, theta) = _forward(params, cube, None, 1.0)
-    return theta
+    _, cache = _forward(params, cube, None, 1.0)
+    return cache[-1]
 
 
 def train(ds: MetaDataset, config: NEConfig) -> Tuple[NEParams, List[float]]:

@@ -3,14 +3,13 @@
 Everything a small combiner network needs and nothing more: fully
 connected layers with rectifier hidden activations and an identity final
 layer, hand-derived backpropagation, a bias-corrected Adam optimizer, a
-numerically stable softmax with its backward pass, and a central
-finite-difference gradient checker used to validate the analytic gradients.
+numerically stable softmax with its backward pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,22 +31,25 @@ class DenseNet:
     flat: np.ndarray
     weights: List[np.ndarray] = field(init=False, repr=False)
     biases: List[np.ndarray] = field(init=False, repr=False)
+    # Per layer: weight start, bias start, bias end, weight shape.
+    _layout: List[Tuple[int, int, int, Tuple[int, int]]] = field(init=False, repr=False)
 
     def __post_init__(self):
         size = dense_param_count(self.layer_dims)
         if self.flat.shape != (size,):
             raise ShapeError(f"layer dims {self.layer_dims} need {size} parameters, "
                              f"got shape {self.flat.shape}")
+        self._layout, start = [], 0
+        for fan_in, fan_out in zip(self.layer_dims[:-1], self.layer_dims[1:]):
+            bias = start + fan_in * fan_out
+            self._layout.append((start, bias, bias + fan_out, (fan_out, fan_in)))
+            start = bias + fan_out
         self.weights, self.biases = self.unpack(self.flat)
 
     def unpack(self, vector: np.ndarray) -> Tuple[List[np.ndarray], List[np.ndarray]]:
         """Per-layer weight and bias views of a vector laid out like ``flat``."""
-        weights, biases, start = [], [], 0
-        for fan_in, fan_out in zip(self.layer_dims[:-1], self.layer_dims[1:]):
-            weights.append(vector[start : start + fan_in * fan_out].reshape(fan_out, fan_in))
-            start += fan_in * fan_out
-            biases.append(vector[start : start + fan_out])
-            start += fan_out
+        weights = [vector[w:b].reshape(shape) for w, b, _, shape in self._layout]
+        biases = [vector[b:end] for _, b, end, _ in self._layout]
         return weights, biases
 
 
@@ -76,20 +78,27 @@ def init_dense_net(layer_dims: Sequence[int], seed: int) -> DenseNet:
     return net
 
 
-def forward(net: DenseNet, x: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray]]:
+def forward(
+    net: DenseNet, x: np.ndarray, columns: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, List[np.ndarray]]:
     """Run the network on a batch (B, d0).
+
+    With ``columns``, an index array of inputs, the first layer runs on
+    W0[:, columns] and ``x`` holds only those inputs, (B, len(columns)):
+    the result equals a full-width input that is zero elsewhere.
 
     Returns the output (B, d_out) plus the activations backward needs:
     ``activations[0]`` is the input and ``activations[l+1]`` the
     post-activation output of layer l.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != net.layer_dims[0]:
-        raise ShapeError(f"input has shape {x.shape}, expected (B, {net.layer_dims[0]})")
+    weights = net.weights if columns is None else [net.weights[0][:, columns], *net.weights[1:]]
+    if x.ndim != 2 or x.shape[1] != weights[0].shape[1]:
+        raise ShapeError(f"input has shape {x.shape}, expected (B, {weights[0].shape[1]})")
     activations = [x]
     a = x
-    last = len(net.weights) - 1
-    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
+    last = len(weights) - 1
+    for l, (w, b) in enumerate(zip(weights, net.biases)):
         a = a @ w.T
         a += b
         if l < last:
@@ -104,6 +113,7 @@ def backward(
     output_gradient: np.ndarray,
     grad: np.ndarray,
     input_gradient: bool = True,
+    first_weight_grad: Optional[np.ndarray] = None,
 ) -> Optional[np.ndarray]:
     """Backpropagate a loss gradient through a cached forward pass.
 
@@ -113,6 +123,11 @@ def backward(
     overwriting lets callers accumulate several passes of a shared
     network. Returns dLoss/dInput, or None without computing it when
     ``input_gradient`` is false.
+
+    After a forward pass with ``columns``, pass ``first_weight_grad``
+    shaped like W0[:, columns] and no ``input_gradient``: the first
+    layer's weight gradient is added there instead of into ``grad``, so
+    the caller can sum it over passes and scatter it into W0 once.
     """
     delta = np.asarray(output_gradient, dtype=np.float64)
     if delta.shape != activations[-1].shape:
@@ -122,8 +137,13 @@ def backward(
     weight_grads, bias_grads = net.unpack(grad)
     for l in range(len(net.weights) - 1, -1, -1):
         a_prev = activations[l]
-        weight_grads[l] += delta.T @ a_prev
-        bias_grads[l] += delta.sum(axis=0)
+        if l == 0 and first_weight_grad is not None:
+            first_weight_grad += delta.T @ a_prev
+        else:
+            weight_grads[l] += delta.T @ a_prev
+        # Faster than delta.sum(axis=0) at these sizes, and equal to it
+        # except on a one-wide layer, where the two round differently.
+        bias_grads[l] += np.einsum("ij->j", delta)
         if l > 0:
             delta = delta @ net.weights[l]
             # a_prev is post-rectifier output of layer l-1: zero entries
@@ -164,17 +184,26 @@ def adam_step_arrays(params: np.ndarray, grads: np.ndarray, state: AdamState) ->
             f"params {params.shape}, grads {grads.shape} and Adam state "
             f"{state.first_moment.shape} must have matching shapes"
         )
-    if not np.all(np.isfinite(grads)):
+    if not np.isfinite(grads).all():
         raise NumericError("non-finite gradient passed to Adam update")
     t = state.step_count + 1
     m, v = state.first_moment, state.second_moment
+    # Two scratch vectors, updated in place in the same operation order as
+    # params -= lr * m_hat / (sqrt(v_hat) + eps), so the result is unchanged.
+    step = grads * (1.0 - ADAM_BETA1)
     m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * grads
+    m += step
+    np.multiply(grads, 1.0 - ADAM_BETA2, out=step)
+    step *= grads
     v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * grads * grads
-    m_hat = m / (1.0 - ADAM_BETA1**t)
-    v_hat = v / (1.0 - ADAM_BETA2**t)
-    params -= state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+    v += step
+    denom = v / (1.0 - ADAM_BETA2**t)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPSILON
+    np.divide(m, 1.0 - ADAM_BETA1**t, out=step)
+    step *= state.learning_rate
+    step /= denom
+    params -= step
     state.step_count = t
 
 
@@ -183,80 +212,16 @@ def softmax(values: np.ndarray) -> np.ndarray:
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0 or v.shape[-1] == 0:
         raise ConfigError("softmax of an empty vector is undefined")
-    shifted = v - v.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = v - v.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def softmax_backward(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
     """dLoss/dvalues of ``probs = softmax(values)`` from dLoss/dprobs;
-    an entry with probability 0 (a masked one) gets exactly 0."""
-    return probs * (dprobs - np.sum(probs * dprobs, axis=-1, keepdims=True))
-
-
-def finite_difference_gradients(
-    loss_fn: Callable[[], float], params: Sequence[np.ndarray], step: float = 1e-5
-) -> List[np.ndarray]:
-    """Central-difference gradient of a scalar loss w.r.t. parameter arrays.
-
-    ``loss_fn`` must read the arrays in ``params`` (they are perturbed in
-    place and restored). This is the independent oracle the analytic
-    backward pass is checked against.
-    """
-    grads = []
-    for p in params:
-        g = np.zeros_like(p)
-        flat_p = p.reshape(-1)
-        flat_g = g.reshape(-1)
-        for i in range(flat_p.size):
-            original = flat_p[i]
-            flat_p[i] = original + step
-            up = loss_fn()
-            flat_p[i] = original - step
-            down = loss_fn()
-            flat_p[i] = original
-            flat_g[i] = (up - down) / (2.0 * step)
-        grads.append(g)
-    return grads
-
-
-def gradient_errors(
-    analytic: Sequence[np.ndarray],
-    numeric: Sequence[np.ndarray],
-    scale_fraction: float = 1e-3,
-    floor: float = 1e-5,
-) -> Tuple[float, float]:
-    """Compare analytic vs numeric gradients.
-
-    Per-element relative error is |a - n| / max(|a|, |n|, d) where the
-    denominator floor d = max(floor, scale_fraction * g) and g is the
-    largest gradient magnitude across all arrays. The floor keeps
-    finite-difference noise on near-zero elements from registering as
-    error: central differences cannot resolve loss changes below the
-    float64 resolution of the loss itself, so true gradients under
-    ~1e-10 legitimately read as zero. A genuinely wrong element, large
-    or small, still stands out against the overall gradient scale.
-
-    Returns (max relative error, max absolute error) over all elements.
-    """
-    scale = 0.0
-    pairs = []
-    for a, n in zip(analytic, numeric):
-        a = np.asarray(a, dtype=np.float64)
-        n = np.asarray(n, dtype=np.float64)
-        if a.shape != n.shape:
-            raise ShapeError(f"gradient shapes differ: {a.shape} vs {n.shape}")
-        pairs.append((a, n))
-        if a.size:
-            scale = max(scale, float(np.max(np.abs(a))), float(np.max(np.abs(n))))
-    denom_floor = max(floor, scale_fraction * scale)
-    max_rel = 0.0
-    max_abs = 0.0
-    for a, n in pairs:
-        if not a.size:
-            continue
-        diff = np.abs(a - n)
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), denom_floor)
-        max_rel = max(max_rel, float(np.max(diff / denom)))
-        max_abs = max(max_abs, float(np.max(diff)))
-    return max_rel, max_abs
+    an entry with probability 0 gets exactly 0."""
+    out = probs * dprobs
+    np.subtract(dprobs, out.sum(axis=-1, keepdims=True), out=out)
+    out *= probs
+    return out

@@ -16,7 +16,7 @@ import numpy as np
 from ensemblekit import baselines, metrics, neural
 from ensemblekit.cli import main as cli_main
 from ensemblekit.data import MetaDataset, SyntheticSpec, TaskKind, generate
-from ensemblekit.nn import finite_difference_gradients, gradient_errors
+from gradcheck import finite_difference_gradients, gradient_errors
 
 
 def _jitter(params, rng, scale=0.3):
@@ -300,9 +300,13 @@ def test_criterion_9_determinism_and_simplex(tmp_path):
             assert abs(weights.sum() - 1.0) <= 1e-9
         elif kind == 2:
             batch = int(rng.integers(1, 9))
-            scores = rng.normal(scale=3.0, size=(batch, n_models))
+            cube = rng.normal(scale=3.0, size=(batch, n_models, 1))
             mask = neural.sample_mask(n_models, 0.5, rng)
-            theta = neural._masked_softmax(scores, mask)
+            config = neural.NEConfig(mode="ma", layers=2, hidden_dim=4, seed=case)
+            params = neural.init_ne_params(config, n_models)
+            _, cache = neural._forward(params, cube, mask, 0.5)
+            theta = np.zeros((batch, n_models))
+            theta[:, cache[0]] = cache[-1]
             assert np.all(theta[:, mask == 0.0] == 0.0)
             assert np.all(np.abs(theta.sum(axis=1) - 1.0) <= 1e-12)
         elif kind == 3:

@@ -210,7 +210,7 @@ class TestConstantMA:
     """Softmax-parameterized constant mixture fit by full-batch Adam."""
 
     def test_objective_gradient_matches_finite_differences(self):
-        from ensemblekit.nn import finite_difference_gradients, gradient_errors
+        from gradcheck import finite_difference_gradients, gradient_errors
 
         rng = np.random.default_rng(12)
         for task, make in [

@@ -411,7 +411,7 @@ class TestSweepDropout:
     rates: one record per (seed, rate), and one report row per rate."""
 
     @staticmethod
-    def _assert_rejected_before_loading(tmp_path, monkeypatch, method, rates):
+    def _assert_rejected_before_loading(tmp_path, monkeypatch, method, rates, seeds="0,1"):
         data = _synth(tmp_path)
         out = str(tmp_path / "sweep.jsonl")
 
@@ -419,7 +419,7 @@ class TestSweepDropout:
             raise AssertionError("the dataset was loaded before the rates were checked")
 
         monkeypatch.setattr(cli, "load_metadataset", load)
-        assert main(["run", method, "--data", data, "--out", out, "--seeds", "0,1",
+        assert main(["run", method, "--data", data, "--out", out, "--seeds", seeds,
                      "--dropout-rate", rates] + FAST_NE) == 2
         assert not os.path.exists(out)
         assert not os.path.exists(out + ".lock")
@@ -460,9 +460,28 @@ class TestSweepDropout:
         pytest.param("ne-ma", "abc", id="not-a-number"),
         pytest.param("ne-stack", ",", id="empty"),
         pytest.param("greedy", "0,0.5", id="list-on-a-baseline"),
+        pytest.param("ne-ma", "0.5,0.25,0.50", id="repeated-rate"),
     ])
     def test_bad_rate_list_exits_2_before_loading(self, tmp_path, monkeypatch, method, rates):
         self._assert_rejected_before_loading(tmp_path, monkeypatch, method, rates)
+
+    def test_repeated_seed_exits_2_before_loading(self, tmp_path, monkeypatch):
+        self._assert_rejected_before_loading(tmp_path, monkeypatch, "akaike", "0.75", "0,1,0")
+
+    def test_rates_equal_to_six_digits_get_their_own_rows(self, tmp_path, capsys):
+        path = str(tmp_path / "records.jsonl")
+        with open(path, "w") as fh:
+            for rate in (0.1234561, 0.1234562, 0.5):
+                fh.write(json.dumps({"dataset": "d", "method": "ne-ma", "seed": 0,
+                                     "normalized": {"nll": rate},
+                                     "config": {"dropout_rate": rate}}) + "\n")
+        summary = str(tmp_path / "summary.csv")
+        assert main(["report", "--records", path, "--out", summary]) == 0
+        capsys.readouterr()
+        with open(summary) as fh:
+            rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+        assert [(cells[1], cells[5]) for cells in rows] == [
+            ("ne-ma@0.1234561", "1"), ("ne-ma@0.1234562", "1"), ("ne-ma@0.5", "1")]
 
 
 class TestReport:

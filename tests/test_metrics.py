@@ -10,7 +10,7 @@ import pytest
 from ensemblekit.errors import DataValidationError, ShapeError, UndefinedMetricError
 from ensemblekit import metrics
 from ensemblekit.data import TaskKind
-from ensemblekit.nn import finite_difference_gradients, gradient_errors
+from gradcheck import finite_difference_gradients, gradient_errors
 
 
 def _auc_pair_counting(scores, labels):

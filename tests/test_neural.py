@@ -1,6 +1,6 @@
 """Tests for the trainable combiner: architecture sizing, dropout masks,
-masked softmax, both forward modes, training-loss gradients, the
-training loop, and the diversity diagnostic."""
+the masked training forward, both forward modes, training-loss
+gradients, the training loop, and the diversity diagnostic."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ import pytest
 from ensemblekit.errors import ConfigError, DataValidationError, NumericError, ShapeError
 from ensemblekit import neural
 from ensemblekit.data import SyntheticSpec, TaskKind, generate
-from ensemblekit.nn import finite_difference_gradients, gradient_errors
+from gradcheck import finite_difference_gradients, gradient_errors
 
 
 def _jitter(params, rng, scale=0.3):
@@ -31,6 +31,25 @@ def _random_case(rng, mode, n_classes):
     params = neural.init_ne_params(config, n_models)
     _jitter(params, rng)
     return params, cube, labels, task
+
+
+def _ma_params(n_models, seed, rng):
+    config = neural.NEConfig(mode="ma", layers=2, hidden_dim=4, seed=seed)
+    params = neural.init_ne_params(config, n_models)
+    _jitter(params, rng)
+    return params
+
+
+def _training_weights(params, cube, mask, gamma):
+    """Per-model weights (B, M) of the ma training forward: its softmax
+    over the kept models, 0 for the dropped ones. The forward's output
+    must be the average of the base models under them."""
+    out, cache = neural._forward(params, cube, mask, gamma)
+    keep, theta = cache[0], cache[-1]
+    weights = np.zeros(cube.shape[:2])
+    weights[:, keep] = theta
+    np.testing.assert_allclose(out, np.einsum("bm,bmc->bc", weights, cube), rtol=0, atol=1e-12)
+    return weights
 
 
 class TestConfigValidation:
@@ -124,27 +143,79 @@ class TestMaskSampling:
 
 
 class TestMaskedSoftmax:
+    """The ma training forward weights the kept models by a softmax over
+    their gate scores and gives the dropped models none."""
+
     def test_masked_entries_exactly_zero(self):
         rng = np.random.default_rng(9)
-        scores = rng.normal(size=(30, 6))
+        params = _ma_params(6, 9, rng)
+        cube = rng.normal(size=(30, 6, 1))
         mask = np.array([1.0, 0.0, 1.0, 0.0, 0.0, 1.0])
-        theta = neural._masked_softmax(scores, mask)
+        theta = _training_weights(params, cube, mask, 0.5)
         assert np.all(theta[:, mask == 0.0] == 0.0)
         np.testing.assert_allclose(theta.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(theta[:, mask == 1.0] > 0.0)
 
     def test_full_mask_equals_plain_softmax(self):
-        from ensemblekit.nn import softmax
-
         rng = np.random.default_rng(10)
-        scores = rng.normal(size=(5, 4))
-        got = neural._masked_softmax(scores, np.ones(4))
-        np.testing.assert_allclose(got, softmax(scores), atol=1e-15)
+        params = _ma_params(4, 10, rng)
+        cube = rng.normal(size=(5, 4, 1))
+        got = _training_weights(params, cube, np.ones(4), 1.0)
+        np.testing.assert_allclose(got, neural.ma_weights(params, cube), atol=1e-15)
 
     def test_single_survivor_gets_unit_weight(self):
-        scores = np.array([[5.0, -3.0, 0.2]])
-        theta = neural._masked_softmax(scores, np.array([0.0, 1.0, 0.0]))
+        rng = np.random.default_rng(11)
+        params = _ma_params(3, 11, rng)
+        cube = rng.normal(size=(1, 3, 1))
+        theta = _training_weights(params, cube, np.array([0.0, 1.0, 0.0]), 0.5)
         np.testing.assert_array_equal(theta, [[0.0, 1.0, 0.0]])
+
+    @pytest.mark.parametrize("n_classes", [1, 3])
+    def test_single_survivor_output_is_its_prediction(self, n_classes):
+        rng = np.random.default_rng(21)
+        params, cube, _, _ = _random_case(rng, "ma", n_classes)
+        for survivor in range(cube.shape[1]):
+            mask = np.zeros(cube.shape[1])
+            mask[survivor] = 1.0
+            out, _ = neural._forward(params, cube, mask, 0.5)
+            np.testing.assert_array_equal(out, cube[:, survivor])
+
+
+@pytest.mark.parametrize("mode", ["stacking", "ma"])
+@pytest.mark.parametrize("n_classes", [1, 3])
+class TestRetainedOnlyTraining:
+    """A training step computes with the kept models only."""
+
+    def test_dropped_columns_are_never_read(self, mode, n_classes):
+        rng = np.random.default_rng(19)
+        params, cube, labels, task = _random_case(rng, mode, n_classes)
+        mask = np.ones(cube.shape[1])
+        mask[::2] = 0.0
+        loss, grad = neural._loss_and_gradients(params, cube, labels, task, mask, 0.5)
+        other = cube.copy()
+        other[:, mask == 0.0] = rng.uniform(-5.0, 5.0, size=other[:, mask == 0.0].shape)
+        other_loss, other_grad = neural._loss_and_gradients(
+            params, other, labels, task, mask, 0.5
+        )
+        assert other_loss == loss
+        np.testing.assert_array_equal(other_grad, grad)
+
+    def test_dropped_models_get_zero_gradient(self, mode, n_classes):
+        rng = np.random.default_rng(20)
+        params, cube, labels, task = _random_case(rng, mode, n_classes)
+        mask = np.ones(cube.shape[1])
+        mask[::2] = 0.0
+        dropped = mask == 0.0
+        _, grad = neural._loss_and_gradients(params, cube, labels, task, mask, 0.5)
+        grads = [net.unpack(g) for net, g in zip(params.nets, params.split(grad))]
+        first_weights = grads[0][0][0]
+        assert np.all(first_weights[:, dropped] == 0.0)
+        assert np.any(first_weights[:, ~dropped] != 0.0)
+        if mode == "ma":
+            head_weights, head_biases = grads[1][0][-1], grads[1][1][-1]
+            assert np.all(head_weights[dropped] == 0.0)
+            assert np.all(head_biases[dropped] == 0.0)
+            assert np.any(head_biases[~dropped] != 0.0)
 
 
 class TestForwardModes:

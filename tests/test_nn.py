@@ -7,6 +7,8 @@ import pytest
 from ensemblekit.errors import ConfigError, NumericError, ShapeError
 from ensemblekit import nn
 
+import gradcheck
+
 
 def _jitter(net, rng, scale=0.3):
     """Move parameters to a generic position.
@@ -124,8 +126,8 @@ class TestBackward:
             o, _ = nn.forward(net, x)
             return float(np.sum(o * v))
 
-        numeric = nn.finite_difference_gradients(loss_fn, [net.flat])
-        rel, _ = nn.gradient_errors([grad], numeric)
+        numeric = gradcheck.finite_difference_gradients(loss_fn, [net.flat])
+        rel, _ = gradcheck.gradient_errors([grad], numeric)
         assert rel < 1e-6
 
     def test_input_gradient(self):
@@ -161,6 +163,36 @@ class TestBackward:
         assert nn.backward(net, activations, v, full).shape == (4, dims[0])
         assert nn.backward(net, activations, v, skipped, input_gradient=False) is None
         np.testing.assert_array_equal(skipped, full)
+
+    @pytest.mark.parametrize("dims", [[5, 1], [5, 6, 2], [5, 8, 8, 1]])
+    def test_column_selector_matches_zeroed_inputs(self, dims):
+        # The first layer on W0[:, columns] is the full network on an
+        # input that is zero outside those columns; so are its gradients.
+        rng = np.random.default_rng(12)
+        net = nn.init_dense_net(dims, seed=7)
+        _jitter(net, rng)
+        columns = np.array([1, 3, 4])
+        x = rng.normal(size=(6, dims[0]))
+        x[:, [0, 2]] = 0.0
+        v = rng.normal(size=(6, dims[-1]))
+        out, activations = nn.forward(net, x)
+        selected_out, selected_activations = nn.forward(net, x[:, columns], columns)
+        np.testing.assert_allclose(selected_out, out, rtol=1e-12, atol=1e-12)
+
+        full = np.zeros_like(net.flat)
+        nn.backward(net, activations, v, full, input_gradient=False)
+        selected = np.zeros_like(net.flat)
+        first = np.zeros((dims[1], columns.size))
+        nn.backward(net, selected_activations, v, selected, input_gradient=False,
+                    first_weight_grad=first)
+        np.testing.assert_array_equal(net.unpack(selected)[0][0], 0.0)
+        net.unpack(selected)[0][0][:, columns] = first
+        np.testing.assert_allclose(selected, full, rtol=1e-12, atol=1e-12)
+
+    def test_column_selector_shape_checked(self):
+        net = nn.init_dense_net([4, 3, 1], seed=0)
+        with pytest.raises(ShapeError):
+            nn.forward(net, np.zeros((2, 4)), np.array([0, 2]))
 
     def test_batch_gradient_is_sum_of_instances(self):
         rng = np.random.default_rng(10)
@@ -267,20 +299,20 @@ class TestFiniteDifferenceOracle:
         def loss_fn():
             return float(sum(np.sum(a * a) for a in w))
 
-        numeric = nn.finite_difference_gradients(loss_fn, w)
+        numeric = gradcheck.finite_difference_gradients(loss_fn, w)
         np.testing.assert_allclose(numeric[0], 2 * w[0], atol=1e-8)
         np.testing.assert_allclose(numeric[1], 2 * w[1], atol=1e-8)
 
     def test_parameters_restored_after_probing(self):
         w = [np.array([1.0, 2.0])]
         before = w[0].copy()
-        nn.finite_difference_gradients(lambda: float(np.sum(w[0] ** 2)), w)
+        gradcheck.finite_difference_gradients(lambda: float(np.sum(w[0] ** 2)), w)
         np.testing.assert_array_equal(w[0], before)
 
     def test_gradient_errors_flags_wrong_element(self):
         good = [np.array([1.0, 0.5, -2.0])]
         bad = [np.array([1.0, 0.8, -2.0])]
-        rel, _ = nn.gradient_errors(bad, good)
+        rel, _ = gradcheck.gradient_errors(bad, good)
         assert rel > 0.1
 
     def test_gradient_errors_ignores_subresolution_noise(self):
@@ -289,9 +321,9 @@ class TestFiniteDifferenceOracle:
         # cannot be resolved by finite differences at all.
         a = [np.array([1.0, 5e-13])]
         n = [np.array([1.0, 0.0])]
-        rel, _ = nn.gradient_errors(a, n)
+        rel, _ = gradcheck.gradient_errors(a, n)
         assert rel < 1e-9
 
     def test_gradient_errors_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            nn.gradient_errors([np.zeros(2)], [np.zeros(3)])
+            gradcheck.gradient_errors([np.zeros(2)], [np.zeros(3)])
