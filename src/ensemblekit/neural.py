@@ -214,8 +214,8 @@ def _forward(
         keep, kept, x = None, cube, cube
     else:
         keep = np.flatnonzero(mask)
-        # take, unlike cube[:, keep], returns a C-contiguous array, so the
-        # reductions over models below see the memory layout they always did.
+        # take, unlike cube[:, keep], returns a C-contiguous array; sums over
+        # the models of a transposed layout would round differently.
         kept = cube.take(keep, axis=1)
         x = kept * (1.0 / retain_prob)
     if params.mode == MODE_STACKING:
