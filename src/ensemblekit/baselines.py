@@ -168,15 +168,14 @@ def akaike_weights(losses: np.ndarray) -> np.ndarray:
     return w / w.sum()
 
 
-def _constant_ma_objective(
+def _constant_ma_gradient(
     v: np.ndarray, projected: np.ndarray, labels: np.ndarray, task: TaskKind
-) -> Tuple[float, np.ndarray]:
-    """Validation loss of softmax(v)-weighted averaging and its gradient in v."""
+) -> np.ndarray:
+    """Gradient in v of the validation loss of softmax(v)-weighted averaging,
+    ``metrics.loss(projected @ softmax(v), labels, task)``."""
     w = nn.softmax(v)
-    combined = projected @ w
-    dl_dw = projected.T @ metrics.loss_gradient(combined, labels, task)
-    dl_dv = w * (dl_dw - float(np.dot(w, dl_dw)))
-    return float(metrics.loss(combined, labels, task)), dl_dv
+    dl_dw = projected.T @ metrics.loss_gradient(projected @ w, labels, task)
+    return w * (dl_dw - float(np.dot(w, dl_dw)))
 
 
 def fit_constant_ma(
@@ -197,10 +196,9 @@ def fit_constant_ma(
     proj = _project(np.asarray(predictions, dtype=np.float64), labels, task)
     v = np.zeros(proj.shape[1])
     state = nn.adam_init(v, learning_rate=learning_rate)
-    # An overflowing objective reaches Adam as a non-finite gradient, which
-    # raises NumericError there; numpy's warning on the way is noise.
+    # An overflow reaches Adam as a non-finite gradient, which raises
+    # NumericError there; numpy's warning on the way is noise.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(steps):
-            _, grad = _constant_ma_objective(v, proj, labels, task)
-            nn.adam_step_arrays(v, grad, state)
+            nn.adam_step_arrays(v, _constant_ma_gradient(v, proj, labels, task), state)
     return nn.softmax(v)

@@ -17,11 +17,12 @@ non-finite training loss or metric; nothing is appended then).
 The (seed, rate) tasks of `run` run in forked worker processes, one per
 usable CPU and never more than there are tasks; a single task, a single
 CPU or a platform without fork runs them one after another in this
-process. The parent loads the data, holds the lock, appends the records
-seed-major in the order `--seeds` and `--dropout-rate` list them and
-prints; only tasks and records cross between processes, so the records
-are the same either way. A worker's error re-raises in the parent with
-its type and message.
+process. The mapper is `data.fork_map`, which also writes and parses the
+dataset splits; this module calls it as `_map_seeds`. The parent loads
+the data, holds the lock, appends the records seed-major in the order
+`--seeds` and `--dropout-rate` list them and prints; only tasks and
+records cross between processes, so the records are the same either
+way. A worker's error re-raises in the parent with its type and message.
 """
 
 from __future__ import annotations
@@ -33,12 +34,13 @@ import json
 import os
 import sys
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import baselines, metrics, neural
 from .data import MetaDataset, SyntheticSpec, TaskKind, generate, load_metadataset, save_metadataset
+from .data import fork_map as _map_seeds
 from .errors import ConfigError, DataFormatError, EnsembleKitError, LockError, NumericError
 
 METHODS = (
@@ -104,42 +106,6 @@ def _finite(values: Dict[str, float], where: str) -> Dict[str, float]:
         if not np.isfinite(value):
             raise NumericError(f"{where}: metric '{name}' is not finite ({value})")
     return values
-
-
-# The worker of the running _map_seeds call. Forked children inherit it,
-# so a closure over the loaded dataset never has to be pickled.
-_task_worker: Optional[Callable] = None
-
-
-def _call_task_worker(task):
-    return _task_worker(task)
-
-
-def _map_seeds(worker: Callable, tasks: List) -> List:
-    """``[worker(task) for task in tasks]``, with the tasks (seeds, or
-    (seed, rate) pairs) spread over ``min(len(tasks), usable CPUs)``
-    forked worker processes.
-
-    Results come back in task order, and a worker's exception re-raises
-    here. A worker process that dies raises BrokenProcessPool.
-    """
-    global _task_worker
-    n_workers = 1
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        n_workers = min(len(tasks), len(os.sched_getaffinity(0)))
-    if n_workers == 1:
-        return [worker(task) for task in tasks]
-    # Imported here, so that single-task commands start no slower.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    _task_worker = worker
-    try:
-        context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(n_workers, mp_context=context) as pool:
-            return list(pool.map(_call_task_worker, tasks))
-    finally:
-        _task_worker = None
 
 
 def _evaluate(ds: MetaDataset, predictions: np.ndarray, split: str) -> metrics.MetricReport:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ensemblekit.errors import ConfigError
-from ensemblekit import baselines, data, metrics
+from ensemblekit import baselines, data, metrics, nn
 from ensemblekit.data import SyntheticSpec, TaskKind, generate
 
 
@@ -225,11 +225,11 @@ class TestConstantMA:
             )
             projected = baselines._project(cube, labels, task)
             v = rng.normal(size=4) * 0.5
-            _, grad = baselines._constant_ma_objective(v, projected, labels, task)
+            grad = baselines._constant_ma_gradient(v, projected, labels, task)
 
             params = [v]
             numeric = finite_difference_gradients(
-                lambda: baselines._constant_ma_objective(params[0], projected, labels, task)[0],
+                lambda: float(metrics.loss(projected @ nn.softmax(params[0]), labels, task)),
                 params,
             )
             rel, _ = gradient_errors([grad], numeric)

@@ -5,6 +5,9 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -201,6 +204,22 @@ def _non_numeric(lines):
     return lines[:3] + ["abc" + sep + rest] + lines[4:]
 
 
+_MALFORMED = [
+    ("val_predictions.csv", lambda lines: lines[:1]),
+    ("test_predictions.csv", lambda lines: []),
+    ("val_predictions.csv", _ragged),
+    ("test_predictions.csv", _non_numeric),
+    ("val_predictions.csv", lambda lines: [line.rsplit(",", 1)[0] for line in lines]),
+    ("val_labels.csv", lambda lines: lines[:1]),
+    ("test_labels.csv", lambda lines: lines[:1] + [line + ",0" for line in lines[1:]]),
+    ("test_labels.csv", _non_numeric),
+    ("val_labels.csv", lambda lines: lines[:-2]),
+]
+_MALFORMED_IDS = ["header-only", "empty", "ragged-row", "non-numeric", "short-rows",
+                  "header-only-labels", "two-column-labels", "non-numeric-label",
+                  "missing-labels"]
+
+
 class TestCsvFiles:
     """The files on disk are exactly what the writer always wrote, and a
     malformed file is rejected with an error that names it."""
@@ -223,23 +242,7 @@ class TestCsvFiles:
                 assert got.dtype == want.dtype
                 np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize(
-        "name, edit",
-        [
-            ("val_predictions.csv", lambda lines: lines[:1]),
-            ("test_predictions.csv", lambda lines: []),
-            ("val_predictions.csv", _ragged),
-            ("test_predictions.csv", _non_numeric),
-            ("val_predictions.csv", lambda lines: [line.rsplit(",", 1)[0] for line in lines]),
-            ("val_labels.csv", lambda lines: lines[:1]),
-            ("test_labels.csv", lambda lines: lines[:1] + [line + ",0" for line in lines[1:]]),
-            ("test_labels.csv", _non_numeric),
-            ("val_labels.csv", lambda lines: lines[:-2]),
-        ],
-        ids=["header-only", "empty", "ragged-row", "non-numeric", "short-rows",
-             "header-only-labels", "two-column-labels", "non-numeric-label",
-             "missing-labels"],
-    )
+    @pytest.mark.parametrize("name, edit", _MALFORMED, ids=_MALFORMED_IDS)
     def test_malformed_file_is_named(self, tmp_path, name, edit):
         ds = generate(SyntheticSpec(kind="experts", n_instances=10, n_models=2,
                                     n_classes=3, seed=0))
@@ -272,6 +275,158 @@ class TestCsvFiles:
         with pytest.raises(DataFormatError) as err:
             load_metadataset(str(out))
         assert str(err.value) == f"{path}: {where}"
+
+
+def _split_io(monkeypatch, forked):
+    """Write and parse splits in forked workers (two usable CPUs and no
+    size floor), or one after another in this process (one usable CPU)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1} if forked else {0})
+    monkeypatch.setattr(data, "_FORK_MIN_VALUES", 0)
+    monkeypatch.setattr(data, "_FORK_MIN_BYTES", 0)
+
+
+def _load_error(monkeypatch, path, forked):
+    _split_io(monkeypatch, forked)
+    with pytest.raises((DataFormatError, FileNotFoundError)) as err:
+        load_metadataset(path)
+    return type(err.value), str(err.value)
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+class TestForkedSplits:
+    """save_metadataset and load_metadataset hand each split to a fork_map
+    worker; files, arrays and errors are those of the serial loop."""
+
+    @pytest.mark.parametrize("kind", ["experts", "preferred", "poly"])
+    def test_bytes_and_arrays_match_serial(self, tmp_path, monkeypatch, kind):
+        with open(GOLDEN_CSV) as fh:
+            golden = json.load(fh)[kind]
+        ds = generate(SyntheticSpec(**golden["spec"]))
+        loaded = {}
+        for forked in (False, True):
+            _split_io(monkeypatch, forked)
+            out = tmp_path / str(forked)
+            save_metadataset(ds, str(out))
+            assert sorted(os.listdir(out)) == sorted(golden["files"])
+            for name, text in golden["files"].items():
+                assert (out / name).read_bytes() == text.encode(), name
+            loaded[forked] = load_metadataset(str(out))
+        for split in ("val", "test"):
+            for field in ("predictions", "labels"):
+                want = getattr(getattr(loaded[False], split), field)
+                got = getattr(getattr(loaded[True], split), field)
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+
+    def test_splits_run_in_forked_workers(self, tmp_path, monkeypatch):
+        """Save and load map over the split names; with two CPUs each split
+        is parsed in a worker process, with one CPU in this process."""
+        calls, pids = [], []
+        fork_map, parse = data.fork_map, data._parse_split
+
+        def spy_map(worker, tasks):
+            calls.append(tuple(tasks))
+            return fork_map(worker, tasks)
+
+        def spy_parse(*args):
+            pids.append(os.getpid())
+            return parse(*args)
+
+        monkeypatch.setattr(data, "fork_map", spy_map)
+        monkeypatch.setattr(data, "_parse_split", spy_parse)
+        ds = generate(SyntheticSpec(kind="experts", n_instances=10, n_models=2,
+                                    n_classes=3, seed=0))
+        out = str(tmp_path / "ds")
+        _split_io(monkeypatch, forked=True)
+        save_metadataset(ds, out)
+        load_metadataset(out)
+        assert calls == [data.SPLIT_NAMES] * 2
+        assert pids == []  # the workers appended to their own copies
+        _split_io(monkeypatch, forked=False)
+        load_metadataset(out)
+        assert pids == [os.getpid()] * 2
+
+    @pytest.mark.parametrize("split", data.SPLIT_NAMES)
+    @pytest.mark.parametrize("name, edit", _MALFORMED + [("val_labels.csv", None)],
+                             ids=_MALFORMED_IDS + ["missing-file"])
+    def test_malformed_split_gives_the_serial_error(self, tmp_path, monkeypatch, split,
+                                                    name, edit):
+        ds = generate(SyntheticSpec(kind="experts", n_instances=10, n_models=2,
+                                    n_classes=3, seed=0))
+        out = tmp_path / "ds"
+        save_metadataset(ds, str(out))
+        path = out / f"{split}_{name.split('_', 1)[1]}"
+        if edit is None:
+            path.unlink()
+        else:
+            lines = path.read_text().splitlines()
+            path.write_text("".join(line + "\n" for line in edit(lines)))
+        serial = _load_error(monkeypatch, str(out), forked=False)
+        assert str(path) in serial[1]
+        assert _load_error(monkeypatch, str(out), forked=True) == serial
+
+    @pytest.mark.parametrize("forked", [False, True], ids=["serial", "forked"])
+    def test_both_splits_malformed_raises_val(self, tmp_path, monkeypatch, forked):
+        ds = generate(SyntheticSpec(kind="experts", n_instances=10, n_models=2,
+                                    n_classes=3, seed=0))
+        out = tmp_path / "ds"
+        save_metadataset(ds, str(out))
+        for split in ("test", "val"):
+            path = out / f"{split}_predictions.csv"
+            lines = path.read_text().splitlines()
+            path.write_text("".join(line + "\n" for line in _ragged(lines)))
+        _, message = _load_error(monkeypatch, str(out), forked)
+        assert message == f"{out / 'val_predictions.csv'}: line 3 has 5 columns, expected 6"
+
+    def test_nothing_left_behind(self, tmp_path, monkeypatch):
+        """No temporary file, open descriptor or child process outlives a
+        load, whether it succeeds or fails."""
+        import multiprocessing
+        import tempfile
+
+        temp = tmp_path / "temp"
+        temp.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(temp))
+        ds = generate(SyntheticSpec(kind="experts", n_instances=10, n_models=2,
+                                    n_classes=3, seed=0))
+        out = tmp_path / "ds"
+        save_metadataset(ds, str(out))
+        _split_io(monkeypatch, forked=True)
+        fds = _open_fds()
+        load_metadataset(str(out))
+        (out / "test_labels.csv").write_text("label\nabc\n")
+        with pytest.raises(DataFormatError):
+            load_metadataset(str(out))
+        assert os.listdir(temp) == []
+        assert _open_fds() == fds
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_raises_instead_of_hanging(self, tmp_path):
+        ds = generate(SyntheticSpec(kind="experts", n_instances=10, n_models=2,
+                                    n_classes=3, seed=0))
+        save_metadataset(ds, str(tmp_path / "ds"))
+        code = textwrap.dedent("""
+            import os, sys
+            from concurrent.futures.process import BrokenProcessPool
+            from ensemblekit import data
+            os.sched_getaffinity = lambda pid: {0, 1}
+            data._FORK_MIN_BYTES = 0
+            data._parse_split = lambda *args: os._exit(7)
+            try:
+                data.load_metadataset(sys.argv[1])
+            except BrokenProcessPool:
+                print("broken")
+        """)
+        src = os.path.dirname(os.path.dirname(data.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "ds")],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "broken\n"
 
 
 class TestExpertsGenerator:
