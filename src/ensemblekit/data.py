@@ -221,8 +221,8 @@ def _prediction_header(n_models: int, n_classes: int) -> List[str]:
 def save_metadataset(ds: MetaDataset, path: str) -> None:
     """Write a dataset directory; identical datasets produce identical bytes.
 
-    This process writes the manifest, and each split's two CSV files are
-    written by a fork_map worker."""
+    This process writes the manifest; each split's two CSV files are
+    written by a fork_map worker, or here for a small dataset."""
     os.makedirs(path, exist_ok=True)
     manifest = {
         "name": ds.name,

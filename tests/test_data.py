@@ -1,5 +1,5 @@
-"""Tests for dataset containers, on-disk format, and the three
-synthetic generators."""
+"""Tests for dataset containers, on-disk format, split I/O in forked
+workers against the serial loop, and the three synthetic generators."""
 
 import json
 import math
