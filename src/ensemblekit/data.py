@@ -63,6 +63,11 @@ class Split:
         return self.predictions.shape[0]
 
 
+class _OwnedSplit(Split):
+    """A Split whose arrays this module has just made and nothing else
+    holds: MetaDataset freezes them in place instead of copying them."""
+
+
 @dataclass(frozen=True)
 class MetaDataset:
     """A named prediction dataset with validation and test splits.
@@ -115,7 +120,12 @@ def check_simplex(cube: np.ndarray, where: str) -> None:
 
 
 def _sanitize_split(split: Split, task: TaskKind, split_name: str) -> Split:
-    preds = np.array(split.predictions, dtype=np.float64, copy=True)
+    # A caller's array is copied, so that its later writes cannot reach the
+    # dataset and it stays writeable.
+    if isinstance(split, _OwnedSplit):
+        preds = np.asarray(split.predictions, dtype=np.float64)
+    else:
+        preds = np.array(split.predictions, dtype=np.float64, copy=True)
     if preds.ndim != 3:
         raise ShapeError(
             f"{split_name} predictions must be (instances, models, classes), "
@@ -192,13 +202,14 @@ def fork_map(worker: Callable, tasks: Sequence) -> List:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    _task_worker = worker
+    # A call made inside a worker must hand that worker back its own.
+    outer_worker, _task_worker = _task_worker, worker
     try:
         context = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(n_workers, mp_context=context) as pool:
             return list(pool.map(_call_task_worker, tasks))
     finally:
-        _task_worker = None
+        _task_worker = outer_worker
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +361,7 @@ def load_metadataset(path: str) -> MetaDataset:
 def _read_back(fh) -> Split:
     """The split a forked worker saved into the file ``fh``."""
     fh.seek(0)
-    return Split(predictions=np.load(fh), labels=np.load(fh))
+    return _OwnedSplit(predictions=np.load(fh), labels=np.load(fh))
 
 
 def _parse_split(path: str, split_name: str, n_models: int, n_classes: int) -> Split:
@@ -373,7 +384,7 @@ def _parse_split(path: str, split_name: str, n_models: int, n_classes: int) -> S
         raise DataFormatError(
             f"{label_path}: {labels.shape[0]} labels for {preds.shape[0]} prediction rows"
         )
-    return Split(predictions=preds, labels=labels)
+    return _OwnedSplit(predictions=preds, labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +467,7 @@ def generate_complementary_experts(spec: SyntheticSpec) -> MetaDataset:
             idx = rows[~own]
             preds[idx, m, 0] = 0.9
             preds[idx, m, labels[idx]] = 0.1
-        return Split(predictions=preds, labels=labels)
+        return _OwnedSplit(predictions=preds, labels=labels)
 
     name = f"experts-m{m_models}-c{n_classes}-seed{spec.seed}"
     return MetaDataset(
@@ -492,7 +503,7 @@ def generate_preferred_model(spec: SyntheticSpec) -> MetaDataset:
         # Standardize each column through the same 1-D code path as the
         # labels so that rho_p = 1 makes model 0 equal the target bitwise.
         columns = [standardize(np.ascontiguousarray(z[:, m])) for m in range(spec.n_models)]
-        return Split(
+        return _OwnedSplit(
             predictions=np.stack(columns, axis=1)[:, :, None],
             labels=standardize(y),
         )
@@ -560,7 +571,7 @@ def generate_polynomial_regression(spec: SyntheticSpec) -> MetaDataset:
         x = rng.uniform(-1.0, 1.0, n)
         y = _true_function(x) + spec.noise_scale * rng.standard_normal(n)
         preds = np.column_stack([poly(x) for poly in fits])
-        return Split(predictions=preds[:, :, None], labels=y)
+        return _OwnedSplit(predictions=preds[:, :, None], labels=y)
 
     name = f"poly-d{spec.degree}-m{spec.n_models}-seed{spec.seed}"
     return MetaDataset(

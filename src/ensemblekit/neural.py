@@ -14,8 +14,11 @@ Training regularizes with base-model dropout: each step samples one
 Bernoulli retention mask shared across the batch, and the dropped models
 leave the step. Only the retained models' predictions, scaled by 1/gamma
 so the inference-time forward pass needs no compensation, reach the
-networks' first layers, and the MA weights are a softmax over the
-retained models alone. The result equals zeroing the dropped models'
+networks' first layers. The MA gate, its softmax and the average run on
+the retained models alone, models-major: the head's kept rows score a
+(k, B) array, the softmax runs over its model axis, and the average
+reads the kept cube model by model. Inference is the same pass with
+every model kept. The result equals zeroing the dropped models'
 inputs and weights. Everything is deterministic in the config seed.
 """
 
@@ -206,9 +209,10 @@ def _forward(
     The output is (B, C): the stacking column scores, or the ma average
     of the base models under the per-instance weights theta. A train-time
     mask drops models from the pass: the first layer sees the kept
-    models' columns only, scaled by 1/gamma, and theta (the cache's last
-    entry) is a softmax over the kept models' gate scores. Unmasked,
-    every model is kept.
+    models' columns only, scaled by 1/gamma. The ma gate scores the kept
+    models only, models-major: the head's kept rows give (k, B) scores,
+    softmaxed over the models. The cache starts with ``keep`` and ends
+    with theta, (B, k). Unmasked, every model is kept.
     """
     if mask is None:
         keep, kept, x = None, cube, cube
@@ -223,9 +227,13 @@ def _forward(
         return scores, (keep, acts)
     embedder, head = params.nets
     embed, acts = _columns_forward(embedder, x, keep, pooled=True)
-    gate, head_acts = nn.forward(head, embed)
-    theta = nn.softmax(gate if keep is None else gate.take(keep, axis=1))
-    return np.einsum("bm,bmc->bc", theta, kept), (keep, kept, acts, head_acts, theta)
+    rows = slice(None) if keep is None else keep
+    weights = head.weights[0][rows]
+    scores = weights @ embed.T
+    scores += head.biases[0][rows, None]
+    theta = nn.softmax(scores, axis=0)
+    out = np.einsum("mb,bmc->bc", theta, kept)
+    return out, (keep, kept, acts, embed, weights, theta.T)
 
 
 def _objective(
@@ -260,16 +268,15 @@ def _backward(params: NEParams, cache: tuple, dout: np.ndarray) -> np.ndarray:
         keep, acts = cache
         _columns_backward(params.nets[0], acts, dout, grad, keep, pooled=False)
         return grad
-    keep, kept, acts, head_acts, theta = cache
+    keep, kept, acts, embed, weights, theta = cache
     embedder, head = params.nets
     grad_embedder, grad_head = params.split(grad)
-    dgate = nn.softmax_backward(theta, np.einsum("bc,bmc->bm", dout, kept))
-    if keep is not None:
-        kept_dgate = dgate
-        dgate = np.zeros((dgate.shape[0], params.n_models))
-        dgate[:, keep] = kept_dgate
-    dembed = nn.backward(head, head_acts, dgate, grad_head)
-    _columns_backward(embedder, acts, dembed, grad_embedder, keep, pooled=True)
+    dscores = nn.softmax_backward(theta.T, np.einsum("bc,bmc->mb", dout, kept), axis=0)
+    (grad_weights,), (grad_biases,) = head.unpack(grad_head)
+    rows = slice(None) if keep is None else keep
+    grad_weights[rows] = dscores @ embed
+    grad_biases[rows] = dscores.sum(axis=1)
+    _columns_backward(embedder, acts, dscores.T @ weights, grad_embedder, keep, pooled=True)
     return grad
 
 

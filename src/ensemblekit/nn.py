@@ -207,21 +207,21 @@ def adam_step_arrays(params: np.ndarray, grads: np.ndarray, state: AdamState) ->
     state.step_count = t
 
 
-def softmax(values: np.ndarray) -> np.ndarray:
-    """Stable softmax along the last axis (max is subtracted first)."""
+def softmax(values: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Stable softmax along ``axis`` (its max is subtracted first)."""
     v = np.asarray(values, dtype=np.float64)
-    if v.size == 0 or v.shape[-1] == 0:
+    if v.size == 0 or v.shape[axis] == 0:
         raise ConfigError("softmax of an empty vector is undefined")
-    e = v - v.max(axis=-1, keepdims=True)
+    e = v - v.max(axis=axis, keepdims=True)
     np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
+    e /= e.sum(axis=axis, keepdims=True)
     return e
 
 
-def softmax_backward(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
-    """dLoss/dvalues of ``probs = softmax(values)`` from dLoss/dprobs;
+def softmax_backward(probs: np.ndarray, dprobs: np.ndarray, axis: int = -1) -> np.ndarray:
+    """dLoss/dvalues of ``probs = softmax(values, axis)`` from dLoss/dprobs;
     an entry with probability 0 gets exactly 0."""
     out = probs * dprobs
-    np.subtract(dprobs, out.sum(axis=-1, keepdims=True), out=out)
+    np.subtract(dprobs, out.sum(axis=axis, keepdims=True), out=out)
     out *= probs
     return out

@@ -1,15 +1,18 @@
-"""Central finite-difference gradient oracle for the tests.
+"""Gradient oracles for the tests.
 
 The analytic backward passes of ``ensemblekit`` (the dense networks, the
 combiner's training objective, the constant mixture and the loss) are
-checked against these numeric gradients. Import it as ``gradcheck`` from
-a test module in this directory.
+checked against central finite differences, and the retained-only ma
+training step against a plain full-width reference of the same step.
+Import it as ``gradcheck`` from a test module in this directory.
 """
 
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
+from ensemblekit import metrics, nn
+from ensemblekit.data import TaskKind
 from ensemblekit.errors import ShapeError
 
 
@@ -79,3 +82,39 @@ def gradient_errors(
         max_rel = max(max_rel, float(np.max(diff / denom)))
         max_abs = max(max_abs, float(np.max(diff)))
     return max_rel, max_abs
+
+
+def ma_step_reference(params, cube, labels, task, mask, retain_prob):
+    """The ma training step written out at full width, batch-major.
+
+    Every model's column reaches the networks, the dropped ones zeroed
+    and the kept ones scaled by 1/retain_prob; the gate scores all M
+    models, and theta is their softmax with the dropped models at weight
+    0. Returns the loss, its gradient laid out like ``params.flat`` and
+    theta, (B, M).
+    """
+    embedder, head = params.nets
+    x = cube * (mask / retain_prob)[None, :, None]
+    columns = [nn.forward(embedder, x[:, :, c]) for c in range(cube.shape[2])]
+    embed = sum(out for out, _ in columns)
+    gate, head_acts = nn.forward(head, embed)
+    kept = mask > 0.0
+    shifted = np.where(kept, gate - gate[:, kept].max(axis=1, keepdims=True), -np.inf)
+    theta = np.exp(shifted)
+    theta /= theta.sum(axis=1, keepdims=True)
+    out = np.einsum("bm,bmc->bc", theta, cube)
+
+    rows = np.arange(cube.shape[0])
+    column = labels if task is TaskKind.CLASSIFICATION else np.zeros(rows.size, dtype=int)
+    values = out[rows, column]
+    dout = np.zeros_like(out)
+    dout[rows, column] = metrics.loss_gradient(values, labels, task)
+    dtheta = np.einsum("bc,bmc->bm", dout, cube)
+    dgate = theta * (dtheta - (theta * dtheta).sum(axis=1, keepdims=True))
+
+    grad = np.zeros_like(params.flat)
+    grad_embedder, grad_head = params.split(grad)
+    dembed = nn.backward(head, head_acts, dgate, grad_head)
+    for _, acts in columns:
+        nn.backward(embedder, acts, dembed, grad_embedder, input_gradient=False)
+    return float(metrics.loss(values, labels, task)), grad, theta

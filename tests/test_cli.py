@@ -324,6 +324,13 @@ class TestSeedMapper:
         assert os.getpid() not in pids
         assert 1 <= len(pids) <= 2
 
+    def test_nested_call_keeps_the_outer_worker(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        results = cli._map_seeds(lambda i: cli._map_seeds(lambda j: (i, j), [0, 1]),
+                                 [0, 1, 2, 3])
+        assert results == [[(i, 0), (i, 1)] for i in range(4)]
+        assert ensemblekit.data._task_worker is None
+
     def test_one_cpu_runs_in_this_process(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         results = cli._map_seeds(lambda seed: (seed, os.getpid()), [1, 0])

@@ -99,6 +99,25 @@ class TestSplitValidation:
         with pytest.raises(ValueError):
             ds.val.labels[0] = 0
 
+    def test_callers_arrays_are_copied(self):
+        split = _tiny_classification()
+        ds = MetaDataset(name="t", task=TaskKind.CLASSIFICATION, val=split, test=split)
+        assert split.predictions.flags.writeable
+        assert split.labels.flags.writeable
+        split.predictions[0, 0] = [0.2, 0.8]
+        split.labels[0] = 1
+        assert ds.val.predictions[0, 0].tolist() == [0.6, 0.4]
+        assert ds.val.labels[0] == 0
+
+    @pytest.mark.parametrize("kind", ["experts", "preferred", "poly"])
+    def test_generated_and_loaded_arrays_are_read_only(self, tmp_path, kind):
+        ds = generate(SyntheticSpec(kind=kind, n_instances=20, n_models=3, seed=0))
+        save_metadataset(ds, str(tmp_path))
+        loaded = load_metadataset(str(tmp_path))
+        for split in (ds.val, ds.test, loaded.val, loaded.test):
+            assert not split.predictions.flags.writeable
+            assert not split.labels.flags.writeable
+
 
 class TestSaveLoadRoundtrip:
     """The directory format persists datasets losslessly and

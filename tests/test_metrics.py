@@ -52,6 +52,31 @@ class TestLoss:
         assert np.all(grad[clamped] == 0.0)
         assert np.all(numeric[0][clamped] == 0.0)
 
+    @pytest.mark.parametrize("task", list(TaskKind), ids=lambda task: task.value)
+    def test_equals_the_mean_and_clip_forms_bitwise(self, task):
+        rng = np.random.default_rng(5)
+        lo, hi = metrics.PROB_CLAMP_LO, metrics.PROB_CLAMP_HI
+        edges = [0.0, lo, np.nextafter(lo, 0.0), np.nextafter(lo, 1.0),
+                 hi, np.nextafter(hi, 0.0), np.nextafter(hi, 1.0), 1.0]
+        for n in (9, 49, 256, 257, 1000):
+            values = np.concatenate([edges, rng.uniform(0.0, 1.0, size=n - len(edges))])
+            if task is TaskKind.REGRESSION:
+                values = values * rng.normal(scale=3.0, size=n)
+            targets = rng.normal(size=n)
+            columns = np.stack([values, values[::-1], rng.permutation(values)], axis=1)
+            for v in (values, columns):
+                if task is TaskKind.CLASSIFICATION:
+                    want = np.mean(-np.log(np.clip(v, lo, hi)), axis=0)
+                else:
+                    diff = v - targets.reshape((-1,) + (1,) * (v.ndim - 1))
+                    want = np.mean(diff * diff, axis=0)
+                got = np.asarray(metrics.loss(v, targets, task))
+                assert got.tobytes() == want.tobytes()
+            if task is TaskKind.CLASSIFICATION:
+                inside = (values > lo) & (values < hi)
+                want = np.where(inside, -1.0 / np.clip(values, lo, hi), 0.0) / n
+                assert metrics.loss_gradient(values, targets, task).tobytes() == want.tobytes()
+
     def test_nll_is_loss_of_true_class_column(self):
         rng = np.random.default_rng(3)
         probs = rng.dirichlet(np.ones(4), size=50)

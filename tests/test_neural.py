@@ -8,7 +8,7 @@ import pytest
 from ensemblekit.errors import ConfigError, DataValidationError, NumericError, ShapeError
 from ensemblekit import neural
 from ensemblekit.data import SyntheticSpec, TaskKind, generate
-from gradcheck import finite_difference_gradients, gradient_errors
+from gradcheck import finite_difference_gradients, gradient_errors, ma_step_reference
 
 
 def _jitter(params, rng, scale=0.3):
@@ -358,6 +358,28 @@ class TestTrainingGradients:
         )
         rel, _ = gradient_errors([grad], numeric)
         assert rel < 1e-4
+
+    @pytest.mark.parametrize("n_classes", [1, 3])
+    def test_ma_step_matches_full_width_reference(self, n_classes):
+        rng = np.random.default_rng(22)
+        for case in range(12):
+            params, cube, labels, task = _random_case(rng, "ma", n_classes)
+            n_models = cube.shape[1]
+            if case == 0:
+                mask = np.ones(n_models)
+            elif case == 1:
+                mask = np.zeros(n_models)
+                mask[rng.integers(n_models)] = 1.0
+            else:
+                mask = neural.sample_mask(n_models, 0.5, rng)
+            want_loss, want_grad, want_theta = ma_step_reference(
+                params, cube, labels, task, mask, 0.5
+            )
+            loss, grad = neural._loss_and_gradients(params, cube, labels, task, mask, 0.5)
+            assert abs(loss - want_loss) <= 1e-12
+            np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-12)
+            theta = _training_weights(params, cube, mask, 0.5)
+            np.testing.assert_allclose(theta, want_theta, rtol=0, atol=1e-12)
 
     def test_single_survivor_mask_kills_gate_gradient(self):
         # with one retained model the masked softmax is constant 1, so
