@@ -18,11 +18,11 @@ The (seed, rate) tasks of `run` run in forked worker processes, one per
 usable CPU and never more than there are tasks; a single task, a single
 CPU or a platform without fork runs them one after another in this
 process. The mapper is `data.fork_map`, which also writes and parses the
-dataset splits; this module calls it as `_map_seeds`. The parent loads
-the data, holds the lock, appends the records seed-major in the order
-`--seeds` and `--dropout-rate` list them and prints; only tasks and
-records cross between processes, so the records are the same either
-way. A worker's error re-raises in the parent with its type and message.
+dataset splits. The parent loads the data, holds the lock, appends the
+records seed-major in the order `--seeds` and `--dropout-rate` list them
+and prints; only tasks and records cross between processes, so the
+records are the same either way. A worker's error re-raises in the
+parent with its type and message.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import baselines, metrics, neural
-from .data import MetaDataset, SyntheticSpec, TaskKind, generate, load_metadataset, save_metadataset
-from .data import fork_map as _map_seeds
+from .data import MetaDataset, SyntheticSpec, TaskKind, fork_map, generate
+from .data import load_metadataset, save_metadataset
 from .errors import ConfigError, DataFormatError, EnsembleKitError, LockError, NumericError
 
 METHODS = (
@@ -259,7 +259,7 @@ def cmd_run(args) -> int:
         }
 
     with _locked_output(args.out):
-        records = _map_seeds(worker, [(seed, rate) for seed in seeds for rate in rates])
+        records = fork_map(worker, [(seed, rate) for seed in seeds for rate in rates])
         _append_records(args.out, records)
     for record in records:
         print(

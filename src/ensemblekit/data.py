@@ -132,6 +132,8 @@ def _sanitize_split(split: Split, task: TaskKind, split_name: str) -> Split:
             f"got shape {preds.shape}"
         )
     n, m, c = preds.shape
+    if n < 1:
+        raise DataValidationError(f"{split_name} split has no instances")
     if m < 1 or c < 1:
         raise DataValidationError(f"{split_name} split needs at least one model and class")
     if not np.all(np.isfinite(preds)):
@@ -150,7 +152,7 @@ def _sanitize_split(split: Split, task: TaskKind, split_name: str) -> Split:
         if not np.all(labels == labels.astype(np.int64)):
             raise DataValidationError(f"{split_name} labels must be class indices")
         labels = labels.astype(np.int64)
-        if labels.size and (labels.min() < 0 or labels.max() >= c):
+        if labels.min() < 0 or labels.max() >= c:
             raise DataValidationError(
                 f"{split_name} labels must lie in [0, {c}), got range "
                 f"[{labels.min()}, {labels.max()}]"
@@ -531,13 +533,12 @@ def _fit_polynomial_pool(spec: SyntheticSpec, rng: np.random.Generator):
     """Draw the shared train pool and fit one polynomial per model.
 
     Each model is a least-squares polynomial of spec.degree fit on its
-    own bootstrap resample of the 20-point pool. Returns the pool, the
-    fitted polynomials and the bootstrap index arrays.
+    own bootstrap resample of the 20-point pool. Returns the fitted
+    polynomials.
     """
     pool_x = rng.uniform(-1.0, 1.0, _POOL_SIZE)
     pool_y = _true_function(pool_x) + spec.noise_scale * rng.standard_normal(_POOL_SIZE)
     fits = []
-    boot_indices = []
     for _ in range(spec.n_models):
         idx = rng.integers(0, _POOL_SIZE, size=_POOL_SIZE)
         with warnings.catch_warnings():
@@ -546,8 +547,7 @@ def _fit_polynomial_pool(spec: SyntheticSpec, rng: np.random.Generator):
             warnings.simplefilter("ignore", np.exceptions.RankWarning)
             poly = np.polynomial.Polynomial.fit(pool_x[idx], pool_y[idx], spec.degree)
         fits.append(poly)
-        boot_indices.append(idx)
-    return pool_x, pool_y, fits, boot_indices
+    return fits
 
 
 def generate_polynomial_regression(spec: SyntheticSpec) -> MetaDataset:
@@ -565,7 +565,7 @@ def generate_polynomial_regression(spec: SyntheticSpec) -> MetaDataset:
     if spec.noise_scale < 0:
         raise ConfigError(f"noise_scale must be nonnegative, got {spec.noise_scale}")
     rng = np.random.default_rng(spec.seed)
-    _, _, fits, _ = _fit_polynomial_pool(spec, rng)
+    fits = _fit_polynomial_pool(spec, rng)
 
     def one_split(n: int) -> Split:
         x = rng.uniform(-1.0, 1.0, n)

@@ -186,18 +186,15 @@ def _columns_backward(
     """Add ``net``'s parameter gradients, summed over class columns in
     class order, into ``grad``; ``dout`` is dLoss/d(_columns_forward output).
     With ``keep``, only those columns of the first layer's weights get a
-    gradient, scattered once after the class columns are summed."""
+    gradient."""
     width = net.layer_dims[-1]
-    first = None if keep is None else np.zeros((net.layer_dims[1], keep.size))
     for c, a in enumerate(acts):
         column_dout = dout if pooled else dout[:, c * width : (c + 1) * width]
-        nn.backward(net, a, column_dout, grad, input_gradient=False, first_weight_grad=first)
-    if keep is not None:
-        net.unpack(grad)[0][0][:, keep] += first
+        nn.backward(net, a, column_dout, grad, columns=keep)
 
 
 # ---------------------------------------------------------------------------
-# Forward pass, training loss and analytic gradients
+# Forward pass, training objective and analytic gradients
 # ---------------------------------------------------------------------------
 
 
@@ -278,19 +275,6 @@ def _backward(params: NEParams, cache: tuple, dout: np.ndarray) -> np.ndarray:
     grad_biases[rows] = dscores.sum(axis=1)
     _columns_backward(embedder, acts, dscores.T @ weights, grad_embedder, keep, pooled=True)
     return grad
-
-
-def _training_loss(
-    params: NEParams,
-    cube: np.ndarray,
-    labels: np.ndarray,
-    task: TaskKind,
-    mask: Optional[np.ndarray],
-    retain_prob: float,
-) -> float:
-    """Forward-only training objective; the finite-difference oracle target."""
-    out, _ = _forward(params, cube, mask, retain_prob)
-    return _objective(out, labels, task, params.mode)[0]
 
 
 def _loss_and_gradients(

@@ -4,6 +4,10 @@ Everything a small combiner network needs and nothing more: fully
 connected layers with rectifier hidden activations and an identity final
 layer, hand-derived backpropagation, a bias-corrected Adam optimizer, a
 numerically stable softmax with its backward pass.
+
+``forward`` and ``backward`` take the same optional ``columns`` of inputs:
+the first layer runs on W0[:, columns] alone, as if every other input
+were zero, and its gradient adds into W0[:, columns] alone.
 """
 
 from __future__ import annotations
@@ -112,22 +116,17 @@ def backward(
     activations: List[np.ndarray],
     output_gradient: np.ndarray,
     grad: np.ndarray,
-    input_gradient: bool = True,
-    first_weight_grad: Optional[np.ndarray] = None,
-) -> Optional[np.ndarray]:
+    columns: Optional[np.ndarray] = None,
+) -> None:
     """Backpropagate a loss gradient through a cached forward pass.
 
     ``output_gradient`` is dLoss/dOutput with the shape of the forward
     output. Parameter gradients, summed over the batch, are added into
     ``grad``, a vector laid out like ``net.flat``; adding rather than
     overwriting lets callers accumulate several passes of a shared
-    network. Returns dLoss/dInput, or None without computing it when
-    ``input_gradient`` is false.
-
-    After a forward pass with ``columns``, pass ``first_weight_grad``
-    shaped like W0[:, columns] and no ``input_gradient``: the first
-    layer's weight gradient is added there instead of into ``grad``, so
-    the caller can sum it over passes and scatter it into W0 once.
+    network. After a forward pass with ``columns``, pass the same
+    ``columns``: the first layer's weight gradient is added into
+    W0[:, columns] of ``grad`` and the other columns of W0 get nothing.
     """
     delta = np.asarray(output_gradient, dtype=np.float64)
     if delta.shape != activations[-1].shape:
@@ -137,8 +136,8 @@ def backward(
     weight_grads, bias_grads = net.unpack(grad)
     for l in range(len(net.weights) - 1, -1, -1):
         a_prev = activations[l]
-        if l == 0 and first_weight_grad is not None:
-            first_weight_grad += delta.T @ a_prev
+        if l == 0 and columns is not None:
+            weight_grads[0][:, columns] += delta.T @ a_prev
         else:
             weight_grads[l] += delta.T @ a_prev
         # Faster than delta.sum(axis=0) at these sizes, and equal to it
@@ -149,7 +148,6 @@ def backward(
             # a_prev is post-rectifier output of layer l-1: zero entries
             # had non-positive pre-activations, so they block the gradient.
             delta *= a_prev > 0.0
-    return delta @ net.weights[0] if input_gradient else None
 
 
 ADAM_BETA1 = 0.9

@@ -11,7 +11,7 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from ensemblekit import metrics, nn
+from ensemblekit import metrics, neural, nn
 from ensemblekit.data import TaskKind
 from ensemblekit.errors import ShapeError
 
@@ -84,6 +84,13 @@ def gradient_errors(
     return max_rel, max_abs
 
 
+def training_loss(params, cube, labels, task, mask, retain_prob) -> float:
+    """The combiner's training objective, forward only: the target the
+    finite differences of its analytic gradient are taken from."""
+    out, _ = neural._forward(params, cube, mask, retain_prob)
+    return neural._objective(out, labels, task, params.mode)[0]
+
+
 def ma_step_reference(params, cube, labels, task, mask, retain_prob):
     """The ma training step written out at full width, batch-major.
 
@@ -114,7 +121,8 @@ def ma_step_reference(params, cube, labels, task, mask, retain_prob):
 
     grad = np.zeros_like(params.flat)
     grad_embedder, grad_head = params.split(grad)
-    dembed = nn.backward(head, head_acts, dgate, grad_head)
+    nn.backward(head, head_acts, dgate, grad_head)
+    dembed = dgate @ head.weights[0]
     for _, acts in columns:
-        nn.backward(embedder, acts, dembed, grad_embedder, input_gradient=False)
+        nn.backward(embedder, acts, dembed, grad_embedder)
     return float(metrics.loss(values, labels, task)), grad, theta

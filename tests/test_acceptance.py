@@ -15,8 +15,8 @@ import numpy as np
 
 from ensemblekit import baselines, metrics, neural
 from ensemblekit.cli import main as cli_main
-from ensemblekit.data import MetaDataset, SyntheticSpec, TaskKind, generate
-from gradcheck import finite_difference_gradients, gradient_errors
+from ensemblekit.data import MetaDataset, SyntheticSpec, TaskKind, fork_map, generate
+from gradcheck import finite_difference_gradients, gradient_errors, training_loss
 
 
 def _jitter(params, rng, scale=0.3):
@@ -64,7 +64,7 @@ def test_criterion_1_gradient_oracle():
         _jitter(params, rng)
         _, grad = neural._loss_and_gradients(params, cube, labels, task, mask, gamma)
         numeric = finite_difference_gradients(
-            lambda: neural._training_loss(params, cube, labels, task, mask, gamma),
+            lambda: training_loss(params, cube, labels, task, mask, gamma),
             [params.flat],
         )
         rel, _ = gradient_errors([grad], numeric)
@@ -127,24 +127,29 @@ def test_criterion_4_dropout_benefit_direction():
     lowers test NLL relative to no dropout and raises the ensemble's
     prediction spread."""
     start = time.perf_counter()
-    ratios = []
-    ambiguity_pairs = []
-    for seed in (0, 1, 2):
-        ds = generate(SyntheticSpec(kind="preferred", n_instances=2000, n_models=20,
-                                    rho_p=0.95, seed=seed))
-        nlls = {}
-        spreads = {}
-        for rate in (0.75, 0.0):
-            config = neural.NEConfig(mode="ma", dropout_rate=rate, layers=4,
-                                     hidden_dim=32, steps=10000, batch_size=256,
-                                     learning_rate=1e-3, seed=seed)
-            params, _ = neural.train(ds, config)
-            predictions = neural.predict(params, ds.test.predictions)
-            nlls[rate] = metrics.regression_report(predictions, ds.test.labels).nll
-            theta = neural.ma_weights(params, ds.test.predictions)
-            spreads[rate] = metrics.ambiguity(theta, ds.test.predictions[:, :, 0])
-        ratios.append(nlls[0.75] / nlls[0.0])
-        ambiguity_pairs.append((spreads[0.75], spreads[0.0]))
+    seeds, rates = (0, 1, 2), (0.75, 0.0)
+    datasets = {seed: generate(SyntheticSpec(kind="preferred", n_instances=2000,
+                                             n_models=20, rho_p=0.95, seed=seed))
+                for seed in seeds}
+
+    def nll_and_spread(task):
+        seed, rate = task
+        ds = datasets[seed]
+        config = neural.NEConfig(mode="ma", dropout_rate=rate, layers=4,
+                                 hidden_dim=32, steps=10000, batch_size=256,
+                                 learning_rate=1e-3, seed=seed)
+        params, _ = neural.train(ds, config)
+        predictions = neural.predict(params, ds.test.predictions)
+        theta = neural.ma_weights(params, ds.test.predictions)
+        return (metrics.regression_report(predictions, ds.test.labels).nll,
+                metrics.ambiguity(theta, ds.test.predictions[:, :, 0]))
+
+    # The six trainings are independent: the program's own mapper runs
+    # them in forked workers, one per usable CPU.
+    tasks = [(seed, rate) for seed in seeds for rate in rates]
+    results = dict(zip(tasks, fork_map(nll_and_spread, tasks)))
+    ratios = [results[seed, 0.75][0] / results[seed, 0.0][0] for seed in seeds]
+    ambiguity_pairs = [(results[seed, 0.75][1], results[seed, 0.0][1]) for seed in seeds]
     elapsed = time.perf_counter() - start
 
     median_ratio = float(np.median(ratios))

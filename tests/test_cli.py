@@ -313,12 +313,13 @@ class TestThreadEnvironment:
 
 
 class TestSeedMapper:
-    """cli._map_seeds forks one worker per seed up to the usable CPUs;
-    results, records and errors are those of the serial loop."""
+    """cli maps its seeds with data.fork_map, which forks one worker per
+    seed up to the usable CPUs; results, records and errors are those of
+    the serial loop."""
 
     def test_workers_are_capped_and_order_is_kept(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        results = cli._map_seeds(lambda seed: (seed, os.getpid()), [2, 0, 1, 3])
+        results = cli.fork_map(lambda seed: (seed, os.getpid()), [2, 0, 1, 3])
         assert [seed for seed, _ in results] == [2, 0, 1, 3]
         pids = {pid for _, pid in results}
         assert os.getpid() not in pids
@@ -326,14 +327,14 @@ class TestSeedMapper:
 
     def test_nested_call_keeps_the_outer_worker(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        results = cli._map_seeds(lambda i: cli._map_seeds(lambda j: (i, j), [0, 1]),
-                                 [0, 1, 2, 3])
+        results = cli.fork_map(lambda i: cli.fork_map(lambda j: (i, j), [0, 1]),
+                               [0, 1, 2, 3])
         assert results == [[(i, 0), (i, 1)] for i in range(4)]
         assert ensemblekit.data._task_worker is None
 
     def test_one_cpu_runs_in_this_process(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        results = cli._map_seeds(lambda seed: (seed, os.getpid()), [1, 0])
+        results = cli.fork_map(lambda seed: (seed, os.getpid()), [1, 0])
         assert results == [(1, os.getpid()), (0, os.getpid())]
 
     def test_worker_error_keeps_type_and_message(self, monkeypatch):
@@ -345,7 +346,7 @@ class TestSeedMapper:
             return seed
 
         with pytest.raises(ConfigError, match="^seed 1 is bad$"):
-            cli._map_seeds(worker, [0, 1])
+            cli.fork_map(worker, [0, 1])
 
     def test_dead_worker_raises_instead_of_hanging(self):
         code = textwrap.dedent("""
@@ -354,7 +355,7 @@ class TestSeedMapper:
             from ensemblekit import cli
             os.sched_getaffinity = lambda pid: {0, 1}
             try:
-                cli._map_seeds(lambda seed: os._exit(7), [0, 1])
+                cli.fork_map(lambda seed: os._exit(7), [0, 1])
             except BrokenProcessPool:
                 print("broken")
         """)

@@ -77,6 +77,16 @@ class TestSplitValidation:
         with pytest.raises(DataValidationError):
             MetaDataset(name="t", task=TaskKind.CLASSIFICATION, val=split, test=bad)
 
+    @pytest.mark.parametrize("empty_split", ["val", "test"])
+    def test_rejects_split_without_instances(self, empty_split):
+        # Every fitter divides by or softmaxes over the val instances, and
+        # every metric averages over the test ones.
+        split = _tiny_classification()
+        empty = Split(predictions=np.zeros((0, 2, 2)), labels=np.zeros(0, dtype=int))
+        splits = {"val": split, "test": split, empty_split: empty}
+        with pytest.raises(DataValidationError, match=f"^{empty_split} split has no instances"):
+            MetaDataset(name="t", task=TaskKind.CLASSIFICATION, **splits)
+
     def test_rejects_split_shape_disagreement(self):
         split = _tiny_classification()
         other = Split(

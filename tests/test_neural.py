@@ -8,7 +8,7 @@ import pytest
 from ensemblekit.errors import ConfigError, DataValidationError, NumericError, ShapeError
 from ensemblekit import neural
 from ensemblekit.data import SyntheticSpec, TaskKind, generate
-from gradcheck import finite_difference_gradients, gradient_errors, ma_step_reference
+from gradcheck import finite_difference_gradients, gradient_errors, ma_step_reference, training_loss
 
 
 def _jitter(params, rng, scale=0.3):
@@ -336,7 +336,7 @@ class TestTrainingGradients:
         params, cube, labels, task = _random_case(rng, mode, n_classes)
         loss, grad = neural._loss_and_gradients(params, cube, labels, task, None, 1.0)
         numeric = finite_difference_gradients(
-            lambda: neural._training_loss(params, cube, labels, task, None, 1.0),
+            lambda: training_loss(params, cube, labels, task, None, 1.0),
             [params.flat],
         )
         rel, _ = gradient_errors([grad], numeric)
@@ -353,7 +353,7 @@ class TestTrainingGradients:
         gamma = 0.5
         loss, grad = neural._loss_and_gradients(params, cube, labels, task, mask, gamma)
         numeric = finite_difference_gradients(
-            lambda: neural._training_loss(params, cube, labels, task, mask, gamma),
+            lambda: training_loss(params, cube, labels, task, mask, gamma),
             [params.flat],
         )
         rel, _ = gradient_errors([grad], numeric)

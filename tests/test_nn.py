@@ -130,64 +130,30 @@ class TestBackward:
         rel, _ = gradcheck.gradient_errors([grad], numeric)
         assert rel < 1e-6
 
-    def test_input_gradient(self):
-        rng = np.random.default_rng(8)
-        net = nn.init_dense_net([4, 5, 2], seed=9)
-        _jitter(net, rng)
-        x = rng.normal(size=(3, 4))
-        v = rng.normal(size=(3, 2))
-        _, activations = nn.forward(net, x)
-        dx = nn.backward(net, activations, v, np.zeros_like(net.flat))
-
-        numeric = np.zeros_like(x)
-        h = 1e-6
-        for i in range(x.shape[0]):
-            for j in range(x.shape[1]):
-                x[i, j] += h
-                up = float(np.sum(nn.forward(net, x)[0] * v))
-                x[i, j] -= 2 * h
-                down = float(np.sum(nn.forward(net, x)[0] * v))
-                x[i, j] += h
-                numeric[i, j] = (up - down) / (2 * h)
-        np.testing.assert_allclose(dx, numeric, atol=1e-7)
-
-    @pytest.mark.parametrize("dims", [[3, 1], [4, 6, 2], [5, 8, 8, 1]])
-    def test_skipped_input_gradient_keeps_parameter_gradients(self, dims):
-        rng = np.random.default_rng(11)
-        net = nn.init_dense_net(dims, seed=6)
-        _jitter(net, rng)
-        _, activations = nn.forward(net, rng.normal(size=(4, dims[0])))
-        v = rng.normal(size=(4, dims[-1]))
-        full = np.zeros_like(net.flat)
-        skipped = np.zeros_like(net.flat)
-        assert nn.backward(net, activations, v, full).shape == (4, dims[0])
-        assert nn.backward(net, activations, v, skipped, input_gradient=False) is None
-        np.testing.assert_array_equal(skipped, full)
-
     @pytest.mark.parametrize("dims", [[5, 1], [5, 6, 2], [5, 8, 8, 1]])
     def test_column_selector_matches_zeroed_inputs(self, dims):
         # The first layer on W0[:, columns] is the full network on an
-        # input that is zero outside those columns; so are its gradients.
+        # input that is zero outside those columns; so are its gradients,
+        # also summed over two passes into one vector, as a combiner sums
+        # the class columns of a cube.
         rng = np.random.default_rng(12)
         net = nn.init_dense_net(dims, seed=7)
         _jitter(net, rng)
         columns = np.array([1, 3, 4])
-        x = rng.normal(size=(6, dims[0]))
-        x[:, [0, 2]] = 0.0
-        v = rng.normal(size=(6, dims[-1]))
-        out, activations = nn.forward(net, x)
-        selected_out, selected_activations = nn.forward(net, x[:, columns], columns)
-        np.testing.assert_allclose(selected_out, out, rtol=1e-12, atol=1e-12)
-
         full = np.zeros_like(net.flat)
-        nn.backward(net, activations, v, full, input_gradient=False)
         selected = np.zeros_like(net.flat)
-        first = np.zeros((dims[1], columns.size))
-        nn.backward(net, selected_activations, v, selected, input_gradient=False,
-                    first_weight_grad=first)
-        np.testing.assert_array_equal(net.unpack(selected)[0][0], 0.0)
-        net.unpack(selected)[0][0][:, columns] = first
-        np.testing.assert_allclose(selected, full, rtol=1e-12, atol=1e-12)
+        for _ in range(2):
+            x = rng.normal(size=(6, dims[0]))
+            x[:, [0, 2]] = 0.0
+            v = rng.normal(size=(6, dims[-1]))
+            out, activations = nn.forward(net, x)
+            selected_out, selected_activations = nn.forward(net, x[:, columns], columns)
+            np.testing.assert_allclose(selected_out, out, rtol=1e-12, atol=1e-12)
+
+            assert nn.backward(net, activations, v, full) is None
+            assert nn.backward(net, selected_activations, v, selected, columns) is None
+            np.testing.assert_array_equal(net.unpack(selected)[0][0][:, [0, 2]], 0.0)
+            np.testing.assert_allclose(selected, full, rtol=1e-12, atol=1e-12)
 
     def test_column_selector_shape_checked(self):
         net = nn.init_dense_net([4, 3, 1], seed=0)
