@@ -54,21 +54,9 @@ def predict_static(weights: np.ndarray, predictions: np.ndarray) -> np.ndarray:
     return np.einsum("m,nmc->nc", weights, predictions)
 
 
-def _project(predictions: np.ndarray, labels: np.ndarray, task: TaskKind) -> np.ndarray:
-    """Reduce a cube to the (N, M) matrix the loss depends on.
-
-    Classification keeps each model's true-class probability; regression
-    keeps the single prediction column.
-    """
-    if task is TaskKind.CLASSIFICATION:
-        labels = np.asarray(labels, dtype=np.int64)
-        return predictions[np.arange(predictions.shape[0]), :, labels]
-    return predictions[:, :, 0]
-
-
 def model_losses(predictions: np.ndarray, labels: np.ndarray, task: TaskKind) -> np.ndarray:
     """Per-model validation loss (M,): clamped NLL or MSE."""
-    return metrics.loss(_project(predictions, labels, task), labels, task)
+    return metrics.loss(predictions[metrics.loss_index(labels, task)], labels, task)
 
 
 def single_best(predictions: np.ndarray, labels: np.ndarray, task: TaskKind) -> int:
@@ -111,7 +99,7 @@ def greedy_select(
     """
     if n_slots < 1:
         raise ConfigError(f"greedy needs at least one slot, got {n_slots}")
-    proj = _project(predictions, labels, task)
+    proj = predictions[metrics.loss_index(labels, task)]
     m_models = proj.shape[1]
     running = np.zeros(proj.shape[0])
     picks = []
@@ -137,7 +125,7 @@ def quick_select(
     """
     if n < 1:
         raise ConfigError(f"quick needs n >= 1, got {n}")
-    proj = _project(predictions, labels, task)
+    proj = predictions[metrics.loss_index(labels, task)]
     losses = metrics.loss(proj, labels, task)
     order = np.argsort(losses, kind="stable")
     first = int(order[0])
@@ -193,7 +181,7 @@ def fit_constant_ma(
     """
     if steps < 1:
         raise ConfigError(f"fit_constant_ma needs steps >= 1, got {steps}")
-    proj = _project(np.asarray(predictions, dtype=np.float64), labels, task)
+    proj = np.asarray(predictions, dtype=np.float64)[metrics.loss_index(labels, task)]
     v = np.zeros(proj.shape[1])
     state = nn.adam_init(v, learning_rate=learning_rate)
     # An overflow reaches Adam as a non-finite gradient, which raises

@@ -117,10 +117,7 @@ def _evaluate(ds: MetaDataset, predictions: np.ndarray, split: str) -> metrics.M
 
 def _single_best_reference(ds: MetaDataset) -> metrics.MetricReport:
     idx = baselines.single_best(ds.val.predictions, ds.val.labels, ds.task)
-    test_pred = ds.test.predictions[:, idx, :]
-    if ds.task is TaskKind.REGRESSION:
-        test_pred = test_pred[:, 0]
-    return _evaluate(ds, test_pred, "test")
+    return _evaluate(ds, ds.test.predictions[:, idx, :], "test")
 
 
 def _label(method: str, config: dict) -> str:
@@ -145,8 +142,7 @@ def _run_method(
     test_p = ds.test.predictions
 
     def static(weights: np.ndarray) -> np.ndarray:
-        combined = baselines.predict_static(weights, test_p)
-        return combined[:, 0] if ds.task is TaskKind.REGRESSION else combined
+        return baselines.predict_static(weights, test_p)
 
     if method == "single-best":
         idx = baselines.single_best(val_p, val_y, ds.task)
@@ -270,14 +266,18 @@ def cmd_run(args) -> int:
 
 
 def _finite_number(text: str) -> float:
-    """JSON number hook that refuses NaN, Infinity and overflowing literals."""
+    """JSON number hook: every number as a float, refusing NaN, Infinity and
+    literals that overflow float64."""
     value = float(text)
     if not np.isfinite(value):
         raise ValueError(f"{text} is not a finite number")
     return value
 
 
-def _load_records(path: str) -> List[dict]:
+def _load_cells(path: str) -> Dict[Tuple[str, str, str], List[float]]:
+    """The normalized values of each (dataset, row, metric) in a records
+    file. Every line is parsed as JSON before any record is checked; JSON
+    numbers parse as finite floats, so a bool or null is no metric value."""
     if not os.path.isfile(path):
         raise FileNotFoundError(f"records file not found: {path}")
     records = []
@@ -286,85 +286,69 @@ def _load_records(path: str) -> List[dict]:
             if line.strip() == "":
                 continue
             try:
-                records.append(
-                    json.loads(line, parse_float=_finite_number, parse_constant=_finite_number)
-                )
+                records.append((line_no, json.loads(
+                    line, parse_float=_finite_number, parse_int=_finite_number,
+                    parse_constant=_finite_number)))
             except ValueError as exc:  # json.JSONDecodeError is a ValueError
                 raise DataFormatError(f"{path}:{line_no}: invalid record: {exc}") from exc
     if not records:
         raise DataFormatError(f"records file {path} is empty")
-    return records
+    cells: Dict[Tuple[str, str, str], List[float]] = {}
+    for line_no, record in records:
+        try:
+            dataset, method = record["dataset"], record["method"]
+            row = _label(method, record.get("config", {}))
+            normalized = record["normalized"]
+        except (AttributeError, KeyError, TypeError, ValueError):
+            normalized = None
+        if not (isinstance(normalized, dict) and normalized and isinstance(dataset, str)
+                and isinstance(method, str)
+                and all(isinstance(value, float) for value in normalized.values())):
+            raise DataFormatError(
+                f"{path}:{line_no}: a record needs a string 'dataset' and 'method', a "
+                "non-empty 'normalized' object of numbers, and a number as config "
+                "'dropout_rate' if it names one")
+        for metric_name, value in normalized.items():
+            cells.setdefault((dataset, row, metric_name), []).append(value)
+    return cells
 
 
 def cmd_report(args) -> int:
-    records = _load_records(args.records)
-    grouped: Dict[Tuple[str, str], Dict[str, List[float]]] = {}
-    for record in records:
-        try:
-            key = (record["dataset"], _label(record["method"], record.get("config", {})))
-            normalized = record["normalized"]
-        except (AttributeError, KeyError, TypeError, ValueError):
-            raise DataFormatError(
-                "records must carry 'dataset', 'method' and 'normalized' fields, "
-                "and a number as config 'dropout_rate' if they name one"
-            ) from None
-        bucket = grouped.setdefault(key, {})
-        for metric_name, value in normalized.items():
-            bucket.setdefault(metric_name, []).append(float(value))
+    cells = _load_cells(args.records)
+    # Mean, std and run count of each (dataset, row, metric), in sorted order.
+    stats = {key: (float(np.mean(cells[key])), float(np.std(cells[key])), len(cells[key]))
+             for key in sorted(cells)}
+    # The best row per (dataset, metric): the lowest signed mean, ties to the
+    # first row name.
+    best: Dict[Tuple[str, str], Tuple[float, str]] = {}
+    for (dataset, row, metric_name), (mean, _, _) in stats.items():
+        candidate = (-mean if metric_name in _HIGHER_IS_BETTER else mean, row)
+        best[dataset, metric_name] = min(best.get((dataset, metric_name), candidate), candidate)
 
-    datasets = sorted({key[0] for key in grouped})
-    summary_rows = []
-    for dataset in datasets:
-        methods = sorted(method for d, method in grouped if d == dataset)
-        metric_names = sorted({m for method in methods for m in grouped[(dataset, method)]})
-        best: Dict[str, str] = {}
-        for metric_name in metric_names:
-            candidates = [
-                (method, float(np.mean(grouped[(dataset, method)][metric_name])))
-                for method in methods
-                if metric_name in grouped[(dataset, method)]
-            ]
-            reverse = metric_name in _HIGHER_IS_BETTER
-            ordered = sorted(candidates, key=lambda mv: (-mv[1] if reverse else mv[1], mv[0]))
-            best[metric_name] = ordered[0][0]
-        width = max(12, *map(len, methods))
+    for dataset in sorted({key[0] for key in stats}):
+        rows = sorted({row for d, row, _ in stats if d == dataset})
+        metric_names = sorted({m for d, _, m in stats if d == dataset})
+        width = max(12, *map(len, rows))
         print(f"dataset: {dataset}")
-        header = f"  {'method':<{width}}" + "".join(f"{m:>22}" for m in metric_names)
-        print(header)
-        for method in methods:
-            cells = []
+        print(f"  {'method':<{width}}" + "".join(f"{m:>22}" for m in metric_names))
+        for row in rows:
+            line = f"  {row:<{width}}"
             for metric_name in metric_names:
-                values = grouped[(dataset, method)].get(metric_name)
-                if values is None:
-                    cells.append(f"{'-':>22}")
+                if (dataset, row, metric_name) not in stats:
+                    line += f"{'-':>22}"
                     continue
-                mean = float(np.mean(values))
-                std = float(np.std(values))
-                flag = "*" if best[metric_name] == method else " "
-                cells.append(f"{mean:>12.4f} ±{std:7.4f}{flag}")
-                summary_rows.append(
-                    {
-                        "dataset": dataset,
-                        "method": method,
-                        "metric": metric_name,
-                        "mean": mean,
-                        "std": std,
-                        "n_runs": len(values),
-                        "best": best[metric_name] == method,
-                    }
-                )
-            print(f"  {method:<{width}}" + "".join(cells))
+                mean, std, _ = stats[dataset, row, metric_name]
+                flag = "*" if best[dataset, metric_name][1] == row else " "
+                line += f"{mean:>12.4f} ±{std:7.4f}{flag}"
+            print(line)
         print()
 
     out_path = args.out or args.records + ".summary.csv"
     with open(out_path, "w", newline="\n") as fh:
         fh.write("dataset,method,metric,mean,std,n_runs,best\n")
-        for row in summary_rows:
-            fh.write(
-                f"{row['dataset']},{row['method']},{row['metric']},"
-                f"{row['mean']:.12g},{row['std']:.12g},{row['n_runs']},"
-                f"{str(row['best']).lower()}\n"
-            )
+        for (dataset, row, metric_name), (mean, std, n_runs) in stats.items():
+            is_best = str(best[dataset, metric_name][1] == row).lower()
+            fh.write(f"{dataset},{row},{metric_name},{mean:.12g},{std:.12g},{n_runs},{is_best}\n")
     print(f"summary written to {out_path}")
     return 0
 

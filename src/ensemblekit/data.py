@@ -333,8 +333,13 @@ def load_metadataset(path: str) -> MetaDataset:
         task = TaskKind(manifest["task"])
     except ValueError:
         raise DataFormatError(f"unknown task kind '{manifest['task']}'") from None
-    n_models = int(manifest["n_models"])
-    n_classes = int(manifest["n_classes"])
+    for key in ("n_models", "n_classes"):
+        size = manifest[key]
+        if isinstance(size, bool) or not isinstance(size, int) or size < 1:
+            raise DataFormatError(
+                f"{manifest_path}: '{key}' must be a JSON integer >= 1, got {json.dumps(size)}"
+            )
+    n_models, n_classes = manifest["n_models"], manifest["n_classes"]
 
     parent = os.getpid()
     with tempfile.TemporaryFile(buffering=0) as val_fh, \

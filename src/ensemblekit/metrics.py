@@ -6,7 +6,9 @@ binary problems) rank-based AUC. Regression uses mean squared error; its
 log-likelihood is the unit-variance Gaussian one, an affine function of
 MSE, so both orderings agree. Reports can be normalized against the
 single best base model, which makes numbers comparable across datasets.
-``loss`` and ``loss_gradient`` define that loss once for every fitter.
+``loss`` and ``loss_gradient`` define that loss once for every fitter,
+and ``loss_index`` the entries of a prediction array it scores: each
+row's true class, or the single regression column.
 """
 
 from __future__ import annotations
@@ -42,6 +44,17 @@ def _check_labels(labels: np.ndarray, n_classes: int) -> np.ndarray:
             f"[{labels.min()}, {labels.max()}]"
         )
     return labels
+
+
+def loss_index(labels: np.ndarray, task: TaskKind) -> tuple:
+    """Index of the entries ``loss`` scores in an (N, ..., C) array, taken
+    on its last (class) axis: each row's true class for classification,
+    the single column for regression. An (N, C) array gives (N,) values,
+    an (N, M, C) cube (N, M)."""
+    if task is TaskKind.CLASSIFICATION:
+        labels = np.asarray(labels, dtype=np.int64)
+        return (np.arange(labels.shape[0]), Ellipsis, labels)
+    return (Ellipsis, 0)
 
 
 def loss(values: np.ndarray, targets: np.ndarray, task: TaskKind):
@@ -90,7 +103,8 @@ def nll(probs: np.ndarray, labels: np.ndarray) -> float:
     labels = _check_labels(labels, probs.shape[1])
     if labels.shape[0] != probs.shape[0]:
         raise ShapeError("probs and labels disagree on the number of instances")
-    return float(loss(probs[np.arange(probs.shape[0]), labels], labels, TaskKind.CLASSIFICATION))
+    task = TaskKind.CLASSIFICATION
+    return float(loss(probs[loss_index(labels, task)], labels, task))
 
 
 def error_rate(probs: np.ndarray, labels: np.ndarray) -> float:

@@ -20,6 +20,11 @@ the retained models alone, models-major: the head's kept rows score a
 reads the kept cube model by model. Inference is the same pass with
 every model kept. The result equals zeroing the dropped models'
 inputs and weights. Everything is deterministic in the config seed.
+
+The forward pass returns the combiner's prediction in both modes: (B, C)
+class probabilities, or the (B, 1) regression value. The training loss
+is ``metrics.loss`` of the entries ``metrics.loss_index`` picks from it,
+and ``predict`` is the same pass, unmasked.
 """
 
 from __future__ import annotations
@@ -201,15 +206,16 @@ def _columns_backward(
 def _forward(
     params: NEParams, cube: np.ndarray, mask: Optional[np.ndarray], retain_prob: float
 ) -> Tuple[np.ndarray, tuple]:
-    """Combiner output on a (B, M, C) cube plus the cache _backward needs.
+    """Combiner prediction on a (B, M, C) cube plus the cache _backward needs.
 
-    The output is (B, C): the stacking column scores, or the ma average
-    of the base models under the per-instance weights theta. A train-time
-    mask drops models from the pass: the first layer sees the kept
-    models' columns only, scaled by 1/gamma. The ma gate scores the kept
-    models only, models-major: the head's kept rows give (k, B) scores,
-    softmaxed over the models. The cache starts with ``keep`` and ends
-    with theta, (B, k). Unmasked, every model is kept.
+    The prediction is (B, C): the softmax of the stacking column scores
+    (the score itself when C = 1), or the ma average of the base models
+    under the per-instance weights theta. A train-time mask drops models
+    from the pass: the first layer sees the kept models' columns only,
+    scaled by 1/gamma. The ma gate scores the kept models only,
+    models-major: the head's kept rows give (k, B) scores, softmaxed over
+    the models. The cache starts with ``keep``; the ma cache ends with
+    theta, (B, k). Unmasked, every model is kept.
     """
     if mask is None:
         keep, kept, x = None, cube, cube
@@ -220,8 +226,10 @@ def _forward(
         kept = cube.take(keep, axis=1)
         x = kept * (1.0 / retain_prob)
     if params.mode == MODE_STACKING:
-        scores, acts = _columns_forward(params.nets[0], x, keep, pooled=False)
-        return scores, (keep, acts)
+        out, acts = _columns_forward(params.nets[0], x, keep, pooled=False)
+        if out.shape[1] > 1:
+            out = nn.softmax(out)
+        return out, (keep, acts, out)
     embedder, head = params.nets
     embed, acts = _columns_forward(embedder, x, keep, pooled=True)
     rows = slice(None) if keep is None else keep
@@ -233,26 +241,13 @@ def _forward(
     return out, (keep, kept, acts, embed, weights, theta.T)
 
 
-def _objective(
-    out: np.ndarray, labels: np.ndarray, task: TaskKind, mode: str
-) -> Tuple[float, np.ndarray]:
-    """Training loss of a _forward output and its gradient dLoss/dout.
-
-    The loss is ``metrics.loss`` of one value per row: the true-class
-    probability (of softmax(scores) for stacking, of the averaged
-    probabilities for ma), or the single regression column.
-    """
-    if task is TaskKind.REGRESSION:
-        values = out[:, 0]
-        dout = metrics.loss_gradient(values, labels, task)[:, None]
-        return float(metrics.loss(values, labels, task)), dout
-    softmax = mode == MODE_STACKING
-    scored = nn.softmax(out) if softmax else out
-    rows = np.arange(out.shape[0])
-    values = scored[rows, labels]
-    dscored = np.zeros_like(scored)
-    dscored[rows, labels] = metrics.loss_gradient(values, labels, task)
-    dout = nn.softmax_backward(scored, dscored) if softmax else dscored
+def _objective(out: np.ndarray, labels: np.ndarray, task: TaskKind) -> Tuple[float, np.ndarray]:
+    """Training loss of a _forward prediction and its gradient dLoss/dout:
+    ``metrics.loss`` of the entries ``metrics.loss_index`` picks."""
+    index = metrics.loss_index(labels, task)
+    values = out[index]
+    dout = np.zeros_like(out)
+    dout[index] = metrics.loss_gradient(values, labels, task)
     return float(metrics.loss(values, labels, task)), dout
 
 
@@ -262,7 +257,9 @@ def _backward(params: NEParams, cache: tuple, dout: np.ndarray) -> np.ndarray:
     and their rows and biases of the ma head."""
     grad = np.zeros_like(params.flat)
     if params.mode == MODE_STACKING:
-        keep, acts = cache
+        keep, acts, out = cache
+        if out.shape[1] > 1:
+            dout = nn.softmax_backward(out, dout)
         _columns_backward(params.nets[0], acts, dout, grad, keep, pooled=False)
         return grad
     keep, kept, acts, embed, weights, theta = cache
@@ -287,7 +284,7 @@ def _loss_and_gradients(
 ) -> Tuple[float, np.ndarray]:
     """Training loss plus its analytic gradient, laid out like params.flat."""
     out, cache = _forward(params, cube, mask, retain_prob)
-    loss, dout = _objective(out, labels, task, params.mode)
+    loss, dout = _objective(out, labels, task)
     return loss, _backward(params, cache, dout)
 
 
@@ -315,16 +312,14 @@ def _check_cube(params: NEParams, cube: np.ndarray) -> np.ndarray:
 def predict(params: NEParams, cube: np.ndarray) -> np.ndarray:
     """Inference-path predictions for an (N, M, C) cube, run unmasked.
 
-    Returns (N, C) class probabilities, or (N,) for regression (C = 1).
-    Stacking rows are the softmax of the column scores; ma rows are
-    convex combinations of base-model simplex rows, so they sum to 1 up
-    to rounding.
+    Returns _forward's (N, C) class probabilities, or (N,) for
+    regression (C = 1). Stacking rows are the softmax of the column
+    scores; ma rows are convex combinations of base-model simplex rows,
+    so they sum to 1 up to rounding.
     """
     cube = _check_cube(params, cube)
     out, _ = _forward(params, cube, None, 1.0)
-    if cube.shape[2] == 1:
-        return out[:, 0]
-    return nn.softmax(out) if params.mode == MODE_STACKING else out
+    return out[:, 0] if cube.shape[2] == 1 else out
 
 
 def ma_weights(params: NEParams, cube: np.ndarray) -> np.ndarray:

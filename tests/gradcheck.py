@@ -88,7 +88,7 @@ def training_loss(params, cube, labels, task, mask, retain_prob) -> float:
     """The combiner's training objective, forward only: the target the
     finite differences of its analytic gradient are taken from."""
     out, _ = neural._forward(params, cube, mask, retain_prob)
-    return neural._objective(out, labels, task, params.mode)[0]
+    return neural._objective(out, labels, task)[0]
 
 
 def ma_step_reference(params, cube, labels, task, mask, retain_prob):

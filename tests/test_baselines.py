@@ -109,7 +109,7 @@ class TestGreedySelect:
             cube = rng.dirichlet(np.ones(3), size=(n, m))
             labels = rng.integers(0, 3, size=n)
             got = baselines.greedy_select(cube, labels, TaskKind.CLASSIFICATION, n_slots=4).indices
-            proj = baselines._project(cube, labels, TaskKind.CLASSIFICATION)
+            proj = cube[metrics.loss_index(labels, TaskKind.CLASSIFICATION)]
             chosen = []
             for _ in range(4):
                 losses = []
@@ -140,7 +140,7 @@ class TestGreedySelect:
         for kind in ("experts", "poly"):
             ds = generate(SyntheticSpec(kind=kind, n_instances=300, n_models=4,
                                         n_classes=3, seed=13))
-            proj = baselines._project(ds.val.predictions, ds.val.labels, ds.task)
+            proj = ds.val.predictions[metrics.loss_index(ds.val.labels, ds.task)]
             best = baselines.model_losses(ds.val.predictions, ds.val.labels, ds.task).min()
             sel = baselines.greedy_select(ds.val.predictions, ds.val.labels, ds.task, n_slots=6)
             for k in range(1, 7):
@@ -223,7 +223,7 @@ class TestConstantMA:
                 if task is TaskKind.CLASSIFICATION
                 else rng.normal(size=40)
             )
-            projected = baselines._project(cube, labels, task)
+            projected = cube[metrics.loss_index(labels, task)]
             v = rng.normal(size=4) * 0.5
             grad = baselines._constant_ma_gradient(v, projected, labels, task)
 

@@ -278,8 +278,8 @@ class TestRun:
                      "--seeds", "0,zero"]) == 2
 
 
-class TestThreadEnvironment:
-    def test_single_worker_cap_accepted(self, tmp_path):
+class TestRunDeterminism:
+    def test_records_follow_the_listed_seed_order(self, tmp_path):
         """Seeds 2,0,1 run in up to min(3, usable CPUs) forked workers and
         give three records, in the order the seeds were listed."""
         data = _synth(tmp_path)
@@ -498,6 +498,95 @@ class TestReport:
         with open(path, "w") as fh:
             for row in rows:
                 fh.write(json.dumps(row, sort_keys=True) + "\n")
+
+    # Output recorded before `report` computed each statistic in one pass.
+    # Ties at the best mean go to the first row name in both directions.
+    GOLDEN_RECORDS = [
+        ("beta", "greedy", 0, {"nll": 0.75, "error_rate": 0.9, "auc": 1.0625}, {}),
+        ("beta", "greedy", 1, {"nll": 0.25, "error_rate": 1.1, "auc": 1.0625}, {}),
+        ("beta", "akaike", 0, {"nll": 0.5, "error_rate": 0.987654321, "auc": 1.03}, {}),
+        ("beta", "akaike", 1, {"nll": 0.5, "error_rate": 1.012345679, "auc": 1.03}, {}),
+        ("beta", "ne-ma", 0, {"nll": 0.61, "error_rate": 0.95, "auc": 1.125},
+         {"dropout_rate": 0.1234561}),
+        ("beta", "ne-ma", 1, {"nll": 0.63, "error_rate": 0.97, "auc": 1.0},
+         {"dropout_rate": 0.1234561}),
+        ("beta", "ne-ma", 0, {"nll": 0.6, "error_rate": 1.2}, {"dropout_rate": 0.1234562}),
+        ("alpha", "single-best", 0, {"nll": 1.0, "mse": 1.0}, {}),
+        ("alpha", "ma", 0, {"nll": 0.9876543211, "mse": 0.97}, {}),
+        ("alpha", "ma", 1, {"nll": 0.9123456789, "mse": 0.99}, {}),
+    ]
+    GOLDEN_TABLE = [
+        'dataset: alpha',
+        '  method                         mse                   nll',
+        '  ma                0.9800 ± 0.0100*      0.9500 ± 0.0377*',
+        '  single-best       1.0000 ± 0.0000       1.0000 ± 0.0000 ',
+        '',
+        'dataset: beta',
+        '  method                            auc            error_rate                   nll',
+        '  akaike               1.0300 ± 0.0000       1.0000 ± 0.0123       0.5000 ± 0.0000*',
+        '  greedy               1.0625 ± 0.0000*      1.0000 ± 0.1000       0.5000 ± 0.2500 ',
+        '  ne-ma@0.1234561      1.0625 ± 0.0625       0.9600 ± 0.0100*      0.6200 ± 0.0100 ',
+        '  ne-ma@0.1234562                     -      1.2000 ± 0.0000       0.6000 ± 0.0000 ',
+        '',
+    ]
+    GOLDEN_CSV = [
+        'dataset,method,metric,mean,std,n_runs,best',
+        'alpha,ma,mse,0.98,0.01,2,true',
+        'alpha,ma,nll,0.95,0.0376543211,2,true',
+        'alpha,single-best,mse,1,0,1,false',
+        'alpha,single-best,nll,1,0,1,false',
+        'beta,akaike,auc,1.03,0,2,false',
+        'beta,akaike,error_rate,1,0.012345679,2,false',
+        'beta,akaike,nll,0.5,0,2,true',
+        'beta,greedy,auc,1.0625,0,2,true',
+        'beta,greedy,error_rate,1,0.1,2,false',
+        'beta,greedy,nll,0.5,0.25,2,false',
+        'beta,ne-ma@0.1234561,auc,1.0625,0.0625,2,false',
+        'beta,ne-ma@0.1234561,error_rate,0.96,0.01,2,true',
+        'beta,ne-ma@0.1234561,nll,0.62,0.01,2,false',
+        'beta,ne-ma@0.1234562,error_rate,1.2,0,1,false',
+        'beta,ne-ma@0.1234562,nll,0.6,0,1,false',
+    ]
+
+    def test_golden_table_and_summary(self, tmp_path, capsys):
+        path = str(tmp_path / "records.jsonl")
+        with open(path, "w") as fh:
+            for dataset, method, seed, normalized, config in self.GOLDEN_RECORDS:
+                fh.write(json.dumps({"dataset": dataset, "method": method, "seed": seed,
+                                     "normalized": normalized, "config": config}) + "\n")
+        summary = str(tmp_path / "summary.csv")
+        assert main(["report", "--records", path, "--out", summary]) == 0
+        assert capsys.readouterr().out.splitlines() == (
+            self.GOLDEN_TABLE + [f"summary written to {summary}"])
+        with open(summary) as fh:
+            assert fh.read() == "".join(line + "\n" for line in self.GOLDEN_CSV)
+
+    @pytest.mark.parametrize("bad", [
+        pytest.param('{"dataset": "d", "method": "a", "normalized": [1.0]}',
+                     id="normalized-list"),
+        pytest.param('{"dataset": "d", "method": "a", "normalized": 1.0}',
+                     id="normalized-number"),
+        pytest.param('{"dataset": "d", "method": "a", "normalized": {"nll": null}}',
+                     id="null-value"),
+        pytest.param('{"dataset": 7, "method": "a", "normalized": {"nll": 1.0}}',
+                     id="dataset-not-a-string"),
+        pytest.param('{"dataset": "d", "method": 7, "normalized": {"nll": 1.0}}',
+                     id="row-not-a-string"),
+        pytest.param('{"dataset": "d", "method": "a", "normalized": {"nll": true}}',
+                     id="bool-value"),
+        pytest.param('{"dataset": "d", "method": "a", "normalized": {}}',
+                     id="normalized-empty"),
+        pytest.param('{"dataset": "d", "method": "a", "normalized": {"nll": 1%s}}' % ("0" * 400),
+                     id="integer-beyond-float"),
+    ])
+    def test_malformed_record_exits_2_naming_its_line(self, tmp_path, capsys, bad):
+        path = str(tmp_path / "records.jsonl")
+        with open(path, "w") as fh:
+            fh.write('{"dataset": "d", "method": "b", "normalized": {"nll": 1.0}}\n')
+            fh.write(bad + "\n")
+        assert main(["report", "--records", path]) == 2
+        _assert_only_error_line(capsys.readouterr().err, f"{path}:2:")
+        assert not os.path.exists(path + ".summary.csv")
 
     def test_direction_aware_best_flags(self, tmp_path, capsys):
         # nll is lower-is-better, auc higher-is-better

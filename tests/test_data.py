@@ -188,6 +188,22 @@ class TestSaveLoadRoundtrip:
         with pytest.raises(DataFormatError):
             load_metadataset(str(out))
 
+    @pytest.mark.parametrize("key", ["n_models", "n_classes"])
+    @pytest.mark.parametrize("size", [None, [3], 2.7, True, 0, "abc", "3", 3.0],
+                             ids=["null", "list", "fraction", "bool", "zero", "text",
+                                  "numeric-text", "integral-float"])
+    def test_manifest_sizes_must_be_positive_integers(self, tmp_path, key, size):
+        ds = generate(SyntheticSpec(kind="experts", n_instances=10, n_models=3,
+                                    n_classes=3, seed=0))
+        out = tmp_path / "ds"
+        save_metadataset(ds, str(out))
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest[key] = size
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        pattern = re.escape(f"{out / 'manifest.json'}: '{key}' must be a JSON integer >= 1")
+        with pytest.raises(DataFormatError, match=pattern):
+            load_metadataset(str(out))
+
     def test_header_mismatch(self, tmp_path):
         ds = generate(SyntheticSpec(kind="experts", n_instances=10, n_models=2,
                                     n_classes=3, seed=0))

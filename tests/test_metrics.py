@@ -1,4 +1,5 @@
-"""Tests for evaluation metrics: the shared loss and its gradient, clamped
+"""Tests for evaluation metrics: the shared loss, its gradient and the
+entries it scores, clamped
 NLL, error rate, tie-averaged AUC, MSE, Gaussian regression NLL,
 ambiguity, and report helpers."""
 
@@ -94,6 +95,33 @@ class TestLoss:
         assert got.shape == (3,)
         for k in range(3):
             assert got[k] == pytest.approx(metrics.loss(values[:, k], targets, task), rel=1e-12)
+
+
+class TestLossIndex:
+    """``loss_index`` picks, on the last axis, each row's true class or the
+    single regression column."""
+
+    def test_classification_picks_true_class_of_matrix_and_cube(self):
+        rng = np.random.default_rng(6)
+        labels = rng.integers(0, 4, size=7).astype(np.float64)
+        matrix = rng.uniform(size=(7, 4))
+        cube = rng.uniform(size=(7, 3, 4))
+        index = metrics.loss_index(labels, TaskKind.CLASSIFICATION)
+        want_matrix = np.array([matrix[i, int(labels[i])] for i in range(7)])
+        want_cube = np.array([[cube[i, m, int(labels[i])] for m in range(3)] for i in range(7)])
+        assert matrix[index].tobytes() == want_matrix.tobytes()
+        assert cube[index].shape == (7, 3)
+        assert cube[index].tobytes() == want_cube.tobytes()
+
+    def test_regression_picks_the_single_column(self):
+        rng = np.random.default_rng(7)
+        targets = rng.normal(size=5)
+        matrix = rng.normal(size=(5, 1))
+        cube = rng.normal(size=(5, 3, 1))
+        index = metrics.loss_index(targets, TaskKind.REGRESSION)
+        assert matrix[index].tobytes() == np.array([matrix[i, 0] for i in range(5)]).tobytes()
+        want_cube = np.array([[cube[i, m, 0] for m in range(3)] for i in range(5)])
+        assert cube[index].tobytes() == want_cube.tobytes()
 
 
 class TestNll:

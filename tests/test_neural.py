@@ -325,6 +325,32 @@ class TestForwardModes:
             neural.predict(params, np.zeros((5, 4, 2)))
 
 
+class TestForwardContract:
+    """_forward returns the combiner's prediction in both modes: predict is
+    the unmasked pass, column 0 of it at C = 1."""
+
+    @pytest.mark.parametrize("mode", ["stacking", "ma"])
+    @pytest.mark.parametrize("n_classes", [1, 3])
+    def test_predict_is_the_unmasked_forward(self, mode, n_classes):
+        rng = np.random.default_rng(21 + n_classes)
+        params, cube, _, _ = _random_case(rng, mode, n_classes)
+        out = neural._forward(params, cube, None, 1.0)[0]
+        want = out[:, 0] if n_classes == 1 else out
+        assert out.shape == (cube.shape[0], n_classes)
+        got = neural.predict(params, cube)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_masked_stacking_forward_gives_simplex_rows(self):
+        rng = np.random.default_rng(24)
+        params, cube, _, _ = _random_case(rng, "stacking", 3)
+        mask = np.zeros(params.n_models)
+        mask[[0, params.n_models - 1]] = 1.0
+        out = neural._forward(params, cube, mask, 0.5)[0]
+        assert out.shape == (cube.shape[0], 3)
+        assert np.all(out > 0)
+        np.testing.assert_allclose(out.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
 class TestTrainingGradients:
     """Analytic gradients of the full training objective, dropout masks
     included, match central finite differences."""
