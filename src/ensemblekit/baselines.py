@@ -16,7 +16,7 @@ from typing import Tuple
 import numpy as np
 
 from . import metrics, nn
-from .data import TaskKind
+from .data import TaskKind, check_labels
 from .errors import ConfigError, ShapeError
 
 DEFAULT_N = 50
@@ -56,6 +56,7 @@ def predict_static(weights: np.ndarray, predictions: np.ndarray) -> np.ndarray:
 
 def model_losses(predictions: np.ndarray, labels: np.ndarray, task: TaskKind) -> np.ndarray:
     """Per-model validation loss (M,): clamped NLL or MSE."""
+    labels = check_labels(labels, len(predictions), task, predictions.shape[-1], "model_losses")
     return metrics.loss(predictions[metrics.loss_index(labels, task)], labels, task)
 
 
@@ -99,6 +100,7 @@ def greedy_select(
     """
     if n_slots < 1:
         raise ConfigError(f"greedy needs at least one slot, got {n_slots}")
+    labels = check_labels(labels, len(predictions), task, predictions.shape[-1], "greedy_select")
     proj = predictions[metrics.loss_index(labels, task)]
     m_models = proj.shape[1]
     running = np.zeros(proj.shape[0])
@@ -125,6 +127,7 @@ def quick_select(
     """
     if n < 1:
         raise ConfigError(f"quick needs n >= 1, got {n}")
+    labels = check_labels(labels, len(predictions), task, predictions.shape[-1], "quick_select")
     proj = predictions[metrics.loss_index(labels, task)]
     losses = metrics.loss(proj, labels, task)
     order = np.argsort(losses, kind="stable")
@@ -181,7 +184,9 @@ def fit_constant_ma(
     """
     if steps < 1:
         raise ConfigError(f"fit_constant_ma needs steps >= 1, got {steps}")
-    proj = np.asarray(predictions, dtype=np.float64)[metrics.loss_index(labels, task)]
+    predictions = np.asarray(predictions, dtype=np.float64)
+    labels = check_labels(labels, len(predictions), task, predictions.shape[-1], "fit_constant_ma")
+    proj = predictions[metrics.loss_index(labels, task)]
     v = np.zeros(proj.shape[1])
     state = nn.adam_init(v, learning_rate=learning_rate)
     # An overflow reaches Adam as a non-finite gradient, which raises

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import fcntl
 import json
 import os
@@ -122,14 +123,16 @@ def _single_best_reference(ds: MetaDataset) -> metrics.MetricReport:
 
 def _label(method: str, config: dict) -> str:
     """A record's row in `report`: ``method@<rate>`` when its config names
-    a dropout rate, else the plain method name. The rate is written with
-    ``:g`` when that reads back as the same number, else in full, so
-    distinct rates get distinct rows."""
+    a dropout rate (a float in [0, 1), else ValueError), or the plain method
+    name. The rate is written with ``:g`` when that reads back as the same
+    number, else in full, so distinct rates get distinct rows."""
     rate = config.get("dropout_rate")
     if rate is None:
         return method
+    if not (isinstance(rate, float) and 0.0 <= rate < 1.0):
+        raise ValueError(f"dropout rate {rate!r} is not a number in [0, 1)")
     text = f"{rate:g}"
-    return f"{method}@{text if float(text) == rate else repr(float(rate))}"
+    return f"{method}@{text if float(text) == rate else repr(rate)}"
 
 
 def _run_method(
@@ -306,8 +309,8 @@ def _load_cells(path: str) -> Dict[Tuple[str, str, str], List[float]]:
                 and all(isinstance(value, float) for value in normalized.values())):
             raise DataFormatError(
                 f"{path}:{line_no}: a record needs a string 'dataset' and 'method', a "
-                "non-empty 'normalized' object of numbers, and a number as config "
-                "'dropout_rate' if it names one")
+                "non-empty 'normalized' object of numbers, and a number in [0, 1) as "
+                "config 'dropout_rate' if it names one")
         for metric_name, value in normalized.items():
             cells.setdefault((dataset, row, metric_name), []).append(value)
     return cells
@@ -344,11 +347,12 @@ def cmd_report(args) -> int:
         print()
 
     out_path = args.out or args.records + ".summary.csv"
-    with open(out_path, "w", newline="\n") as fh:
-        fh.write("dataset,method,metric,mean,std,n_runs,best\n")
+    with open(out_path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["dataset", "method", "metric", "mean", "std", "n_runs", "best"])
         for (dataset, row, metric_name), (mean, std, n_runs) in stats.items():
-            is_best = str(best[dataset, metric_name][1] == row).lower()
-            fh.write(f"{dataset},{row},{metric_name},{mean:.12g},{std:.12g},{n_runs},{is_best}\n")
+            writer.writerow([dataset, row, metric_name, f"{mean:.12g}", f"{std:.12g}", n_runs,
+                             str(best[dataset, metric_name][1] == row).lower()])
     print(f"summary written to {out_path}")
     return 0
 

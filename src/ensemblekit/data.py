@@ -103,69 +103,69 @@ class MetaDataset:
         return self.val.predictions.shape[2]
 
 
-def check_simplex(cube: np.ndarray, where: str) -> None:
-    """Raise DataValidationError unless every (instance, model) row of an
-    (N, M, C) classification cube is a probability simplex: entries in
-    [0, 1] that sum to 1 within SIMPLEX_TOL. ``where`` starts the message."""
+def check_cube(cube: np.ndarray, where: str) -> None:
+    """Raise unless the float64 ``cube`` is (N, M, C) with N, M, C >= 1 and
+    every entry finite, naming the first entry that is not; when C > 1 each
+    (instance, model) row must be a simplex: entries in [0, 1] that sum to 1
+    within SIMPLEX_TOL. ``where`` starts each message."""
+    if cube.ndim != 3:
+        raise ShapeError(f"{where} must be (instances, models, classes), got shape {cube.shape}")
+    if cube.shape[0] < 1:
+        raise DataValidationError(f"{where} has no instances")
+    if cube.shape[1] < 1 or cube.shape[2] < 1:
+        raise DataValidationError(f"{where} needs at least one model and class")
+    if not np.isfinite(cube).all():
+        i, m, c = np.argwhere(~np.isfinite(cube))[0]
+        raise DataValidationError(f"{where} entry (instance {i}, model {m}, "
+                                  f"class {c}) is not finite: {cube[i, m, c]}")
+    if cube.shape[2] == 1:
+        return
     if np.any(cube < -1e-12) or np.any(cube > 1.0 + 1e-12):
         raise DataValidationError(f"{where}: predictions must be probabilities in [0, 1]")
     sums = cube.sum(axis=2)
     bad = np.abs(sums - 1.0) > SIMPLEX_TOL
     if np.any(bad):
         i, m = map(int, np.argwhere(bad)[0])
-        raise DataValidationError(
-            f"{where}: probabilities for instance {i}, model {m} "
-            f"sum to {sums[i, m]:.6f}, expected 1 within {SIMPLEX_TOL}"
-        )
+        raise DataValidationError(f"{where}: probabilities for instance {i}, model {m} "
+                                  f"sum to {sums[i, m]:.6f}, expected 1 within {SIMPLEX_TOL}")
+
+
+def check_labels(labels, n: int, task: TaskKind, n_classes: int, where: str) -> np.ndarray:
+    """A new array of ``labels`` checked to be 1-D with ``n`` entries: int64
+    class indices in [0, n_classes) for classification, finite float64
+    targets for regression. ``where`` starts each message."""
+    labels = np.asarray(labels)
+    if labels.ndim != 1 or labels.shape[0] != n:
+        raise ShapeError(f"{where} labels must be 1-D with {n} entries, got shape {labels.shape}")
+    if task is TaskKind.REGRESSION:
+        labels = labels.astype(np.float64)
+        if not np.all(np.isfinite(labels)):
+            raise DataValidationError(f"{where} labels contain non-finite values")
+        return labels
+    with np.errstate(invalid="ignore"):  # NaN and infinity fail the comparison
+        if not np.all(labels == labels.astype(np.int64)):
+            raise DataValidationError(f"{where} labels must be class indices")
+    labels = labels.astype(np.int64)
+    if n and (labels.min() < 0 or labels.max() >= n_classes):
+        raise DataValidationError(f"{where} labels must lie in [0, {n_classes}), got range "
+                                  f"[{labels.min()}, {labels.max()}]")
+    return labels
 
 
 def _sanitize_split(split: Split, task: TaskKind, split_name: str) -> Split:
     # A caller's array is copied, so that its later writes cannot reach the
-    # dataset and it stays writeable.
+    # dataset and it stays writeable; check_labels always returns a new array.
     if isinstance(split, _OwnedSplit):
         preds = np.asarray(split.predictions, dtype=np.float64)
     else:
         preds = np.array(split.predictions, dtype=np.float64, copy=True)
-    if preds.ndim != 3:
-        raise ShapeError(
-            f"{split_name} predictions must be (instances, models, classes), "
-            f"got shape {preds.shape}"
-        )
-    n, m, c = preds.shape
-    if n < 1:
-        raise DataValidationError(f"{split_name} split has no instances")
-    if m < 1 or c < 1:
-        raise DataValidationError(f"{split_name} split needs at least one model and class")
-    if not np.all(np.isfinite(preds)):
-        raise DataValidationError(f"{split_name} predictions contain non-finite values")
-
-    labels = np.asarray(split.labels)
-    if labels.ndim != 1 or labels.shape[0] != n:
-        raise ShapeError(
-            f"{split_name} labels must be 1-D with {n} entries, got shape {labels.shape}"
-        )
-
-    if task is TaskKind.CLASSIFICATION:
-        if c < 2:
-            raise DataValidationError("classification datasets need at least 2 classes")
-        check_simplex(preds, f"{split_name} split")
-        if not np.all(labels == labels.astype(np.int64)):
-            raise DataValidationError(f"{split_name} labels must be class indices")
-        labels = labels.astype(np.int64)
-        if labels.min() < 0 or labels.max() >= c:
-            raise DataValidationError(
-                f"{split_name} labels must lie in [0, {c}), got range "
-                f"[{labels.min()}, {labels.max()}]"
-            )
-    else:
-        if c != 1:
-            raise DataValidationError(
-                f"regression datasets use a single prediction column, got {c}"
-            )
-        labels = labels.astype(np.float64)
-        if not np.all(np.isfinite(labels)):
-            raise DataValidationError(f"{split_name} labels contain non-finite values")
-
+    check_cube(preds, f"{split_name} split")
+    c = preds.shape[2]
+    if task is TaskKind.CLASSIFICATION and c < 2:
+        raise DataValidationError("classification datasets need at least 2 classes")
+    if task is TaskKind.REGRESSION and c != 1:
+        raise DataValidationError(f"regression datasets use a single prediction column, got {c}")
+    labels = check_labels(split.labels, preds.shape[0], task, c, split_name)
     preds.flags.writeable = False
     labels.flags.writeable = False
     return Split(predictions=preds, labels=labels)
@@ -325,10 +325,11 @@ def load_metadataset(path: str) -> MetaDataset:
     for key in ("name", "task", "n_models", "n_classes", "splits"):
         if key not in manifest:
             raise DataFormatError(f"manifest missing required key '{key}'")
-    if sorted(manifest["splits"]) != sorted(SPLIT_NAMES):
-        raise DataFormatError(
-            f"manifest must declare splits {list(SPLIT_NAMES)}, got {manifest['splits']}"
-        )
+    declared = manifest["splits"]
+    # Sorted by str, so that a list of other values compares unequal instead of raising.
+    if not isinstance(declared, list) or sorted(declared, key=str) != sorted(SPLIT_NAMES):
+        raise DataFormatError(f"{manifest_path}: 'splits' must list {list(SPLIT_NAMES)}, "
+                              f"got {json.dumps(declared)}")
     try:
         task = TaskKind(manifest["task"])
     except ValueError:
@@ -388,9 +389,8 @@ def _parse_split(path: str, split_name: str, n_models: int, n_classes: int) -> S
         raise DataFormatError(f"{label_path}: expected single 'label' column")
     labels = label_values[:, 0]
     if labels.shape[0] != preds.shape[0]:
-        raise DataFormatError(
-            f"{label_path}: {labels.shape[0]} labels for {preds.shape[0]} prediction rows"
-        )
+        raise DataFormatError(f"{label_path}: {labels.shape[0]} labels for "
+                              f"{preds.shape[0]} prediction rows")
     return _OwnedSplit(predictions=preds, labels=labels)
 
 
@@ -526,7 +526,6 @@ def generate_preferred_model(spec: SyntheticSpec) -> MetaDataset:
 
 # Ground truth for the polynomial generator: f(x) = 2x^3 - x, degree 3.
 TRUE_POLY_COEFFS = np.array([0.0, -1.0, 0.0, 2.0])
-TRUE_POLY_DEGREE = 3
 _POOL_SIZE = 20
 
 

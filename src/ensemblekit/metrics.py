@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import TaskKind
+from .data import TaskKind, check_labels
 from .errors import DataValidationError, ShapeError, UndefinedMetricError
 
 PROB_CLAMP_LO = 1e-7
@@ -28,22 +28,6 @@ PROB_CLAMP_HI = 1.0 - 1e-7
 _GAUSS_CONST = 0.5 * float(np.log(2.0 * np.pi))
 
 _NORMALIZE_FLOOR = 1e-12
-
-
-def _check_labels(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    labels = np.asarray(labels)
-    if labels.ndim != 1:
-        raise ShapeError(f"labels must be 1-D, got shape {labels.shape}")
-    if not np.issubdtype(labels.dtype, np.integer):
-        if not np.all(labels == labels.astype(np.int64)):
-            raise DataValidationError("classification labels must be integers")
-    labels = labels.astype(np.int64)
-    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
-        raise DataValidationError(
-            f"labels must lie in [0, {n_classes}), got range "
-            f"[{labels.min()}, {labels.max()}]"
-        )
-    return labels
 
 
 def loss_index(labels: np.ndarray, task: TaskKind) -> tuple:
@@ -100,10 +84,8 @@ def nll(probs: np.ndarray, labels: np.ndarray) -> float:
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 2:
         raise ShapeError(f"probs must be (N, C), got shape {probs.shape}")
-    labels = _check_labels(labels, probs.shape[1])
-    if labels.shape[0] != probs.shape[0]:
-        raise ShapeError("probs and labels disagree on the number of instances")
     task = TaskKind.CLASSIFICATION
+    labels = check_labels(labels, len(probs), task, probs.shape[1], "nll")
     return float(loss(probs[loss_index(labels, task)], labels, task))
 
 
@@ -113,9 +95,9 @@ def error_rate(probs: np.ndarray, labels: np.ndarray) -> float:
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 2:
         raise ShapeError(f"probs must be (N, C), got shape {probs.shape}")
-    labels = _check_labels(labels, probs.shape[1])
-    predicted = np.argmax(probs, axis=1)
-    return float(np.mean(predicted != labels))
+    labels = check_labels(labels, len(probs), TaskKind.CLASSIFICATION, probs.shape[1],
+                          "error_rate")
+    return float(np.mean(np.argmax(probs, axis=1) != labels))
 
 
 def auc_binary(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -125,9 +107,7 @@ def auc_binary(scores: np.ndarray, labels: np.ndarray) -> float:
     one class is present, where the metric is undefined.
     """
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
-    labels = _check_labels(labels, 2)
-    if labels.shape[0] != scores.shape[0]:
-        raise ShapeError("scores and labels disagree on the number of instances")
+    labels = check_labels(labels, scores.shape[0], TaskKind.CLASSIFICATION, 2, "auc_binary")
     n_pos = int(np.sum(labels == 1))
     n_neg = int(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:

@@ -37,8 +37,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import metrics, nn
-from .data import MetaDataset, SyntheticSpec, TaskKind, check_simplex, generate_preferred_model
-from .errors import ConfigError, DataValidationError, NumericError, ShapeError
+from .data import MetaDataset, SyntheticSpec, TaskKind, check_cube, generate_preferred_model
+from .errors import ConfigError, NumericError, ShapeError
 
 MODE_STACKING = "stacking"
 MODE_MA = "ma"
@@ -296,16 +296,8 @@ def _loss_and_gradients(
 def _check_cube(params: NEParams, cube: np.ndarray) -> np.ndarray:
     cube = np.asarray(cube, dtype=np.float64)
     if cube.ndim != 3 or cube.shape[1] != params.n_models:
-        raise ShapeError(
-            f"prediction cube shape {cube.shape} does not match M={params.n_models}"
-        )
-    finite = np.isfinite(cube)
-    if not finite.all():
-        i, m, c = np.argwhere(~finite)[0]
-        raise DataValidationError(f"prediction cube entry (instance {i}, model {m}, "
-                                  f"class {c}) is not finite: {cube[i, m, c]}")
-    if cube.shape[2] > 1:
-        check_simplex(cube, "prediction cube")
+        raise ShapeError(f"prediction cube shape {cube.shape} does not match M={params.n_models}")
+    check_cube(cube, "prediction cube")
     return cube
 
 

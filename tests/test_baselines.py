@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ensemblekit.errors import ConfigError
+from ensemblekit.errors import ConfigError, DataValidationError, ShapeError
 from ensemblekit import baselines, data, metrics, nn
 from ensemblekit.data import SyntheticSpec, TaskKind, generate
 
@@ -71,6 +71,41 @@ class TestSingleBestAndTopN:
         labels = np.ones(4)
         losses = baselines.model_losses(preds, labels, TaskKind.REGRESSION)
         np.testing.assert_allclose(losses, [1.0, 0.0])
+
+
+_LABEL_CHECKED = [
+    baselines.model_losses, baselines.single_best, baselines.top_n, baselines.greedy_select,
+    baselines.quick_select, baselines.fit_constant_ma,
+]
+_LABEL_CHECKED_IDS = ["model_losses", "single_best", "top_n", "greedy", "quick", "constant_ma"]
+
+
+class TestLabelChecks:
+    """Every fitter checks its labels against the cube's rows and classes."""
+
+    @pytest.mark.parametrize("fit", _LABEL_CHECKED, ids=_LABEL_CHECKED_IDS)
+    def test_too_few_labels(self, fit):
+        # Unchecked, single_best scored only the first two rows and returned 0.
+        cube = np.array([[[0.9, 0.1], [0.6, 0.4]],
+                         [[0.9, 0.1], [0.6, 0.4]],
+                         [[0.1, 0.9], [0.6, 0.4]]])
+        with pytest.raises(ShapeError, match="labels must be 1-D with 3 entries"):
+            fit(cube, np.array([0, 0]), TaskKind.CLASSIFICATION)
+
+    @pytest.mark.parametrize("fit", _LABEL_CHECKED, ids=_LABEL_CHECKED_IDS)
+    @pytest.mark.parametrize("bad", [2, -1, 0.5])
+    def test_labels_outside_the_classes(self, fit, bad):
+        cube, labels = _classification_cube()
+        labels = labels.astype(np.float64)
+        labels[7] = bad
+        with pytest.raises(DataValidationError, match="labels must"):
+            fit(cube, labels, TaskKind.CLASSIFICATION)
+
+    @pytest.mark.parametrize("fit", _LABEL_CHECKED, ids=_LABEL_CHECKED_IDS)
+    def test_non_finite_regression_target(self, fit):
+        cube = np.zeros((4, 2, 1))
+        with pytest.raises(DataValidationError, match="labels contain non-finite values"):
+            fit(cube, np.array([0.0, 1.0, np.nan, 2.0]), TaskKind.REGRESSION)
 
 
 class TestRandomN:

@@ -4,6 +4,7 @@ dropout rates) and their report rows, report aggregation, exit codes,
 output locking, the forked task mapper, records across BLAS thread
 counts, edge-case datasets, and the commands shown in README."""
 
+import csv
 import fcntl
 import json
 import os
@@ -414,7 +415,7 @@ class TestSeedMapper:
         assert errors[0] == errors[1]
 
 
-class TestSweepDropout:
+class TestDropoutRates:
     """A dropout sweep is one `run ne-stack` or `run ne-ma` over a list of
     rates: one record per (seed, rate), and one report row per rate."""
 
@@ -578,6 +579,12 @@ class TestReport:
                      id="normalized-empty"),
         pytest.param('{"dataset": "d", "method": "a", "normalized": {"nll": 1%s}}' % ("0" * 400),
                      id="integer-beyond-float"),
+        pytest.param('{"dataset": "d", "method": "a", "normalized": {"nll": 1.0}, '
+                     '"config": {"dropout_rate": true}}', id="bool-rate"),
+        pytest.param('{"dataset": "d", "method": "a", "normalized": {"nll": 1.0}, '
+                     '"config": {"dropout_rate": 7.5}}', id="rate-above-range"),
+        pytest.param('{"dataset": "d", "method": "a", "normalized": {"nll": 1.0}, '
+                     '"config": {"dropout_rate": -0.25}}', id="negative-rate"),
     ])
     def test_malformed_record_exits_2_naming_its_line(self, tmp_path, capsys, bad):
         path = str(tmp_path / "records.jsonl")
@@ -587,6 +594,18 @@ class TestReport:
         assert main(["report", "--records", path]) == 2
         _assert_only_error_line(capsys.readouterr().err, f"{path}:2:")
         assert not os.path.exists(path + ".summary.csv")
+
+    def test_summary_quotes_names_holding_commas_and_quotes(self, tmp_path, capsys):
+        path = str(tmp_path / "records.jsonl")
+        self._write_records(path, [{"dataset": "a,b", "method": 'x "y"', "seed": 0,
+                                    "normalized": {"nll": 1.0}, "config": {}}])
+        csv_path = str(tmp_path / "summary.csv")
+        assert main(["report", "--records", path, "--out", csv_path]) == 0
+        capsys.readouterr()
+        with open(csv_path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["dataset", "method", "metric", "mean", "std", "n_runs", "best"],
+                        ["a,b", 'x "y"', "nll", "1", "0", "1", "true"]]
 
     def test_direction_aware_best_flags(self, tmp_path, capsys):
         # nll is lower-is-better, auc higher-is-better

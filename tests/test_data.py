@@ -12,7 +12,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from ensemblekit.errors import ConfigError, DataFormatError, DataValidationError
+from ensemblekit.errors import ConfigError, DataFormatError, DataValidationError, ShapeError
 from ensemblekit import data
 from ensemblekit.data import (
     MetaDataset,
@@ -129,6 +129,59 @@ class TestSplitValidation:
             assert not split.labels.flags.writeable
 
 
+class TestInputChecks:
+    """check_cube and check_labels are the one rule for a prediction cube
+    and a label vector, at load and at every public entry point."""
+
+    def test_cube_names_first_non_finite_entry(self):
+        cube = np.full((3, 2, 2), 0.5)
+        cube[2, 0, 1] = np.inf
+        cube[1, 1, 0] = np.nan
+        pattern = r"^here entry \(instance 1, model 1, class 0\) is not finite: nan$"
+        with pytest.raises(DataValidationError, match=pattern):
+            data.check_cube(cube, "here")
+
+    def test_cube_shape_and_sizes(self):
+        with pytest.raises(ShapeError, match=r"^here must be \(instances, models, classes\)"):
+            data.check_cube(np.full((3, 2), 0.5), "here")
+        with pytest.raises(DataValidationError, match="^here has no instances$"):
+            data.check_cube(np.zeros((0, 2, 2)), "here")
+        with pytest.raises(DataValidationError, match="^here needs at least one model and class$"):
+            data.check_cube(np.zeros((3, 0, 2)), "here")
+
+    def test_cube_simplex_only_with_classes(self):
+        data.check_cube(np.full((3, 2, 1), 7.5), "here")  # a regression column
+        with pytest.raises(DataValidationError, match="instance 0, model 1 sum to 1.500000"):
+            data.check_cube(np.array([[[0.5, 0.5], [0.75, 0.75]]]), "here")
+
+    def test_classification_labels_become_int64_copies(self):
+        given = np.array([2.0, 0.0, 1.0])
+        labels = data.check_labels(given, 3, TaskKind.CLASSIFICATION, 3, "here")
+        assert labels.dtype == np.int64 and labels.tolist() == [2, 0, 1]
+        labels[0] = 0
+        assert given[0] == 2.0
+
+    @pytest.mark.parametrize("labels, n", [([0, 1], 3), ([0, 1, 1, 0], 3), ([[0, 1, 1]], 3)],
+                             ids=["too-few", "too-many", "two-d"])
+    def test_label_shape(self, labels, n):
+        with pytest.raises(ShapeError, match=f"^here labels must be 1-D with {n} entries"):
+            data.check_labels(np.array(labels), n, TaskKind.CLASSIFICATION, 2, "here")
+
+    @pytest.mark.parametrize("labels", [[0, 1.5], [0, np.nan], [0, np.inf], [0, 1e300],
+                                        [0, 2], [-1, 0]],
+                             ids=["fraction", "nan", "inf", "huge", "too-high", "negative"])
+    def test_bad_class_labels(self, labels):
+        # A RuntimeWarning on the way would fail here: the suite turns it into an error.
+        with pytest.raises(DataValidationError, match="^here labels must"):
+            data.check_labels(np.array(labels), 2, TaskKind.CLASSIFICATION, 2, "here")
+
+    def test_regression_labels(self):
+        labels = data.check_labels([1, 2], 2, TaskKind.REGRESSION, 1, "here")
+        assert labels.dtype == np.float64 and labels.tolist() == [1.0, 2.0]
+        with pytest.raises(DataValidationError, match="^here labels contain non-finite values$"):
+            data.check_labels(np.array([0.5, np.nan]), 2, TaskKind.REGRESSION, 1, "here")
+
+
 class TestSaveLoadRoundtrip:
     """The directory format persists datasets losslessly and
     deterministically."""
@@ -204,6 +257,22 @@ class TestSaveLoadRoundtrip:
         with pytest.raises(DataFormatError, match=pattern):
             load_metadataset(str(out))
 
+    @pytest.mark.parametrize("splits", [5, "val,test", None, {"val": 1}, ["val"],
+                                        ["val", 5], [["val"], "test"]],
+                             ids=["number", "text", "null", "object", "one-split",
+                                  "number-in-list", "list-in-list"])
+    def test_manifest_splits_must_list_val_and_test(self, tmp_path, splits):
+        ds = generate(SyntheticSpec(kind="experts", n_instances=10, n_models=3,
+                                    n_classes=3, seed=0))
+        out = tmp_path / "ds"
+        save_metadataset(ds, str(out))
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["splits"] = splits
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        pattern = re.escape(f"{out / 'manifest.json'}: 'splits' must list ['val', 'test']")
+        with pytest.raises(DataFormatError, match=pattern):
+            load_metadataset(str(out))
+
     def test_header_mismatch(self, tmp_path):
         ds = generate(SyntheticSpec(kind="experts", n_instances=10, n_models=2,
                                     n_classes=3, seed=0))
@@ -225,6 +294,23 @@ class TestSaveLoadRoundtrip:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-2]) + "\n")
         with pytest.raises(DataFormatError):
+            load_metadataset(str(out))
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_named_on_load(self, tmp_path, cell):
+        ds = generate(SyntheticSpec(kind="experts", n_instances=10, n_models=2,
+                                    n_classes=3, seed=0))
+        out = tmp_path / "ds"
+        save_metadataset(ds, str(out))
+        path = out / "test_predictions.csv"
+        lines = path.read_text().splitlines()
+        cells = lines[4].split(",")
+        cells[4] = cell  # instance 3 (line 5), model 1, class 1
+        lines[4] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataValidationError,
+                           match=r"^test split entry \(instance 3, model 1, class 1\) "
+                                 r"is not finite"):
             load_metadataset(str(out))
 
     def test_tampered_probabilities_rejected_on_load(self, tmp_path):

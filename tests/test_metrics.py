@@ -167,6 +167,34 @@ class TestErrorRate:
         assert metrics.error_rate(probs, np.array([1])) == 1.0
 
 
+class TestLabelChecks:
+    """nll, error_rate and auc_binary check their labels against the rows
+    and classes they score."""
+
+    @pytest.mark.parametrize("n_labels", [1, 2, 4])
+    @pytest.mark.parametrize("metric", [metrics.nll, metrics.error_rate],
+                             ids=["nll", "error_rate"])
+    def test_label_count_must_match_rows(self, metric, n_labels):
+        # error_rate of these 3 rows against the single label [0] once returned 1/3.
+        probs = np.array([[0.6, 0.4], [0.3, 0.7], [0.8, 0.2]])
+        with pytest.raises(ShapeError, match="labels must be 1-D with 3 entries"):
+            metric(probs, np.zeros(n_labels, dtype=int))
+
+    def test_auc_label_count_must_match_scores(self):
+        with pytest.raises(ShapeError, match="labels must be 1-D with 3 entries"):
+            metrics.auc_binary(np.array([0.1, 0.5, 0.9]), np.array([0, 1]))
+
+    @pytest.mark.parametrize("labels", [[0, 2, 1], [0, 0.5, 1], [0, np.nan, 1]],
+                             ids=["out-of-range", "fraction", "nan"])
+    @pytest.mark.parametrize("metric", [metrics.nll, metrics.error_rate, metrics.auc_binary],
+                             ids=["nll", "error_rate", "auc_binary"])
+    def test_bad_class_labels(self, metric, labels):
+        probs = np.array([[0.6, 0.4], [0.3, 0.7], [0.8, 0.2]])
+        scores = probs[:, 1] if metric is metrics.auc_binary else probs
+        with pytest.raises(DataValidationError, match="labels must"):
+            metric(scores, np.array(labels))
+
+
 class TestAucBinary:
     """Rank-based AUC with tie averaging."""
 

@@ -295,6 +295,17 @@ class TestForwardModes:
                 entry_point(params, cube)
 
     @pytest.mark.parametrize("mode", ["stacking", "ma"])
+    def test_cube_without_instances_or_classes_rejected(self, mode):
+        config = neural.NEConfig(mode=mode, layers=2, hidden_dim=4, seed=8)
+        params = neural.init_ne_params(config, 3)
+        entry_points = [neural.predict] + ([neural.ma_weights] if mode == "ma" else [])
+        for entry_point in entry_points:
+            with pytest.raises(DataValidationError, match="^prediction cube has no instances$"):
+                entry_point(params, np.zeros((0, 3, 2)))
+            with pytest.raises(DataValidationError, match="at least one model and class$"):
+                entry_point(params, np.zeros((4, 3, 0)))
+
+    @pytest.mark.parametrize("mode", ["stacking", "ma"])
     def test_non_simplex_cube_rejected_with_position(self, mode):
         """Classification rows must be simplexes at inference, as at load."""
         config = neural.NEConfig(mode=mode, layers=2, hidden_dim=4, seed=8)
