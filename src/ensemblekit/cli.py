@@ -123,14 +123,14 @@ def _single_best_reference(ds: MetaDataset) -> metrics.MetricReport:
 
 def _label(method: str, config: dict) -> str:
     """A record's row in `report`: ``method@<rate>`` when its config names
-    a dropout rate (a float in [0, 1), else ValueError), or the plain method
-    name. The rate is written with ``:g`` when that reads back as the same
-    number, else in full, so distinct rates get distinct rows."""
+    a dropout rate (else neural.check_dropout_rate's ConfigError, a
+    ValueError), or the plain method name. The rate is written with ``:g``
+    when that reads back as the same number, else in full, so distinct
+    rates get distinct rows."""
     rate = config.get("dropout_rate")
     if rate is None:
         return method
-    if not (isinstance(rate, float) and 0.0 <= rate < 1.0):
-        raise ValueError(f"dropout rate {rate!r} is not a number in [0, 1)")
+    neural.check_dropout_rate(rate)
     text = f"{rate:g}"
     return f"{method}@{text if float(text) == rate else repr(rate)}"
 
@@ -231,8 +231,7 @@ def cmd_run(args) -> int:
     seeds = _parse_list(args.seeds, "--seeds", int)
     rates = _parse_list(args.dropout_rate, "--dropout-rate", float)
     for rate in rates:
-        if not 0.0 <= rate < 1.0:
-            raise ConfigError(f"dropout rates must lie in [0, 1), got {rate}")
+        neural.check_dropout_rate(rate)
     if len(rates) > 1 and args.method not in _NE_MODE_BY_METHOD:
         raise ConfigError(f"{args.method} has no dropout rate; a list of "
                           f"{len(rates)} rates would repeat each record")

@@ -10,6 +10,16 @@ The on-disk layout is one directory per dataset: ``manifest.json`` plus
 ``np.savetxt`` with ``%.17g`` (17 significant digits, so a save/load round
 trip is exact; class labels use ``%d``) and read back by ``np.loadtxt``.
 
+Beside each split's CSV files, ``save_metadataset`` writes a parse cache,
+``<split>_cache.npy``: three ``np.save`` records holding the sha256 of the
+split's two CSV files, the float64 predictions and the float64 labels.
+``load_metadataset`` takes both splits from their caches only when each
+cache opens, its digests equal a fresh sha256 of the CSV bytes beside it
+and its shapes fit the manifest. ``%.17g`` and ``%d`` round-trip exactly,
+so a hit returns the arrays a parse of those bytes would. Anything else
+parses the CSV files, with the parse's errors; the loader never writes a
+cache, and deleting one only forces a parse.
+
 The splits are written and parsed in forked worker processes, one per
 split up to the usable CPUs (``fork_map``); there is no setting for it.
 A dataset too small to repay starting the workers, a single CPU or a
@@ -21,6 +31,7 @@ either way; validation always runs in the calling process.
 from __future__ import annotations
 
 import enum
+import hashlib
 import json
 import os
 import tempfile
@@ -36,6 +47,7 @@ SIMPLEX_TOL = 1e-4
 SPLIT_NAMES = ("val", "test")
 
 _FLOAT_FMT = "%.17g"
+_CACHE_SUFFIX = "_cache.npy"
 
 # Below these sizes the splits are handled in this process. In a fresh
 # process, starting fork_map's workers (importing multiprocessing, forking,
@@ -234,8 +246,9 @@ def _prediction_header(n_models: int, n_classes: int) -> List[str]:
 def save_metadataset(ds: MetaDataset, path: str) -> None:
     """Write a dataset directory; identical datasets produce identical bytes.
 
-    This process writes the manifest; each split's two CSV files are
-    written by a fork_map worker, or here for a small dataset."""
+    This process writes the manifest; each split's two CSV files and its
+    parse cache are written by a fork_map worker, or here for a small
+    dataset."""
     os.makedirs(path, exist_ok=True)
     manifest = {
         "name": ds.name,
@@ -256,8 +269,49 @@ def save_metadataset(ds: MetaDataset, path: str) -> None:
         np.savetxt(f"{stem}_predictions.csv", split.predictions.reshape(split.n_instances, -1),
                    fmt=_FLOAT_FMT, delimiter=",", header=header, comments="")
         np.savetxt(f"{stem}_labels.csv", split.labels, fmt=label_fmt, header="label", comments="")
+        # C order and float64 labels: the arrays _parse_split returns.
+        with open(stem + _CACHE_SUFFIX, "wb") as fh:
+            np.save(fh, np.frombuffer(_csv_digest(stem), dtype=np.uint8))
+            np.save(fh, np.ascontiguousarray(split.predictions))
+            np.save(fh, split.labels.astype(np.float64))
 
     _map_splits(write, ds.val.predictions.size + ds.test.predictions.size, _FORK_MIN_VALUES)
+
+
+def _csv_digest(stem: str) -> bytes:
+    """The sha256 digests of a split's predictions and labels CSV files."""
+    digests = b""
+    for kind in ("predictions", "labels"):
+        sha = hashlib.sha256()
+        with open(f"{stem}_{kind}.csv", "rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                sha.update(chunk)
+        digests += sha.digest()
+    return digests
+
+
+def _cached_splits(path: str, n_models: int, n_classes: int) -> Optional[List[Split]]:
+    """Both splits from the caches save_metadataset wrote beside the CSV
+    files, or None unless each cache opens, holds the digests of the CSV
+    files now beside it, and holds (N, n_models, n_classes) predictions
+    with N labels."""
+    splits = []
+    for split_name in SPLIT_NAMES:
+        stem = os.path.join(path, split_name)
+        try:
+            with open(stem + _CACHE_SUFFIX, "rb") as fh:
+                digest = np.load(fh, allow_pickle=False)
+                if digest.tobytes() != _csv_digest(stem):
+                    return None
+                preds = np.load(fh, allow_pickle=False)
+                labels = np.load(fh, allow_pickle=False)
+        except (OSError, ValueError, EOFError, MemoryError):
+            return None
+        if (preds.dtype != np.float64 or labels.dtype != np.float64
+                or preds.shape[1:] != (n_models, n_classes) or labels.shape != preds.shape[:1]):
+            return None
+        splits.append(_OwnedSplit(predictions=preds, labels=labels))
+    return splits
 
 
 def _is_number(cell: str) -> bool:
@@ -321,6 +375,9 @@ def load_metadataset(path: str) -> MetaDataset:
             manifest = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"manifest is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise DataFormatError(f"{manifest_path}: the manifest must be a JSON object, "
+                              f"got {json.dumps(manifest)}")
 
     for key in ("name", "task", "n_models", "n_classes", "splits"):
         if key not in manifest:
@@ -341,7 +398,19 @@ def load_metadataset(path: str) -> MetaDataset:
                 f"{manifest_path}: '{key}' must be a JSON integer >= 1, got {json.dumps(size)}"
             )
     n_models, n_classes = manifest["n_models"], manifest["n_classes"]
+    name = manifest["name"]
+    if not isinstance(name, str) or not name:
+        raise DataFormatError(
+            f"{manifest_path}: 'name' must be a non-empty JSON string, got {json.dumps(name)}"
+        )
+    val, test = (_cached_splits(path, n_models, n_classes)
+                 or _parsed_splits(path, n_models, n_classes))
+    return MetaDataset(name=name, task=task, val=val, test=test)
 
+
+def _parsed_splits(path: str, n_models: int, n_classes: int) -> List[Split]:
+    """Both splits parsed from their CSV files, in fork_map's workers for a
+    large dataset."""
     parent = os.getpid()
     with tempfile.TemporaryFile(buffering=0) as val_fh, \
             tempfile.TemporaryFile(buffering=0) as test_fh:
@@ -360,10 +429,8 @@ def load_metadataset(path: str) -> MetaDataset:
         pred_paths = [os.path.join(path, f"{name}_predictions.csv") for name in SPLIT_NAMES]
         csv_bytes = sum(os.path.getsize(p) for p in pred_paths if os.path.isfile(p))
         splits = _map_splits(parse, csv_bytes, _FORK_MIN_BYTES)
-        val, test = (_read_back(fh) if split is None else split
-                     for split, fh in zip(splits, files.values()))
-
-    return MetaDataset(name=str(manifest["name"]), task=task, val=val, test=test)
+        return [_read_back(fh) if split is None else split
+                for split, fh in zip(splits, files.values())]
 
 
 def _read_back(fh) -> Split:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import numbers
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -44,6 +45,13 @@ MODE_STACKING = "stacking"
 MODE_MA = "ma"
 
 _MASK_RESAMPLE_LIMIT = 100
+
+
+def check_dropout_rate(rate) -> None:
+    """Raise ConfigError unless ``rate`` is a dropout rate: a number, not a
+    bool, in [0, 1)."""
+    if isinstance(rate, bool) or not isinstance(rate, numbers.Real) or not 0.0 <= rate < 1.0:
+        raise ConfigError(f"dropout rate must be a number in [0, 1), got {rate!r}")
 
 
 @dataclass(frozen=True)
@@ -69,8 +77,7 @@ class NEConfig:
     def __post_init__(self):
         if self.mode not in (MODE_STACKING, MODE_MA):
             raise ConfigError(f"mode must be '{MODE_STACKING}' or '{MODE_MA}', got {self.mode!r}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
+        check_dropout_rate(self.dropout_rate)
         if self.layers < 1:
             raise ConfigError(f"layers must be >= 1, got {self.layers}")
         if self.hidden_dim < 1:

@@ -8,6 +8,7 @@ import csv
 import fcntl
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 import ensemblekit
-from ensemblekit import cli
+from ensemblekit import cli, neural
 from ensemblekit.cli import main
 from ensemblekit.errors import ConfigError
 from ensemblekit.data import (
@@ -151,6 +152,23 @@ class TestSynthAndValidate:
         with open(path, "w") as fh:
             fh.writelines(lines)
         assert main(["validate", "--data", data]) == 2
+
+    @pytest.mark.parametrize("manifest, fragment", [
+        ("5", "the manifest must be a JSON object, got 5"),
+        ("[1, 2]", "the manifest must be a JSON object, got [1, 2]"),
+        (None, "'name' must be a non-empty JSON string, got null"),
+    ], ids=["number", "array", "null-name"])
+    def test_validate_malformed_manifest_exits_2(self, tmp_path, capsys, manifest, fragment):
+        data = _synth(tmp_path)
+        path = os.path.join(data, "manifest.json")
+        if manifest is None:
+            with open(path) as fh:
+                manifest = json.dumps(dict(json.load(fh), name=None))
+        with open(path, "w") as fh:
+            fh.write(manifest)
+        capsys.readouterr()
+        assert main(["validate", "--data", data]) == 2
+        _assert_only_error_line(capsys.readouterr().err, f"{path}: {fragment}")
 
     def test_unknown_kind_is_an_argparse_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -476,6 +494,31 @@ class TestDropoutRates:
 
     def test_repeated_seed_exits_2_before_loading(self, tmp_path, monkeypatch):
         self._assert_rejected_before_loading(tmp_path, monkeypatch, "akaike", "0.75", "0,1,0")
+
+    def test_run_report_and_config_share_one_rate_rule(self, tmp_path, capsys):
+        message = "dropout rate must be a number in [0, 1), got 1.0"
+        data = _synth(tmp_path)
+        capsys.readouterr()
+        assert main(["run", "ne-ma", "--data", data, "--out", str(tmp_path / "r.jsonl"),
+                     "--dropout-rate", "1.0"] + FAST_NE) == 2
+        _assert_only_error_line(capsys.readouterr().err, message)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            neural.NEConfig(dropout_rate=1.0)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            cli._label("ne-ma", {"dropout_rate": 1.0})
+
+    def test_integer_rate_shares_the_row_of_its_float(self, tmp_path, capsys):
+        path = str(tmp_path / "records.jsonl")
+        with open(path, "w") as fh:
+            for rate in ("0", "0.0"):
+                fh.write('{"dataset": "d", "method": "ne-ma", "seed": 0, "normalized": '
+                         '{"nll": 1.0}, "config": {"dropout_rate": %s}}\n' % rate)
+        summary = str(tmp_path / "summary.csv")
+        assert main(["report", "--records", path, "--out", summary]) == 0
+        capsys.readouterr()
+        with open(summary) as fh:
+            rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+        assert [(cells[1], cells[5]) for cells in rows] == [("ne-ma@0", "2")]
 
     def test_rates_equal_to_six_digits_get_their_own_rows(self, tmp_path, capsys):
         path = str(tmp_path / "records.jsonl")

@@ -26,6 +26,14 @@ from ensemblekit.data import (
 
 
 GOLDEN_CSV = os.path.join(os.path.dirname(__file__), "data", "golden_csv.json")
+CACHE_FILES = ["test_cache.npy", "val_cache.npy"]
+
+
+def _drop_caches(path):
+    """Delete the parse caches save_metadataset wrote, so that the next
+    load parses the CSV files."""
+    for name in CACHE_FILES:
+        os.remove(os.path.join(path, name))
 
 
 def _tiny_classification():
@@ -273,6 +281,34 @@ class TestSaveLoadRoundtrip:
         with pytest.raises(DataFormatError, match=pattern):
             load_metadataset(str(out))
 
+    @pytest.mark.parametrize("manifest", ["5", "[1, 2]", '"ds"', "null", "true"],
+                             ids=["number", "array", "string", "null", "bool"])
+    def test_manifest_must_be_an_object(self, tmp_path, manifest):
+        ds = generate(SyntheticSpec(kind="experts", n_instances=10, n_models=2,
+                                    n_classes=3, seed=0))
+        out = tmp_path / "ds"
+        save_metadataset(ds, str(out))
+        (out / "manifest.json").write_text(manifest + "\n")
+        pattern = re.escape(f"{out / 'manifest.json'}: the manifest must be a JSON object, "
+                            f"got {manifest}")
+        with pytest.raises(DataFormatError, match=f"^{pattern}$"):
+            load_metadataset(str(out))
+
+    @pytest.mark.parametrize("name", [None, "", 5, True, ["ds"]],
+                             ids=["null", "empty", "number", "bool", "list"])
+    def test_manifest_name_must_be_a_non_empty_string(self, tmp_path, name):
+        ds = generate(SyntheticSpec(kind="experts", n_instances=10, n_models=2,
+                                    n_classes=3, seed=0))
+        out = tmp_path / "ds"
+        save_metadataset(ds, str(out))
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["name"] = name
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        pattern = re.escape(f"{out / 'manifest.json'}: 'name' must be a non-empty JSON string, "
+                            f"got {json.dumps(name)}")
+        with pytest.raises(DataFormatError, match=f"^{pattern}$"):
+            load_metadataset(str(out))
+
     def test_header_mismatch(self, tmp_path):
         ds = generate(SyntheticSpec(kind="experts", n_instances=10, n_models=2,
                                     n_classes=3, seed=0))
@@ -362,7 +398,7 @@ class TestCsvFiles:
         ds = generate(SyntheticSpec(**golden["spec"]))
         out = tmp_path / "ds"
         save_metadataset(ds, str(out))
-        assert sorted(os.listdir(out)) == sorted(golden["files"])
+        assert sorted(os.listdir(out)) == sorted(list(golden["files"]) + CACHE_FILES)
         for name, text in golden["files"].items():
             assert (out / name).read_bytes() == text.encode(), name
         back = load_metadataset(str(out))
@@ -441,9 +477,10 @@ class TestForkedSplits:
             _split_io(monkeypatch, forked)
             out = tmp_path / str(forked)
             save_metadataset(ds, str(out))
-            assert sorted(os.listdir(out)) == sorted(golden["files"])
+            assert sorted(os.listdir(out)) == sorted(list(golden["files"]) + CACHE_FILES)
             for name, text in golden["files"].items():
                 assert (out / name).read_bytes() == text.encode(), name
+            _drop_caches(out)
             loaded[forked] = load_metadataset(str(out))
         for split in ("val", "test"):
             for field in ("predictions", "labels"):
@@ -473,6 +510,7 @@ class TestForkedSplits:
         out = str(tmp_path / "ds")
         _split_io(monkeypatch, forked=True)
         save_metadataset(ds, out)
+        _drop_caches(out)
         load_metadataset(out)
         assert calls == [data.SPLIT_NAMES] * 2
         assert pids == []  # the workers appended to their own copies
@@ -535,10 +573,34 @@ class TestForkedSplits:
         assert _open_fds() == fds
         assert multiprocessing.active_children() == []
 
+    def test_nothing_left_behind_by_a_forked_parse(self, tmp_path, monkeypatch):
+        """A successful load without the caches parses in forked workers and,
+        like a cache hit, leaves no temporary file, descriptor or child."""
+        import multiprocessing
+        import tempfile
+
+        temp = tmp_path / "temp"
+        temp.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(temp))
+        ds = generate(SyntheticSpec(kind="experts", n_instances=10, n_models=2,
+                                    n_classes=3, seed=0))
+        out = tmp_path / "ds"
+        save_metadataset(ds, str(out))
+        _drop_caches(out)
+        _split_io(monkeypatch, forked=True)
+        fds = _open_fds()
+        calls = _parse_spy(monkeypatch)
+        load_metadataset(str(out))
+        assert calls == []  # the workers parsed
+        assert os.listdir(temp) == []
+        assert _open_fds() == fds
+        assert multiprocessing.active_children() == []
+
     def test_dead_worker_raises_instead_of_hanging(self, tmp_path):
         ds = generate(SyntheticSpec(kind="experts", n_instances=10, n_models=2,
                                     n_classes=3, seed=0))
         save_metadataset(ds, str(tmp_path / "ds"))
+        _drop_caches(tmp_path / "ds")
         code = textwrap.dedent("""
             import os, sys
             from concurrent.futures.process import BrokenProcessPool
@@ -558,6 +620,120 @@ class TestForkedSplits:
                               capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "broken\n"
+
+
+def _parse_spy(monkeypatch):
+    """Count _parse_split calls in this process."""
+    calls = []
+    parse = data._parse_split
+
+    def spy(*args):
+        calls.append(args[1])
+        return parse(*args)
+
+    monkeypatch.setattr(data, "_parse_split", spy)
+    return calls
+
+
+def _assert_same_arrays(got, want):
+    """Every split array of ``got`` has the dtype, shape, strides and bytes
+    of ``want``'s."""
+    for split in data.SPLIT_NAMES:
+        for field in ("predictions", "labels"):
+            a = getattr(getattr(got, split), field)
+            b = getattr(getattr(want, split), field)
+            assert (a.dtype, a.shape, a.strides) == (b.dtype, b.shape, b.strides)
+            assert a.tobytes() == b.tobytes(), (split, field)
+
+
+class TestParseCache:
+    """save_metadataset writes each split's arrays beside its CSV files;
+    load_metadataset reads them only while the CSV files are the bytes
+    they were saved with, and otherwise parses the CSV files."""
+
+    @staticmethod
+    def _parsed(path, monkeypatch):
+        """The dataset at ``path`` parsed from its CSV files, caches left in place."""
+        with monkeypatch.context() as patch:
+            patch.setattr(data, "_cached_splits", lambda *args: None)
+            return load_metadataset(str(path))
+
+    @pytest.mark.parametrize("kind", ["experts", "preferred", "poly"])
+    def test_hit_returns_the_parsed_arrays(self, tmp_path, monkeypatch, kind):
+        with open(GOLDEN_CSV) as fh:
+            golden = json.load(fh)[kind]
+        ds = generate(SyntheticSpec(**golden["spec"]))
+        out = tmp_path / "ds"
+        save_metadataset(ds, str(out))
+        parsed = self._parsed(out, monkeypatch)
+
+        def fail(*args):
+            raise AssertionError("a cache hit parsed or forked")
+
+        monkeypatch.setattr(data, "_parse_split", fail)
+        monkeypatch.setattr(data, "fork_map", fail)
+        _split_io(monkeypatch, forked=True)
+        hit = load_metadataset(str(out))
+        assert (hit.name, hit.task) == (parsed.name, parsed.task)
+        _assert_same_arrays(hit, parsed)
+        assert not hit.val.predictions.flags.writeable
+
+    def test_same_length_digit_edit_is_read_from_the_csv(self, tmp_path, monkeypatch):
+        ds = generate(SyntheticSpec(kind="preferred", n_instances=10, n_models=3, seed=0))
+        out = tmp_path / "ds"
+        save_metadataset(ds, str(out))
+        path = out / "val_predictions.csv"
+        text = path.read_text()
+        first_row = text.index("\n") + 1
+        digit = next(i for i in range(first_row, len(text)) if text[i].isdigit())
+        edited = text[:digit] + str((int(text[digit]) + 1) % 10) + text[digit + 1:]
+        path.write_text(edited)
+        cell = edited[first_row:].split(",", 1)[0]
+        calls = _parse_spy(monkeypatch)
+        back = load_metadataset(str(out))
+        assert calls == list(data.SPLIT_NAMES)
+        assert back.val.predictions[0, 0, 0] == float(cell) != ds.val.predictions[0, 0, 0]
+
+    @pytest.mark.parametrize("damage", ["truncated", "garbage", "missing"])
+    def test_damaged_cache_loads_as_a_parse(self, tmp_path, monkeypatch, damage):
+        ds = generate(SyntheticSpec(kind="experts", n_instances=10, n_models=2,
+                                    n_classes=3, seed=0))
+        out = tmp_path / "ds"
+        save_metadataset(ds, str(out))
+        parsed = self._parsed(out, monkeypatch)
+        cache = out / "test_cache.npy"
+        if damage == "truncated":
+            cache.write_bytes(cache.read_bytes()[:-40])
+        elif damage == "garbage":
+            cache.write_bytes(bytes(range(256)) * 4)
+        else:
+            cache.unlink()
+        calls = _parse_spy(monkeypatch)
+        back = load_metadataset(str(out))
+        assert calls == list(data.SPLIT_NAMES)
+        _assert_same_arrays(back, parsed)
+
+    @pytest.mark.parametrize("sizes, fault", [
+        ({"n_models": 3}, "rows must have 9 columns, got 6"),
+        ({"n_models": 3, "n_classes": 2}, "header does not match manifest"),
+    ], ids=["more-models", "same-columns"])
+    def test_manifest_with_other_sizes_gives_the_parse_error(self, tmp_path, sizes, fault):
+        ds = generate(SyntheticSpec(kind="experts", n_instances=10, n_models=2,
+                                    n_classes=3, seed=0))
+        out = tmp_path / "ds"
+        save_metadataset(ds, str(out))
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest.update(sizes)
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        errors = []
+        for drop in (False, True):
+            if drop:
+                _drop_caches(out)
+            with pytest.raises(DataFormatError) as err:
+                load_metadataset(str(out))
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
+        assert errors[0].startswith(f"{out / 'val_predictions.csv'}: {fault}")
 
 
 class TestExpertsGenerator:
