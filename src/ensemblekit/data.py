@@ -12,13 +12,14 @@ trip is exact; class labels use ``%d``) and read back by ``np.loadtxt``.
 
 Beside each split's CSV files, ``save_metadataset`` writes a parse cache,
 ``<split>_cache.npy``: three ``np.save`` records holding the sha256 of the
-split's two CSV files, the float64 predictions and the float64 labels.
-``load_metadataset`` takes both splits from their caches only when each
-cache opens, its digests equal a fresh sha256 of the CSV bytes beside it
-and its shapes fit the manifest. ``%.17g`` and ``%d`` round-trip exactly,
-so a hit returns the arrays a parse of those bytes would. Anything else
-parses the CSV files, with the parse's errors; the loader never writes a
-cache, and deleting one only forces a parse.
+split's two CSV files and of its two arrays, the float64 predictions and
+the float64 labels. ``load_metadataset`` takes both splits from their
+caches only when each cache opens, its digests equal a fresh sha256 of the
+CSV bytes beside it and of the arrays it holds, and its shapes fit the
+manifest. ``%.17g`` and ``%d`` round-trip exactly, so with both digests
+equal a hit returns the arrays a parse of those bytes would. Anything
+else parses the CSV files, with the parse's errors; the loader never
+writes a cache, and deleting one only forces a parse.
 
 The splits are written and parsed in forked worker processes, one per
 split up to the usable CPUs (``fork_map``); there is no setting for it.
@@ -35,6 +36,7 @@ import hashlib
 import json
 import os
 import tempfile
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -270,10 +272,13 @@ def save_metadataset(ds: MetaDataset, path: str) -> None:
                    fmt=_FLOAT_FMT, delimiter=",", header=header, comments="")
         np.savetxt(f"{stem}_labels.csv", split.labels, fmt=label_fmt, header="label", comments="")
         # C order and float64 labels: the arrays _parse_split returns.
+        preds = np.ascontiguousarray(split.predictions)
+        labels = split.labels.astype(np.float64)
         with open(stem + _CACHE_SUFFIX, "wb") as fh:
-            np.save(fh, np.frombuffer(_csv_digest(stem), dtype=np.uint8))
-            np.save(fh, np.ascontiguousarray(split.predictions))
-            np.save(fh, split.labels.astype(np.float64))
+            np.save(fh, np.frombuffer(_csv_digest(stem) + _array_digest(preds, labels),
+                                      dtype=np.uint8))
+            np.save(fh, preds)
+            np.save(fh, labels)
 
     _map_splits(write, ds.val.predictions.size + ds.test.predictions.size, _FORK_MIN_VALUES)
 
@@ -290,28 +295,48 @@ def _csv_digest(stem: str) -> bytes:
     return digests
 
 
+def _array_digest(preds: np.ndarray, labels: np.ndarray) -> bytes:
+    """The sha256 digest of the bytes of a split's C-ordered arrays."""
+    sha = hashlib.sha256(preds)
+    sha.update(labels)
+    return sha.digest()
+
+
+def _cached_split(stem: str, n_models: int, n_classes: int) -> Optional[Split]:
+    """The split whose cache save_metadataset wrote at ``stem``, or None
+    unless the cache opens, its digests equal those of the CSV files now
+    beside it and of its own arrays, and it holds (N, n_models,
+    n_classes) float64 predictions with N float64 labels."""
+    try:
+        with open(stem + _CACHE_SUFFIX, "rb") as fh:
+            digest = np.load(fh, allow_pickle=False).tobytes()
+            preds = np.load(fh, allow_pickle=False)
+            labels = np.load(fh, allow_pickle=False)
+        fits = (preds.dtype == np.float64 and labels.dtype == np.float64
+                and preds.shape[1:] == (n_models, n_classes) and labels.shape == preds.shape[:1]
+                and preds.flags.c_contiguous)
+        if fits and digest == _csv_digest(stem) + _array_digest(preds, labels):
+            return _OwnedSplit(predictions=preds, labels=labels)
+    except (OSError, ValueError, EOFError, MemoryError):
+        pass
+    return None
+
+
 def _cached_splits(path: str, n_models: int, n_classes: int) -> Optional[List[Split]]:
-    """Both splits from the caches save_metadataset wrote beside the CSV
-    files, or None unless each cache opens, holds the digests of the CSV
-    files now beside it, and holds (N, n_models, n_classes) predictions
-    with N labels."""
-    splits = []
-    for split_name in SPLIT_NAMES:
-        stem = os.path.join(path, split_name)
-        try:
-            with open(stem + _CACHE_SUFFIX, "rb") as fh:
-                digest = np.load(fh, allow_pickle=False)
-                if digest.tobytes() != _csv_digest(stem):
-                    return None
-                preds = np.load(fh, allow_pickle=False)
-                labels = np.load(fh, allow_pickle=False)
-        except (OSError, ValueError, EOFError, MemoryError):
-            return None
-        if (preds.dtype != np.float64 or labels.dtype != np.float64
-                or preds.shape[1:] != (n_models, n_classes) or labels.shape != preds.shape[:1]):
-            return None
-        splits.append(_OwnedSplit(predictions=preds, labels=labels))
-    return splits
+    """Both splits from their caches, or None unless both are hits. The
+    test split is checked in a second thread, since hashing and reading
+    release the GIL."""
+    stems = [os.path.join(path, split_name) for split_name in SPLIT_NAMES]
+    found: List[Optional[Split]] = [None, None]
+
+    def check(i: int) -> None:
+        found[i] = _cached_split(stems[i], n_models, n_classes)
+
+    worker = threading.Thread(target=check, args=(1,))
+    worker.start()
+    check(0)
+    worker.join()
+    return None if any(split is None for split in found) else found
 
 
 def _is_number(cell: str) -> bool:

@@ -131,8 +131,10 @@ class TestSplitValidation:
     def test_generated_and_loaded_arrays_are_read_only(self, tmp_path, kind):
         ds = generate(SyntheticSpec(kind=kind, n_instances=20, n_models=3, seed=0))
         save_metadataset(ds, str(tmp_path))
-        loaded = load_metadataset(str(tmp_path))
-        for split in (ds.val, ds.test, loaded.val, loaded.test):
+        hit = load_metadataset(str(tmp_path))
+        _drop_caches(tmp_path)
+        parsed = load_metadataset(str(tmp_path))
+        for split in (ds.val, ds.test, hit.val, hit.test, parsed.val, parsed.test):
             assert not split.predictions.flags.writeable
             assert not split.labels.flags.writeable
 
@@ -198,16 +200,19 @@ class TestSaveLoadRoundtrip:
         ds = generate(SyntheticSpec(kind="preferred", n_instances=40, n_models=3, seed=1))
         out = tmp_path / "ds"
         save_metadataset(ds, str(out))
-        back = load_metadataset(str(out))
-        assert back.name == ds.name
-        assert back.task == ds.task
-        for split in ("val", "test"):
-            np.testing.assert_array_equal(
-                getattr(back, split).predictions, getattr(ds, split).predictions
-            )
-            np.testing.assert_array_equal(
-                getattr(back, split).labels, getattr(ds, split).labels
-            )
+        for cached in (True, False):  # from the caches, then from the CSV files
+            if not cached:
+                _drop_caches(out)
+            back = load_metadataset(str(out))
+            assert back.name == ds.name
+            assert back.task == ds.task
+            for split in ("val", "test"):
+                np.testing.assert_array_equal(
+                    getattr(back, split).predictions, getattr(ds, split).predictions
+                )
+                np.testing.assert_array_equal(
+                    getattr(back, split).labels, getattr(ds, split).labels
+                )
 
     def test_save_is_byte_deterministic(self, tmp_path):
         ds = generate(SyntheticSpec(kind="experts", n_instances=25, n_models=2,
@@ -401,13 +406,16 @@ class TestCsvFiles:
         assert sorted(os.listdir(out)) == sorted(list(golden["files"]) + CACHE_FILES)
         for name, text in golden["files"].items():
             assert (out / name).read_bytes() == text.encode(), name
-        back = load_metadataset(str(out))
-        for split in ("val", "test"):
-            for field in ("predictions", "labels"):
-                want = getattr(getattr(ds, split), field)
-                got = getattr(getattr(back, split), field)
-                assert got.dtype == want.dtype
-                np.testing.assert_array_equal(got, want)
+        for cached in (True, False):  # from the caches, then from the CSV files
+            if not cached:
+                _drop_caches(out)
+            back = load_metadataset(str(out))
+            for split in ("val", "test"):
+                for field in ("predictions", "labels"):
+                    want = getattr(getattr(ds, split), field)
+                    got = getattr(getattr(back, split), field)
+                    assert got.dtype == want.dtype
+                    np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("name, edit", _MALFORMED, ids=_MALFORMED_IDS)
     def test_malformed_file_is_named(self, tmp_path, name, edit):
@@ -693,6 +701,25 @@ class TestParseCache:
         back = load_metadataset(str(out))
         assert calls == list(data.SPLIT_NAMES)
         assert back.val.predictions[0, 0, 0] == float(cell) != ds.val.predictions[0, 0, 0]
+
+    def test_flipped_bit_in_cached_arrays_is_read_from_the_csv(self, tmp_path, monkeypatch):
+        ds = generate(SyntheticSpec(kind="preferred", n_instances=10, n_models=3, seed=0))
+        out = tmp_path / "ds"
+        save_metadataset(ds, str(out))
+        parsed = self._parsed(out, monkeypatch)
+        cache = out / "val_cache.npy"
+        with open(cache, "rb") as fh:
+            np.load(fh)  # the digests
+            np.lib.format.read_magic(fh)
+            np.lib.format.read_array_header_1_0(fh)
+            last = fh.tell() + ds.val.predictions.nbytes - 8  # little-endian float64
+        raw = bytearray(cache.read_bytes())
+        raw[last] ^= 1  # the lowest mantissa bit of the last prediction
+        cache.write_bytes(bytes(raw))
+        calls = _parse_spy(monkeypatch)
+        back = load_metadataset(str(out))
+        assert calls == list(data.SPLIT_NAMES)
+        _assert_same_arrays(back, parsed)
 
     @pytest.mark.parametrize("damage", ["truncated", "garbage", "missing"])
     def test_damaged_cache_loads_as_a_parse(self, tmp_path, monkeypatch, damage):
