@@ -135,65 +135,56 @@ def _label(method: str, config: dict) -> str:
     return f"{method}@{text if float(text) == rate else repr(rate)}"
 
 
+def _static_weights(ds: MetaDataset, method: str, args, seed: int) -> Tuple[np.ndarray, Dict]:
+    """A static baseline's weights (M,), fitted on the validation split,
+    and its config echo."""
+    val_p, val_y = ds.val.predictions, ds.val.labels
+    if method == "single-best":
+        idx = baselines.single_best(val_p, val_y, ds.task)
+        weights = np.zeros(ds.n_models)
+        weights[idx] = 1.0
+        return weights, {"index": idx}
+    if method == "akaike":
+        return baselines.akaike_weights(baselines.model_losses(val_p, val_y, ds.task)), {}
+    if method == "ma":
+        weights = baselines.fit_constant_ma(
+            val_p, val_y, ds.task, steps=args.steps, learning_rate=args.lr
+        )
+        return weights, {"steps": args.steps, "lr": args.lr}
+    selections = {
+        "random": lambda: baselines.random_n(ds.n_models, n=args.n, seed=seed),
+        "top-n": lambda: baselines.top_n(val_p, val_y, ds.task, n=args.n),
+        "quick": lambda: baselines.quick_select(val_p, val_y, ds.task, n=args.n),
+        "greedy": lambda: baselines.greedy_select(val_p, val_y, ds.task, n_slots=args.n),
+    }
+    if method not in selections:
+        raise ConfigError(f"unknown method {method!r}")
+    return selections[method]().weights(), {"n": args.n}
+
+
 def _run_method(
     ds: MetaDataset, method: str, args, seed: int, rate: float
 ) -> Tuple[np.ndarray, str, Dict]:
     """Fit one method on the validation split; return test predictions,
     the NE mode tag (empty for baselines), and a config echo. Only the
     NE methods use the dropout ``rate``."""
-    val_p, val_y = ds.val.predictions, ds.val.labels
-    test_p = ds.test.predictions
-
-    def static(weights: np.ndarray) -> np.ndarray:
-        return baselines.predict_static(weights, test_p)
-
-    if method == "single-best":
-        idx = baselines.single_best(val_p, val_y, ds.task)
-        weights = np.zeros(ds.n_models)
-        weights[idx] = 1.0
-        return static(weights), "", {"index": idx}
-    if method == "random":
-        sel = baselines.random_n(ds.n_models, n=args.n, seed=seed)
-        return static(sel.weights()), "", {"n": args.n}
-    if method == "top-n":
-        sel = baselines.top_n(val_p, val_y, ds.task, n=args.n)
-        return static(sel.weights()), "", {"n": args.n}
-    if method == "quick":
-        sel = baselines.quick_select(val_p, val_y, ds.task, n=args.n)
-        return static(sel.weights()), "", {"n": args.n}
-    if method == "greedy":
-        sel = baselines.greedy_select(val_p, val_y, ds.task, n_slots=args.n)
-        return static(sel.weights()), "", {"n": args.n}
-    if method == "akaike":
-        weights = baselines.akaike_weights(baselines.model_losses(val_p, val_y, ds.task))
-        return static(weights), "", {}
-    if method == "ma":
-        weights = baselines.fit_constant_ma(
-            val_p, val_y, ds.task, steps=args.steps, learning_rate=args.lr
-        )
-        return static(weights), "", {"steps": args.steps, "lr": args.lr}
-    if method in _NE_MODE_BY_METHOD:
-        config = neural.NEConfig(
-            mode=_NE_MODE_BY_METHOD[method],
-            dropout_rate=rate,
-            layers=args.layers,
-            hidden_dim=args.hidden_dim,
-            steps=args.steps,
-            batch_size=args.batch_size,
-            learning_rate=args.lr,
-            seed=seed,
-        )
-        params, _ = neural.train(ds, config)
-        echo = {
-            "dropout_rate": config.dropout_rate,
-            "layers": config.layers,
-            "hidden_dim": config.hidden_dim,
-            "steps": config.steps,
-            "batch_size": config.batch_size,
-            "lr": config.learning_rate,
-        }
-        return neural.predict(params, test_p), config.mode, echo
-    raise ConfigError(f"unknown method {method!r}")
+    if method not in _NE_MODE_BY_METHOD:
+        weights, echo = _static_weights(ds, method, args, seed)
+        return baselines.predict_static(weights, ds.test.predictions), "", echo
+    config = neural.NEConfig(
+        mode=_NE_MODE_BY_METHOD[method],
+        dropout_rate=rate,
+        layers=args.layers,
+        hidden_dim=args.hidden_dim,
+        steps=args.steps,
+        batch_size=args.batch_size,
+        learning_rate=args.lr,
+        seed=seed,
+    )
+    params, _ = neural.train(ds, config)
+    echoed = ("dropout_rate", "layers", "hidden_dim", "steps", "batch_size")
+    echo = dict({name: getattr(config, name) for name in echoed}, lr=config.learning_rate)
+    return neural.predict(params, ds.test.predictions), config.mode, echo
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +220,8 @@ def cmd_synth(args) -> int:
 
 def cmd_run(args) -> int:
     seeds = _parse_list(args.seeds, "--seeds", int)
+    if min(seeds) < 0:
+        raise ConfigError(f"--seeds must be non-negative integers, got {args.seeds!r}")
     rates = _parse_list(args.dropout_rate, "--dropout-rate", float)
     for rate in rates:
         neural.check_dropout_rate(rate)

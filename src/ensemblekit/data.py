@@ -406,7 +406,7 @@ def load_metadataset(path: str) -> MetaDataset:
 
     for key in ("name", "task", "n_models", "n_classes", "splits"):
         if key not in manifest:
-            raise DataFormatError(f"manifest missing required key '{key}'")
+            raise DataFormatError(f"{manifest_path}: '{key}' is missing")
     declared = manifest["splits"]
     # Sorted by str, so that a list of other values compares unequal instead of raising.
     if not isinstance(declared, list) or sorted(declared, key=str) != sorted(SPLIT_NAMES):
@@ -415,7 +415,9 @@ def load_metadataset(path: str) -> MetaDataset:
     try:
         task = TaskKind(manifest["task"])
     except ValueError:
-        raise DataFormatError(f"unknown task kind '{manifest['task']}'") from None
+        raise DataFormatError(f"{manifest_path}: 'task' must be one of "
+                              f"{[kind.value for kind in TaskKind]}, "
+                              f"got {json.dumps(manifest['task'])}") from None
     for key in ("n_models", "n_classes"):
         size = manifest[key]
         if isinstance(size, bool) or not isinstance(size, int) or size < 1:
@@ -513,27 +515,30 @@ class SyntheticSpec:
 
 
 def generate(spec: SyntheticSpec) -> MetaDataset:
-    """Dispatch to the generator named by spec.kind."""
-    generators = {
-        "experts": generate_complementary_experts,
-        "preferred": generate_preferred_model,
-        "poly": generate_polynomial_regression,
-    }
+    """The dataset of the generator named by spec.kind. Every kind needs
+    at least 2 instances per split and 2 models, and draws both splits,
+    val first, from one stream seeded by spec.seed."""
+    generators = {"experts": _experts, "preferred": _preferred, "poly": _poly}
     if spec.kind not in generators:
         raise ConfigError(
             f"unknown synthetic kind '{spec.kind}', expected one of {sorted(generators)}"
         )
-    return generators[spec.kind](spec)
-
-
-def _check_sizes(spec: SyntheticSpec, min_models: int = 2) -> None:
     if spec.n_instances < 2:
         raise ConfigError(f"n_instances must be at least 2, got {spec.n_instances}")
-    if spec.n_models < min_models:
-        raise ConfigError(f"n_models must be at least {min_models}, got {spec.n_models}")
+    if spec.n_models < 2:
+        raise ConfigError(f"n_models must be at least 2, got {spec.n_models}")
+    rng = np.random.default_rng(spec.seed)
+    name, task, one_split = generators[spec.kind](spec, rng)
+    return MetaDataset(name=name, task=task, val=one_split(spec.n_instances),
+                       test=one_split(spec.n_instances))
 
 
-def generate_complementary_experts(spec: SyntheticSpec) -> MetaDataset:
+# A generator checks its own fields of the spec, then returns the dataset's
+# name, its task and a function that draws one split of n instances.
+_Generator = Tuple[str, TaskKind, Callable[[int], Split]]
+
+
+def _experts(spec: SyntheticSpec, rng: np.random.Generator) -> _Generator:
     """Classification data where each instance has exactly one reliable model.
 
     Instances fall into one of M equally likely latent regions. The
@@ -546,12 +551,10 @@ def generate_complementary_experts(spec: SyntheticSpec) -> MetaDataset:
     the reliable model can be recognized from the prediction pattern
     alone, which is what rewards per-instance weights.
     """
-    _check_sizes(spec)
     m_models, n_classes = spec.n_models, spec.n_classes
     if n_classes < 3:
         raise ConfigError(f"n_classes must be at least 3 (class 0 is never a label), "
                           f"got {n_classes}")
-    rng = np.random.default_rng(spec.seed)
 
     def one_split(n: int) -> Split:
         region = np.minimum((rng.random(n) * m_models).astype(np.int64), m_models - 1)
@@ -568,16 +571,10 @@ def generate_complementary_experts(spec: SyntheticSpec) -> MetaDataset:
             preds[idx, m, labels[idx]] = 0.1
         return _OwnedSplit(predictions=preds, labels=labels)
 
-    name = f"experts-m{m_models}-c{n_classes}-seed{spec.seed}"
-    return MetaDataset(
-        name=name,
-        task=TaskKind.CLASSIFICATION,
-        val=one_split(spec.n_instances),
-        test=one_split(spec.n_instances),
-    )
+    return f"experts-m{m_models}-c{n_classes}-seed{spec.seed}", TaskKind.CLASSIFICATION, one_split
 
 
-def generate_preferred_model(spec: SyntheticSpec) -> MetaDataset:
+def _preferred(spec: SyntheticSpec, rng: np.random.Generator) -> _Generator:
     """Regression data with one informative model among pure-noise models.
 
     Targets are standard normal. Model 0 predicts
@@ -586,10 +583,8 @@ def generate_preferred_model(spec: SyntheticSpec) -> MetaDataset:
     mean 0 and variance 1 per split, so for rho_p = 1 model 0 equals the
     target exactly.
     """
-    _check_sizes(spec)
     if not 0.0 <= spec.rho_p <= 1.0:
         raise ConfigError(f"rho_p must lie in [0, 1], got {spec.rho_p}")
-    rng = np.random.default_rng(spec.seed)
 
     def standardize(a: np.ndarray) -> np.ndarray:
         return (a - a.mean()) / a.std()
@@ -608,12 +603,7 @@ def generate_preferred_model(spec: SyntheticSpec) -> MetaDataset:
         )
 
     name = f"preferred-m{spec.n_models}-rho{spec.rho_p:g}-seed{spec.seed}"
-    return MetaDataset(
-        name=name,
-        task=TaskKind.REGRESSION,
-        val=one_split(spec.n_instances),
-        test=one_split(spec.n_instances),
-    )
+    return name, TaskKind.REGRESSION, one_split
 
 
 # Ground truth for the polynomial generator: f(x) = 2x^3 - x, degree 3.
@@ -625,13 +615,19 @@ def _true_function(x: np.ndarray) -> np.ndarray:
     return np.polynomial.polynomial.polyval(x, TRUE_POLY_COEFFS)
 
 
-def _fit_polynomial_pool(spec: SyntheticSpec, rng: np.random.Generator):
-    """Draw the shared train pool and fit one polynomial per model.
+def _poly(spec: SyntheticSpec, rng: np.random.Generator) -> _Generator:
+    """Regression data from overparameterized polynomial base models.
 
-    Each model is a least-squares polynomial of spec.degree fit on its
-    own bootstrap resample of the 20-point pool. Returns the fitted
-    polynomials.
+    A 20-point train pool is drawn from a cubic ground truth plus noise.
+    Each base model is a degree-``spec.degree`` least-squares polynomial
+    fit on its own bootstrap resample of that pool; split predictions are
+    the fitted polynomials evaluated at fresh uniform x in [-1, 1]. High
+    degrees overfit the pool and disagree wildly near the interval edges.
     """
+    if spec.degree < 1:
+        raise ConfigError(f"degree must be at least 1, got {spec.degree}")
+    if spec.noise_scale < 0:
+        raise ConfigError(f"noise_scale must be nonnegative, got {spec.noise_scale}")
     pool_x = rng.uniform(-1.0, 1.0, _POOL_SIZE)
     pool_y = _true_function(pool_x) + spec.noise_scale * rng.standard_normal(_POOL_SIZE)
     fits = []
@@ -641,27 +637,7 @@ def _fit_polynomial_pool(spec: SyntheticSpec, rng: np.random.Generator):
             # High-degree fits on few distinct points are rank deficient on
             # purpose; the wild extrapolations are the phenomenon of interest.
             warnings.simplefilter("ignore", np.exceptions.RankWarning)
-            poly = np.polynomial.Polynomial.fit(pool_x[idx], pool_y[idx], spec.degree)
-        fits.append(poly)
-    return fits
-
-
-def generate_polynomial_regression(spec: SyntheticSpec) -> MetaDataset:
-    """Regression data from overparameterized polynomial base models.
-
-    A 20-point train pool is drawn from a cubic ground truth plus noise.
-    Each base model is a degree-``spec.degree`` least-squares polynomial
-    fit on a bootstrap resample of that pool; split predictions are the
-    fitted polynomials evaluated at fresh uniform x in [-1, 1]. High
-    degrees overfit the pool and disagree wildly near the interval edges.
-    """
-    _check_sizes(spec)
-    if spec.degree < 1:
-        raise ConfigError(f"degree must be at least 1, got {spec.degree}")
-    if spec.noise_scale < 0:
-        raise ConfigError(f"noise_scale must be nonnegative, got {spec.noise_scale}")
-    rng = np.random.default_rng(spec.seed)
-    fits = _fit_polynomial_pool(spec, rng)
+            fits.append(np.polynomial.Polynomial.fit(pool_x[idx], pool_y[idx], spec.degree))
 
     def one_split(n: int) -> Split:
         x = rng.uniform(-1.0, 1.0, n)
@@ -669,10 +645,4 @@ def generate_polynomial_regression(spec: SyntheticSpec) -> MetaDataset:
         preds = np.column_stack([poly(x) for poly in fits])
         return _OwnedSplit(predictions=preds[:, :, None], labels=y)
 
-    name = f"poly-d{spec.degree}-m{spec.n_models}-seed{spec.seed}"
-    return MetaDataset(
-        name=name,
-        task=TaskKind.REGRESSION,
-        val=one_split(spec.n_instances),
-        test=one_split(spec.n_instances),
-    )
+    return f"poly-d{spec.degree}-m{spec.n_models}-seed{spec.seed}", TaskKind.REGRESSION, one_split

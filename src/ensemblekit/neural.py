@@ -38,7 +38,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import metrics, nn
-from .data import MetaDataset, SyntheticSpec, TaskKind, check_cube, generate_preferred_model
+from .data import MetaDataset, SyntheticSpec, TaskKind, check_cube, generate
 from .errors import ConfigError, NumericError, ShapeError
 
 MODE_STACKING = "stacking"
@@ -86,8 +86,7 @@ class NEConfig:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        nn.check_learning_rate(self.learning_rate)
 
     @property
     def retain_prob(self) -> float:
@@ -168,41 +167,29 @@ def sample_mask(n_models: int, retain_prob: float, rng: np.random.Generator) -> 
 
 
 def _columns_forward(
-    net: nn.DenseNet, x: np.ndarray, keep: Optional[np.ndarray], pooled: bool
-) -> Tuple[np.ndarray, List[List[np.ndarray]]]:
+    net: nn.DenseNet, x: np.ndarray, keep: Optional[np.ndarray]
+) -> Tuple[List[np.ndarray], List[List[np.ndarray]]]:
     """Run ``net`` on each class column x[:, :, c] of a (B, M, C) cube,
-    or of a (B, k, C) cube of the models ``keep`` only.
-
-    Returns the column outputs side by side, (B, C * d_out), or, when
-    ``pooled``, summed over classes in class order (the deep-set
-    embedding), plus each column's activations for _columns_backward.
-    """
-    outs, acts = [], []
-    for c in range(x.shape[2]):
-        out, a = nn.forward(net, x[:, :, c], columns=keep)
-        outs.append(out)
-        acts.append(a)
-    if pooled:
-        return functools.reduce(np.add, outs), acts
-    return np.concatenate(outs, axis=1), acts
+    or of a (B, k, C) cube of the models ``keep`` only. Returns each
+    column's output and its activations for _columns_backward, in class
+    order."""
+    outs, acts = zip(*(nn.forward(net, x[:, :, c], columns=keep) for c in range(x.shape[2])))
+    return list(outs), list(acts)
 
 
 def _columns_backward(
     net: nn.DenseNet,
     acts: List[List[np.ndarray]],
-    dout: np.ndarray,
+    douts: List[np.ndarray],
     grad: np.ndarray,
     keep: Optional[np.ndarray],
-    pooled: bool,
 ) -> None:
     """Add ``net``'s parameter gradients, summed over class columns in
-    class order, into ``grad``; ``dout`` is dLoss/d(_columns_forward output).
-    With ``keep``, only those columns of the first layer's weights get a
-    gradient."""
-    width = net.layer_dims[-1]
-    for c, a in enumerate(acts):
-        column_dout = dout if pooled else dout[:, c * width : (c + 1) * width]
-        nn.backward(net, a, column_dout, grad, columns=keep)
+    class order, into ``grad``; ``douts`` holds dLoss/d(each column's
+    output). With ``keep``, only those columns of the first layer's
+    weights get a gradient."""
+    for a, dout in zip(acts, douts):
+        nn.backward(net, a, dout, grad, columns=keep)
 
 
 # ---------------------------------------------------------------------------
@@ -233,12 +220,14 @@ def _forward(
         kept = cube.take(keep, axis=1)
         x = kept * (1.0 / retain_prob)
     if params.mode == MODE_STACKING:
-        out, acts = _columns_forward(params.nets[0], x, keep, pooled=False)
+        outs, acts = _columns_forward(params.nets[0], x, keep)
+        out = np.concatenate(outs, axis=1)
         if out.shape[1] > 1:
             out = nn.softmax(out)
         return out, (keep, acts, out)
     embedder, head = params.nets
-    embed, acts = _columns_forward(embedder, x, keep, pooled=True)
+    outs, acts = _columns_forward(embedder, x, keep)
+    embed = functools.reduce(np.add, outs)  # the deep-set sum, in class order
     rows = slice(None) if keep is None else keep
     weights = head.weights[0][rows]
     scores = weights @ embed.T
@@ -267,7 +256,8 @@ def _backward(params: NEParams, cache: tuple, dout: np.ndarray) -> np.ndarray:
         keep, acts, out = cache
         if out.shape[1] > 1:
             dout = nn.softmax_backward(out, dout)
-        _columns_backward(params.nets[0], acts, dout, grad, keep, pooled=False)
+        douts = [dout[:, c : c + 1] for c in range(dout.shape[1])]
+        _columns_backward(params.nets[0], acts, douts, grad, keep)
         return grad
     keep, kept, acts, embed, weights, theta = cache
     embedder, head = params.nets
@@ -277,7 +267,7 @@ def _backward(params: NEParams, cache: tuple, dout: np.ndarray) -> np.ndarray:
     rows = slice(None) if keep is None else keep
     grad_weights[rows] = dscores @ embed
     grad_biases[rows] = dscores.sum(axis=1)
-    _columns_backward(embedder, acts, dscores.T @ weights, grad_embedder, keep, pooled=True)
+    _columns_backward(embedder, acts, [dscores.T @ weights] * len(acts), grad_embedder, keep)
     return grad
 
 
@@ -392,10 +382,8 @@ def diversity_limit_oracle(
     if n_samples < 2 or n_masks < 1:
         raise ConfigError("need n_samples >= 2 and n_masks >= 1")
     data_seed, mask_seed = (int(s) for s in np.random.SeedSequence(seed).generate_state(2))
-    ds = generate_preferred_model(
-        SyntheticSpec(kind="preferred", n_instances=n_samples, n_models=n_models,
-                      rho_p=rho_p, seed=data_seed)
-    )
+    ds = generate(SyntheticSpec(kind="preferred", n_instances=n_samples, n_models=n_models,
+                                rho_p=rho_p, seed=data_seed))
     z = ds.val.predictions[:, :, 0]
     y = ds.val.labels
     rho_hat = (z * y[:, None]).mean(axis=0)

@@ -12,6 +12,7 @@ were zero, and its gradient adds into W0[:, columns] alone.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -165,10 +166,16 @@ class AdamState:
     step_count: int = 0
 
 
+def check_learning_rate(rate) -> None:
+    """Raise ConfigError unless ``rate`` is a learning rate: a finite
+    number > 0, not a bool."""
+    if isinstance(rate, bool) or not isinstance(rate, numbers.Real) or not 0.0 < rate < np.inf:
+        raise ConfigError(f"learning rate must be a finite number > 0, got {rate!r}")
+
+
 def adam_init(params: np.ndarray, learning_rate: float = 1e-3) -> AdamState:
     """Zero-initialized Adam state for a parameter vector."""
-    if learning_rate < 0:
-        raise ConfigError(f"learning rate must be nonnegative, got {learning_rate}")
+    check_learning_rate(learning_rate)
     return AdamState(np.zeros_like(params), np.zeros_like(params), learning_rate)
 
 

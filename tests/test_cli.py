@@ -18,11 +18,11 @@ import numpy as np
 import pytest
 
 import ensemblekit
-from ensemblekit import cli, neural
+from ensemblekit import baselines, cli, metrics, neural
 from ensemblekit.cli import main
 from ensemblekit.errors import ConfigError
 from ensemblekit.data import (
-    MetaDataset, Split, SyntheticSpec, TaskKind, generate, save_metadataset,
+    MetaDataset, Split, SyntheticSpec, TaskKind, generate, load_metadataset, save_metadataset,
 )
 
 RECORD_KEYS = {
@@ -153,17 +153,21 @@ class TestSynthAndValidate:
             fh.writelines(lines)
         assert main(["validate", "--data", data]) == 2
 
-    @pytest.mark.parametrize("manifest, fragment", [
-        ("5", "the manifest must be a JSON object, got 5"),
-        ("[1, 2]", "the manifest must be a JSON object, got [1, 2]"),
-        (None, "'name' must be a non-empty JSON string, got null"),
-    ], ids=["number", "array", "null-name"])
-    def test_validate_malformed_manifest_exits_2(self, tmp_path, capsys, manifest, fragment):
+    @pytest.mark.parametrize("edit, fragment", [
+        (lambda m: 5, "the manifest must be a JSON object, got 5"),
+        (lambda m: [1, 2], "the manifest must be a JSON object, got [1, 2]"),
+        (lambda m: dict(m, name=None), "'name' must be a non-empty JSON string, got null"),
+        (lambda m: dict(m, task=None),
+         "'task' must be one of ['classification', 'regression'], got null"),
+        (lambda m: dict(m, task={}),
+         "'task' must be one of ['classification', 'regression'], got {}"),
+        (lambda m: {k: v for k, v in m.items() if k != "splits"}, "'splits' is missing"),
+    ], ids=["number", "array", "null-name", "null-task", "object-task", "missing-key"])
+    def test_validate_malformed_manifest_exits_2(self, tmp_path, capsys, edit, fragment):
         data = _synth(tmp_path)
         path = os.path.join(data, "manifest.json")
-        if manifest is None:
-            with open(path) as fh:
-                manifest = json.dumps(dict(json.load(fh), name=None))
+        with open(path) as fh:
+            manifest = json.dumps(edit(json.load(fh)))
         with open(path, "w") as fh:
             fh.write(manifest)
         capsys.readouterr()
@@ -205,6 +209,45 @@ class TestRun:
         for record in records:
             assert set(record) == RECORD_KEYS
             assert np.isfinite(record["metrics"]["nll"])
+
+    def test_static_records_score_the_library_weights(self, tmp_path):
+        """Each static baseline's record holds the test metrics of
+        predict_static under the weights the library fits."""
+        data = _synth(tmp_path, models="4")
+        ds = load_metadataset(data)
+        val_p, val_y, task = ds.val.predictions, ds.val.labels, ds.task
+        weights = {
+            "single-best": np.eye(4)[baselines.single_best(val_p, val_y, task)],
+            "random": baselines.random_n(4, n=2, seed=0).weights(),
+            "top-n": baselines.top_n(val_p, val_y, task, n=2).weights(),
+            "quick": baselines.quick_select(val_p, val_y, task, n=2).weights(),
+            "greedy": baselines.greedy_select(val_p, val_y, task, n_slots=2).weights(),
+            "akaike": baselines.akaike_weights(baselines.model_losses(val_p, val_y, task)),
+            "ma": baselines.fit_constant_ma(val_p, val_y, task, steps=60, learning_rate=1e-3),
+        }
+        out = str(tmp_path / "runs.jsonl")
+        for method in weights:
+            assert main(["run", method, "--data", data, "--out", out, "--seeds", "0",
+                         "--n", "2", "--steps", "60", "--lr", "1e-3"]) == 0
+        records = _read_records(out)
+        assert [record["method"] for record in records] == list(weights)
+        for record, w in zip(records, weights.values()):
+            expected = metrics.classification_report(
+                baselines.predict_static(w, ds.test.predictions), ds.test.labels)
+            assert record["metrics"] == expected.as_dict(), record["method"]
+
+    @pytest.mark.parametrize("method, lr, seeds", [
+        ("ma", "0", "0"), ("ma", "nan", "0"), ("ma", "inf", "0"), ("ne-ma", "nan", "0,1"),
+    ])
+    def test_bad_learning_rate_exits_2(self, tmp_path, capsys, method, lr, seeds):
+        data = _synth(tmp_path)
+        out = str(tmp_path / "runs.jsonl")
+        capsys.readouterr()
+        assert main(["run", method, "--data", data, "--out", out, "--seeds", seeds,
+                     "--lr", lr] + FAST_NE) == 2
+        _assert_only_error_line(capsys.readouterr().err,
+                                f"learning rate must be a finite number > 0, got {float(lr)!r}")
+        assert not os.path.exists(out)
 
     def test_mode_flag_is_rejected(self, tmp_path):
         """The method names the mode: ne-stack or ne-ma."""
@@ -494,6 +537,12 @@ class TestDropoutRates:
 
     def test_repeated_seed_exits_2_before_loading(self, tmp_path, monkeypatch):
         self._assert_rejected_before_loading(tmp_path, monkeypatch, "akaike", "0.75", "0,1,0")
+
+    @pytest.mark.parametrize("seeds", ["-1", "0,-1"])
+    def test_negative_seed_exits_2_before_loading(self, tmp_path, monkeypatch, capsys, seeds):
+        self._assert_rejected_before_loading(tmp_path, monkeypatch, "random", "0.75", seeds)
+        _assert_only_error_line(capsys.readouterr().err,
+                                f"--seeds must be non-negative integers, got {seeds!r}")
 
     def test_run_report_and_config_share_one_rate_rule(self, tmp_path, capsys):
         message = "dropout rate must be a number in [0, 1), got 1.0"

@@ -939,7 +939,9 @@ class TestGenerateDispatch:
             generate(SyntheticSpec(kind="nope", n_instances=10, n_models=2, seed=0))
 
     def test_rejects_bad_sizes(self):
-        with pytest.raises(ConfigError):
-            generate(SyntheticSpec(kind="preferred", n_instances=1, n_models=2, seed=0))
-        with pytest.raises(ConfigError):
-            generate(SyntheticSpec(kind="preferred", n_instances=10, n_models=0, seed=0))
+        """generate checks both sizes for every kind."""
+        for kind in ("experts", "preferred", "poly"):
+            with pytest.raises(ConfigError, match="n_instances must be at least 2, got 1"):
+                generate(SyntheticSpec(kind=kind, n_instances=1, n_models=2, seed=0))
+            with pytest.raises(ConfigError, match="n_models must be at least 2, got 1"):
+                generate(SyntheticSpec(kind=kind, n_instances=10, n_models=1, seed=0))

@@ -2,11 +2,13 @@
 the masked training forward, both forward modes, training-loss
 gradients, the training loop, and the diversity diagnostic."""
 
+import re
+
 import numpy as np
 import pytest
 
 from ensemblekit.errors import ConfigError, DataValidationError, NumericError, ShapeError
-from ensemblekit import neural
+from ensemblekit import neural, nn
 from ensemblekit.data import SyntheticSpec, TaskKind, generate
 from gradcheck import finite_difference_gradients, gradient_errors, ma_step_reference, training_loss
 
@@ -71,6 +73,14 @@ class TestConfigValidation:
 
     def test_retain_prob(self):
         assert neural.NEConfig(dropout_rate=0.75).retain_prob == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("rate", [0.0, -1e-3, float("nan"), float("inf"), True])
+    def test_config_and_adam_share_one_learning_rate_rule(self, rate):
+        message = f"learning rate must be a finite number > 0, got {rate!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            neural.NEConfig(learning_rate=rate)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            nn.adam_init(np.zeros(2), learning_rate=rate)
 
 
 class TestParamCount:
@@ -142,7 +152,7 @@ class TestMaskSampling:
             neural.sample_mask(3, 1.5, rng)
 
 
-class TestMaskedSoftmax:
+class TestTrainingGateWeights:
     """The ma training forward weights the kept models by a softmax over
     their gate scores and gives the dropped models none."""
 
