@@ -16,7 +16,7 @@ from typing import Tuple
 import numpy as np
 
 from . import metrics, nn
-from .data import TaskKind, check_labels
+from .data import TaskKind, check_labels, check_seed
 from .errors import ConfigError, ShapeError
 
 DEFAULT_N = 50
@@ -83,6 +83,7 @@ def random_n(n_models: int, n: int = DEFAULT_N, seed: int = 0) -> ModelSelection
         raise ConfigError(f"random-n needs n >= 1, got {n}")
     if n_models < 1:
         raise ConfigError(f"random-n needs at least one model, got {n_models}")
+    check_seed(seed)
     n = min(n, n_models)
     rng = np.random.default_rng(seed)
     picks = rng.choice(n_models, size=n, replace=False)

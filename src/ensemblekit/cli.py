@@ -14,15 +14,16 @@ rate (`ne-ma@0.75`), so each rate's normalized NLL reads off the table.
 Exit codes: 0 success, 2 usage or data error, 3 numeric failure (a
 non-finite training loss or metric; nothing is appended then).
 
-The (seed, rate) tasks of `run` run in forked worker processes, one per
-usable CPU and never more than there are tasks; a single task, a single
-CPU or a platform without fork runs them one after another in this
-process. The mapper is `data.fork_map`, which also writes and parses the
-dataset splits. The parent loads the data, holds the lock, appends the
-records seed-major in the order `--seeds` and `--dropout-rate` list them
-and prints; only tasks and records cross between processes, so the
-records are the same either way. A worker's error re-raises in the
-parent with its type and message.
+Each (seed, rate) task of `run` is a copy of one `NEConfig`, so every
+flag is checked, for every method, before the data is read. The tasks
+run in forked worker processes, one per usable CPU and never more than
+there are tasks; a single task, a single CPU or a platform without fork
+runs them one after another in this process. The mapper is
+`data.fork_map`, which also writes and parses the dataset splits. The
+parent loads the data, holds the lock, appends the records seed-major in
+the order `--seeds` and `--dropout-rate` list them and prints; only
+tasks and records cross between processes, so the records are the same
+either way. A worker's error re-raises in the parent, type and message.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -135,9 +137,10 @@ def _label(method: str, config: dict) -> str:
     return f"{method}@{text if float(text) == rate else repr(rate)}"
 
 
-def _static_weights(ds: MetaDataset, method: str, args, seed: int) -> Tuple[np.ndarray, Dict]:
+def _static_weights(ds: MetaDataset, method: str, config: neural.NEConfig,
+                    n: int) -> Tuple[np.ndarray, Dict]:
     """A static baseline's weights (M,), fitted on the validation split,
-    and its config echo."""
+    and its config echo; ``n`` is the selections' ensemble size."""
     val_p, val_y = ds.val.predictions, ds.val.labels
     if method == "single-best":
         idx = baselines.single_best(val_p, val_y, ds.task)
@@ -148,43 +151,18 @@ def _static_weights(ds: MetaDataset, method: str, args, seed: int) -> Tuple[np.n
         return baselines.akaike_weights(baselines.model_losses(val_p, val_y, ds.task)), {}
     if method == "ma":
         weights = baselines.fit_constant_ma(
-            val_p, val_y, ds.task, steps=args.steps, learning_rate=args.lr
+            val_p, val_y, ds.task, steps=config.steps, learning_rate=config.learning_rate
         )
-        return weights, {"steps": args.steps, "lr": args.lr}
+        return weights, {"steps": config.steps, "lr": config.learning_rate}
     selections = {
-        "random": lambda: baselines.random_n(ds.n_models, n=args.n, seed=seed),
-        "top-n": lambda: baselines.top_n(val_p, val_y, ds.task, n=args.n),
-        "quick": lambda: baselines.quick_select(val_p, val_y, ds.task, n=args.n),
-        "greedy": lambda: baselines.greedy_select(val_p, val_y, ds.task, n_slots=args.n),
+        "random": lambda: baselines.random_n(ds.n_models, n=n, seed=config.seed),
+        "top-n": lambda: baselines.top_n(val_p, val_y, ds.task, n=n),
+        "quick": lambda: baselines.quick_select(val_p, val_y, ds.task, n=n),
+        "greedy": lambda: baselines.greedy_select(val_p, val_y, ds.task, n_slots=n),
     }
     if method not in selections:
         raise ConfigError(f"unknown method {method!r}")
-    return selections[method]().weights(), {"n": args.n}
-
-
-def _run_method(
-    ds: MetaDataset, method: str, args, seed: int, rate: float
-) -> Tuple[np.ndarray, str, Dict]:
-    """Fit one method on the validation split; return test predictions,
-    the NE mode tag (empty for baselines), and a config echo. Only the
-    NE methods use the dropout ``rate``."""
-    if method not in _NE_MODE_BY_METHOD:
-        weights, echo = _static_weights(ds, method, args, seed)
-        return baselines.predict_static(weights, ds.test.predictions), "", echo
-    config = neural.NEConfig(
-        mode=_NE_MODE_BY_METHOD[method],
-        dropout_rate=rate,
-        layers=args.layers,
-        hidden_dim=args.hidden_dim,
-        steps=args.steps,
-        batch_size=args.batch_size,
-        learning_rate=args.lr,
-        seed=seed,
-    )
-    params, _ = neural.train(ds, config)
-    echoed = ("dropout_rate", "layers", "hidden_dim", "steps", "batch_size")
-    echo = dict({name: getattr(config, name) for name in echoed}, lr=config.learning_rate)
-    return neural.predict(params, ds.test.predictions), config.mode, echo
+    return selections[method]().weights(), {"n": n}
 
 
 # ---------------------------------------------------------------------------
@@ -223,26 +201,37 @@ def cmd_run(args) -> int:
     if min(seeds) < 0:
         raise ConfigError(f"--seeds must be non-negative integers, got {args.seeds!r}")
     rates = _parse_list(args.dropout_rate, "--dropout-rate", float)
-    for rate in rates:
-        neural.check_dropout_rate(rate)
     if len(rates) > 1 and args.method not in _NE_MODE_BY_METHOD:
         raise ConfigError(f"{args.method} has no dropout rate; a list of "
                           f"{len(rates)} rates would repeat each record")
+    if args.n < 1:
+        raise ConfigError(f"--n must be >= 1, got {args.n}")
+    # Every flag, seed and rate is checked here, for every method, before the load.
+    config = neural.NEConfig(mode=_NE_MODE_BY_METHOD.get(args.method, neural.MODE_MA),
+                             layers=args.layers, hidden_dim=args.hidden_dim, steps=args.steps,
+                             batch_size=args.batch_size, learning_rate=args.lr)
+    tasks = [replace(config, seed=seed, dropout_rate=rate) for seed in seeds for rate in rates]
     ds = load_metadataset(args.data)
     reference = _single_best_reference(ds)
 
-    def worker(task: Tuple[int, float]) -> dict:
-        seed, rate = task
+    def worker(task: neural.NEConfig) -> dict:
         start = time.perf_counter()
-        predictions, mode, echo = _run_method(ds, args.method, args, seed, rate)
+        if args.method in _NE_MODE_BY_METHOD:
+            params, _ = neural.train(ds, task)
+            predictions, mode = neural.predict(params, ds.test.predictions), task.mode
+            echoed = ("dropout_rate", "layers", "hidden_dim", "steps", "batch_size")
+            echo = dict({name: getattr(task, name) for name in echoed}, lr=task.learning_rate)
+        else:
+            weights, echo = _static_weights(ds, args.method, task, args.n)
+            predictions, mode = baselines.predict_static(weights, ds.test.predictions), ""
         report = _evaluate(ds, predictions, "test")
         normalized = metrics.normalize_report(report, reference)
-        where = f"{ds.name} {_label(args.method, echo)} seed {seed}"
+        where = f"{ds.name} {_label(args.method, echo)} seed {task.seed}"
         return {
             "dataset": ds.name,
             "method": args.method,
             "mode": mode,
-            "seed": seed,
+            "seed": task.seed,
             "metrics": _finite(report.as_dict(), where),
             "normalized": _finite(normalized.as_dict(), where),
             "wall_time_seconds": time.perf_counter() - start,
@@ -250,7 +239,7 @@ def cmd_run(args) -> int:
         }
 
     with _locked_output(args.out):
-        records = fork_map(worker, [(seed, rate) for seed in seeds for rate in rates])
+        records = fork_map(worker, tasks)
         _append_records(args.out, records)
     for record in records:
         print(

@@ -34,6 +34,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+import numbers
 import os
 import tempfile
 import threading
@@ -514,6 +515,13 @@ class SyntheticSpec:
     seed: int = 0
 
 
+def check_seed(seed) -> None:
+    """Raise ConfigError unless ``seed`` is a random seed: an integer, not
+    a bool, >= 0."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def generate(spec: SyntheticSpec) -> MetaDataset:
     """The dataset of the generator named by spec.kind. Every kind needs
     at least 2 instances per split and 2 models, and draws both splits,
@@ -527,6 +535,7 @@ def generate(spec: SyntheticSpec) -> MetaDataset:
         raise ConfigError(f"n_instances must be at least 2, got {spec.n_instances}")
     if spec.n_models < 2:
         raise ConfigError(f"n_models must be at least 2, got {spec.n_models}")
+    check_seed(spec.seed)
     rng = np.random.default_rng(spec.seed)
     name, task, one_split = generators[spec.kind](spec, rng)
     return MetaDataset(name=name, task=task, val=one_split(spec.n_instances),

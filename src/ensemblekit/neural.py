@@ -38,7 +38,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import metrics, nn
-from .data import MetaDataset, SyntheticSpec, TaskKind, check_cube, generate
+from .data import MetaDataset, SyntheticSpec, TaskKind, check_cube, check_seed, generate
 from .errors import ConfigError, NumericError, ShapeError
 
 MODE_STACKING = "stacking"
@@ -78,15 +78,11 @@ class NEConfig:
         if self.mode not in (MODE_STACKING, MODE_MA):
             raise ConfigError(f"mode must be '{MODE_STACKING}' or '{MODE_MA}', got {self.mode!r}")
         check_dropout_rate(self.dropout_rate)
-        if self.layers < 1:
-            raise ConfigError(f"layers must be >= 1, got {self.layers}")
-        if self.hidden_dim < 1:
-            raise ConfigError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
-        if self.steps < 1:
-            raise ConfigError(f"steps must be >= 1, got {self.steps}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name in ("layers", "hidden_dim", "steps", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         nn.check_learning_rate(self.learning_rate)
+        check_seed(self.seed)
 
     @property
     def retain_prob(self) -> float:
@@ -381,6 +377,7 @@ def diversity_limit_oracle(
         raise ConfigError(f"retain_prob must lie in (0, 1], got {retain_prob}")
     if n_samples < 2 or n_masks < 1:
         raise ConfigError("need n_samples >= 2 and n_masks >= 1")
+    check_seed(seed)
     data_seed, mask_seed = (int(s) for s in np.random.SeedSequence(seed).generate_state(2))
     ds = generate(SyntheticSpec(kind="preferred", n_instances=n_samples, n_models=n_models,
                                 rho_p=rho_p, seed=data_seed))

@@ -174,6 +174,13 @@ class TestSynthAndValidate:
         assert main(["validate", "--data", data]) == 2
         _assert_only_error_line(capsys.readouterr().err, f"{path}: {fragment}")
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        out = str(tmp_path / "ds")
+        assert main(["synth", "--kind", "experts", "--out", out, "--seed", "-1"]) == 2
+        _assert_only_error_line(capsys.readouterr().err,
+                                "seed must be a non-negative integer, got -1")
+        assert not os.path.exists(out)
+
     def test_unknown_kind_is_an_argparse_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["synth", "--kind", "mystery", "--out", str(tmp_path / "x")])
@@ -481,16 +488,17 @@ class TestDropoutRates:
     rates: one record per (seed, rate), and one report row per rate."""
 
     @staticmethod
-    def _assert_rejected_before_loading(tmp_path, monkeypatch, method, rates, seeds="0,1"):
+    def _assert_rejected_before_loading(tmp_path, monkeypatch, method, rates, seeds="0,1",
+                                        extra=()):
         data = _synth(tmp_path)
         out = str(tmp_path / "sweep.jsonl")
 
         def load(path):
-            raise AssertionError("the dataset was loaded before the rates were checked")
+            raise AssertionError("the dataset was loaded before the flags were checked")
 
         monkeypatch.setattr(cli, "load_metadataset", load)
         assert main(["run", method, "--data", data, "--out", out, "--seeds", seeds,
-                     "--dropout-rate", rates] + FAST_NE) == 2
+                     "--dropout-rate", rates] + FAST_NE + list(extra)) == 2
         assert not os.path.exists(out)
         assert not os.path.exists(out + ".lock")
 
@@ -543,6 +551,24 @@ class TestDropoutRates:
         self._assert_rejected_before_loading(tmp_path, monkeypatch, "random", "0.75", seeds)
         _assert_only_error_line(capsys.readouterr().err,
                                 f"--seeds must be non-negative integers, got {seeds!r}")
+
+    @pytest.mark.parametrize("method, extra, fragment", [
+        ("greedy", ["--lr", "nan"], "learning rate must be a finite number > 0, got nan"),
+        ("ma", ["--lr", "inf"], "learning rate must be a finite number > 0, got inf"),
+        ("random", ["--layers", "0"], "layers must be >= 1, got 0"),
+        ("akaike", ["--steps", "0"], "steps must be >= 1, got 0"),
+        ("single-best", ["--batch-size", "0"], "batch_size must be >= 1, got 0"),
+        ("top-n", ["--hidden-dim", "0"], "hidden_dim must be >= 1, got 0"),
+        ("quick", ["--n", "0"], "--n must be >= 1, got 0"),
+        ("ne-ma", ["--n", "0"], "--n must be >= 1, got 0"),
+    ], ids=["greedy-lr-nan", "ma-lr-inf", "random-layers-0", "akaike-steps-0",
+            "single-best-batch-size-0", "top-n-hidden-dim-0", "quick-n-0", "ne-ma-n-0"])
+    def test_every_flag_is_checked_for_every_method_before_loading(
+            self, tmp_path, monkeypatch, capsys, method, extra, fragment):
+        """A bad flag exits 2 before the load, also for a method that
+        ignores the flag."""
+        self._assert_rejected_before_loading(tmp_path, monkeypatch, method, "0.75", extra=extra)
+        _assert_only_error_line(capsys.readouterr().err, fragment)
 
     def test_run_report_and_config_share_one_rate_rule(self, tmp_path, capsys):
         message = "dropout rate must be a number in [0, 1), got 1.0"

@@ -945,3 +945,16 @@ class TestGenerateDispatch:
                 generate(SyntheticSpec(kind=kind, n_instances=1, n_models=2, seed=0))
             with pytest.raises(ConfigError, match="n_models must be at least 2, got 1"):
                 generate(SyntheticSpec(kind=kind, n_instances=10, n_models=1, seed=0))
+
+    @pytest.mark.parametrize("seed", [-1, True, 1.5])
+    def test_rejects_a_seed_that_is_not_a_non_negative_integer(self, seed):
+        """data.check_seed is the seed rule of every kind."""
+        message = f"seed must be a non-negative integer, got {seed!r}"
+        for kind in ("experts", "preferred", "poly"):
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                generate(SyntheticSpec(kind=kind, n_instances=10, n_models=2, seed=seed))
+
+    def test_numpy_integer_seed_is_a_seed(self):
+        a = generate(SyntheticSpec(kind="poly", n_instances=10, n_models=2, seed=np.int64(3)))
+        b = generate(SyntheticSpec(kind="poly", n_instances=10, n_models=2, seed=3))
+        assert np.array_equal(a.val.predictions, b.val.predictions)

@@ -71,6 +71,12 @@ class TestConfigValidation:
             with pytest.raises(ConfigError):
                 neural.NEConfig(**kwargs)
 
+    @pytest.mark.parametrize("seed", [-1, True])
+    def test_rejects_a_bad_seed(self, seed):
+        message = f"seed must be a non-negative integer, got {seed!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            neural.NEConfig(seed=seed)
+
     def test_retain_prob(self):
         assert neural.NEConfig(dropout_rate=0.75).retain_prob == pytest.approx(0.25)
 
@@ -510,3 +516,5 @@ class TestDiversityOracle:
             neural.diversity_limit_oracle(0.0, 0.9, 5)
         with pytest.raises(ConfigError):
             neural.diversity_limit_oracle(0.5, 0.9, 5, n_samples=1)
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer, got -1"):
+            neural.diversity_limit_oracle(0.5, 0.9, 5, seed=-1)
