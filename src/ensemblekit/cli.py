@@ -133,7 +133,7 @@ def _label(method: str, config: dict) -> str:
     if rate is None:
         return method
     neural.check_dropout_rate(rate)
-    text = f"{rate:g}"
+    text = f"{rate + 0.0:g}"  # + 0.0: a rate of -0.0 shares the row of 0
     return f"{method}@{text if float(text) == rate else repr(rate)}"
 
 
@@ -210,7 +210,9 @@ def cmd_run(args) -> int:
     config = neural.NEConfig(mode=_NE_MODE_BY_METHOD.get(args.method, neural.MODE_MA),
                              layers=args.layers, hidden_dim=args.hidden_dim, steps=args.steps,
                              batch_size=args.batch_size, learning_rate=args.lr)
-    tasks = [replace(config, seed=seed, dropout_rate=rate) for seed in seeds for rate in rates]
+    # + 0.0 records a rate of -0.0 as 0.0.
+    tasks = [replace(config, seed=seed, dropout_rate=rate + 0.0)
+             for seed in seeds for rate in rates]
     ds = load_metadataset(args.data)
     reference = _single_best_reference(ds)
 
@@ -359,10 +361,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output dataset directory")
     p.add_argument("--n", type=int, default=2000, help="instances per split")
     p.add_argument("--models", type=int, default=5, help="number of base models")
-    p.add_argument("--classes", type=int, default=3, help="classes (experts kind)")
-    p.add_argument("--rho", type=float, default=0.9, help="target correlation (preferred kind)")
-    p.add_argument("--degree", type=int, default=10, help="polynomial degree (poly kind)")
-    p.add_argument("--noise", type=float, default=0.1, help="label noise scale (poly kind)")
+    p.add_argument("--classes", type=int, default=3,
+                   help="classes, >= 3; used by experts, checked for every kind")
+    p.add_argument("--rho", type=float, default=0.9,
+                   help="target correlation in [0, 1]; used by preferred, checked for every kind")
+    p.add_argument("--degree", type=int, default=10,
+                   help="polynomial degree, >= 1; used by poly, checked for every kind")
+    p.add_argument("--noise", type=float, default=0.1,
+                   help="label noise scale, finite and >= 0; used by poly, checked for every kind")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_synth)
 

@@ -496,13 +496,13 @@ def _parse_split(path: str, split_name: str, n_models: int, n_classes: int) -> S
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Parameters for the synthetic generators.
+    """Parameters for the synthetic generators, checked on construction.
 
     ``kind`` selects the generator: 'experts' (classification with
     region-wise reliable models), 'preferred' (regression with one
     informative model among noise) or 'poly' (regression with
-    bootstrapped polynomial fits). Fields irrelevant to a kind are
-    ignored. ``n_instances`` is the size of each split.
+    bootstrapped polynomial fits). Every field is checked for every kind,
+    used only by their kind. ``n_instances`` is the size of each split.
     """
 
     kind: str
@@ -514,6 +514,21 @@ class SyntheticSpec:
     noise_scale: float = 0.1
     seed: int = 0
 
+    def __post_init__(self):
+        if self.kind not in _GENERATORS:
+            raise ConfigError(
+                f"unknown synthetic kind '{self.kind}', expected one of {sorted(_GENERATORS)}"
+            )
+        # n_classes: experts never labels class 0, so C = 2 would label every instance 1.
+        for name, least in (("n_instances", 2), ("n_models", 2), ("n_classes", 3), ("degree", 1)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        if not 0.0 <= self.rho_p <= 1.0:
+            raise ConfigError(f"rho_p must lie in [0, 1], got {self.rho_p}")
+        if not 0.0 <= self.noise_scale < np.inf:
+            raise ConfigError(f"noise_scale must be a finite number >= 0, got {self.noise_scale}")
+        check_seed(self.seed)
+
 
 def check_seed(seed) -> None:
     """Raise ConfigError unless ``seed`` is a random seed: an integer, not
@@ -523,27 +538,16 @@ def check_seed(seed) -> None:
 
 
 def generate(spec: SyntheticSpec) -> MetaDataset:
-    """The dataset of the generator named by spec.kind. Every kind needs
-    at least 2 instances per split and 2 models, and draws both splits,
-    val first, from one stream seeded by spec.seed."""
-    generators = {"experts": _experts, "preferred": _preferred, "poly": _poly}
-    if spec.kind not in generators:
-        raise ConfigError(
-            f"unknown synthetic kind '{spec.kind}', expected one of {sorted(generators)}"
-        )
-    if spec.n_instances < 2:
-        raise ConfigError(f"n_instances must be at least 2, got {spec.n_instances}")
-    if spec.n_models < 2:
-        raise ConfigError(f"n_models must be at least 2, got {spec.n_models}")
-    check_seed(spec.seed)
+    """The dataset of the generator named by spec.kind, with both splits
+    drawn, val first, from one stream seeded by spec.seed."""
     rng = np.random.default_rng(spec.seed)
-    name, task, one_split = generators[spec.kind](spec, rng)
+    name, task, one_split = _GENERATORS[spec.kind](spec, rng)
     return MetaDataset(name=name, task=task, val=one_split(spec.n_instances),
                        test=one_split(spec.n_instances))
 
 
-# A generator checks its own fields of the spec, then returns the dataset's
-# name, its task and a function that draws one split of n instances.
+# A generator returns the dataset's name, its task and a function that
+# draws one split of n instances.
 _Generator = Tuple[str, TaskKind, Callable[[int], Split]]
 
 
@@ -561,9 +565,6 @@ def _experts(spec: SyntheticSpec, rng: np.random.Generator) -> _Generator:
     alone, which is what rewards per-instance weights.
     """
     m_models, n_classes = spec.n_models, spec.n_classes
-    if n_classes < 3:
-        raise ConfigError(f"n_classes must be at least 3 (class 0 is never a label), "
-                          f"got {n_classes}")
 
     def one_split(n: int) -> Split:
         region = np.minimum((rng.random(n) * m_models).astype(np.int64), m_models - 1)
@@ -592,9 +593,6 @@ def _preferred(spec: SyntheticSpec, rng: np.random.Generator) -> _Generator:
     mean 0 and variance 1 per split, so for rho_p = 1 model 0 equals the
     target exactly.
     """
-    if not 0.0 <= spec.rho_p <= 1.0:
-        raise ConfigError(f"rho_p must lie in [0, 1], got {spec.rho_p}")
-
     def standardize(a: np.ndarray) -> np.ndarray:
         return (a - a.mean()) / a.std()
 
@@ -611,7 +609,8 @@ def _preferred(spec: SyntheticSpec, rng: np.random.Generator) -> _Generator:
             labels=standardize(y),
         )
 
-    name = f"preferred-m{spec.n_models}-rho{spec.rho_p:g}-seed{spec.seed}"
+    # + 0.0: rho_p = -0.0 draws the data of 0, so it takes the name of 0.
+    name = f"preferred-m{spec.n_models}-rho{spec.rho_p + 0.0:g}-seed{spec.seed}"
     return name, TaskKind.REGRESSION, one_split
 
 
@@ -633,10 +632,6 @@ def _poly(spec: SyntheticSpec, rng: np.random.Generator) -> _Generator:
     the fitted polynomials evaluated at fresh uniform x in [-1, 1]. High
     degrees overfit the pool and disagree wildly near the interval edges.
     """
-    if spec.degree < 1:
-        raise ConfigError(f"degree must be at least 1, got {spec.degree}")
-    if spec.noise_scale < 0:
-        raise ConfigError(f"noise_scale must be nonnegative, got {spec.noise_scale}")
     pool_x = rng.uniform(-1.0, 1.0, _POOL_SIZE)
     pool_y = _true_function(pool_x) + spec.noise_scale * rng.standard_normal(_POOL_SIZE)
     fits = []
@@ -655,3 +650,6 @@ def _poly(spec: SyntheticSpec, rng: np.random.Generator) -> _Generator:
         return _OwnedSplit(predictions=preds[:, :, None], labels=y)
 
     return f"poly-d{spec.degree}-m{spec.n_models}-seed{spec.seed}", TaskKind.REGRESSION, one_split
+
+
+_GENERATORS = {"experts": _experts, "preferred": _preferred, "poly": _poly}

@@ -158,37 +158,6 @@ def sample_mask(n_models: int, retain_prob: float, rng: np.random.Generator) -> 
 
 
 # ---------------------------------------------------------------------------
-# The column kernel: one shared network applied to every class column
-# ---------------------------------------------------------------------------
-
-
-def _columns_forward(
-    net: nn.DenseNet, x: np.ndarray, keep: Optional[np.ndarray]
-) -> Tuple[List[np.ndarray], List[List[np.ndarray]]]:
-    """Run ``net`` on each class column x[:, :, c] of a (B, M, C) cube,
-    or of a (B, k, C) cube of the models ``keep`` only. Returns each
-    column's output and its activations for _columns_backward, in class
-    order."""
-    outs, acts = zip(*(nn.forward(net, x[:, :, c], columns=keep) for c in range(x.shape[2])))
-    return list(outs), list(acts)
-
-
-def _columns_backward(
-    net: nn.DenseNet,
-    acts: List[List[np.ndarray]],
-    douts: List[np.ndarray],
-    grad: np.ndarray,
-    keep: Optional[np.ndarray],
-) -> None:
-    """Add ``net``'s parameter gradients, summed over class columns in
-    class order, into ``grad``; ``douts`` holds dLoss/d(each column's
-    output). With ``keep``, only those columns of the first layer's
-    weights get a gradient."""
-    for a, dout in zip(acts, douts):
-        nn.backward(net, a, dout, grad, columns=keep)
-
-
-# ---------------------------------------------------------------------------
 # Forward pass, training objective and analytic gradients
 # ---------------------------------------------------------------------------
 
@@ -215,14 +184,15 @@ def _forward(
         # the models of a transposed layout would round differently.
         kept = cube.take(keep, axis=1)
         x = kept * (1.0 / retain_prob)
+    # The column kernel: one shared network scores or embeds each class column.
+    outs, acts = zip(*(nn.forward(params.nets[0], x[:, :, c], columns=keep)
+                       for c in range(x.shape[2])))
     if params.mode == MODE_STACKING:
-        outs, acts = _columns_forward(params.nets[0], x, keep)
         out = np.concatenate(outs, axis=1)
         if out.shape[1] > 1:
             out = nn.softmax(out)
         return out, (keep, acts, out)
-    embedder, head = params.nets
-    outs, acts = _columns_forward(embedder, x, keep)
+    head = params.nets[1]
     embed = functools.reduce(np.add, outs)  # the deep-set sum, in class order
     rows = slice(None) if keep is None else keep
     weights = head.weights[0][rows]
@@ -248,22 +218,24 @@ def _backward(params: NEParams, cache: tuple, dout: np.ndarray) -> np.ndarray:
     Models a mask dropped get exactly 0: their first-layer weight columns,
     and their rows and biases of the ma head."""
     grad = np.zeros_like(params.flat)
+    grads = params.split(grad)
     if params.mode == MODE_STACKING:
         keep, acts, out = cache
         if out.shape[1] > 1:
             dout = nn.softmax_backward(out, dout)
         douts = [dout[:, c : c + 1] for c in range(dout.shape[1])]
-        _columns_backward(params.nets[0], acts, douts, grad, keep)
-        return grad
-    keep, kept, acts, embed, weights, theta = cache
-    embedder, head = params.nets
-    grad_embedder, grad_head = params.split(grad)
-    dscores = nn.softmax_backward(theta.T, np.einsum("bc,bmc->mb", dout, kept), axis=0)
-    (grad_weights,), (grad_biases,) = head.unpack(grad_head)
-    rows = slice(None) if keep is None else keep
-    grad_weights[rows] = dscores @ embed
-    grad_biases[rows] = dscores.sum(axis=1)
-    _columns_backward(embedder, acts, [dscores.T @ weights] * len(acts), grad_embedder, keep)
+    else:
+        keep, kept, acts, embed, weights, theta = cache
+        dscores = nn.softmax_backward(theta.T, np.einsum("bc,bmc->mb", dout, kept), axis=0)
+        (grad_weights,), (grad_biases,) = params.nets[1].unpack(grads[1])
+        rows = slice(None) if keep is None else keep
+        grad_weights[rows] = dscores @ embed
+        grad_biases[rows] = dscores.sum(axis=1)
+        douts = [dscores.T @ weights] * len(acts)
+    # The column kernel's gradient, summed over the class columns in class
+    # order; with ``keep``, only those first-layer weight columns get one.
+    for a, column_dout in zip(acts, douts):
+        nn.backward(params.nets[0], a, column_dout, grads[0], columns=keep)
     return grad
 
 

@@ -186,6 +186,25 @@ class TestSynthAndValidate:
             main(["synth", "--kind", "mystery", "--out", str(tmp_path / "x")])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("kind, flag, value, fragment", [
+        ("experts", "--rho", "7", "rho_p must lie in [0, 1], got 7.0"),
+        ("experts", "--degree", "0", "degree must be at least 1, got 0"),
+        ("experts", "--noise", "nan", "noise_scale must be a finite number >= 0, got nan"),
+        ("preferred", "--classes", "2", "n_classes must be at least 3, got 2"),
+        ("preferred", "--noise", "inf", "noise_scale must be a finite number >= 0, got inf"),
+        ("poly", "--rho", "-0.5", "rho_p must lie in [0, 1], got -0.5"),
+        ("poly", "--noise", "nan", "noise_scale must be a finite number >= 0, got nan"),
+        ("poly", "--noise", "inf", "noise_scale must be a finite number >= 0, got inf"),
+    ])
+    def test_every_flag_is_checked_for_every_kind_before_writing(
+            self, tmp_path, capsys, kind, flag, value, fragment):
+        """A bad flag exits 2 naming its field, also for a kind that
+        ignores the flag, and nothing is written."""
+        out = str(tmp_path / "ds")
+        assert main(["synth", "--kind", kind, "--out", out, "--n", "10", flag, value]) == 2
+        _assert_only_error_line(capsys.readouterr().err, fragment)
+        assert not os.path.exists(out)
+
 
 class TestRun:
     def test_single_best_normalizes_to_one(self, tmp_path):
@@ -594,6 +613,27 @@ class TestDropoutRates:
         with open(summary) as fh:
             rows = [line.split(",") for line in fh.read().splitlines()[1:]]
         assert [(cells[1], cells[5]) for cells in rows] == [("ne-ma@0", "2")]
+
+    def test_negative_zero_rate_is_recorded_and_reported_as_zero(self, tmp_path, capsys):
+        """-0 is the rate 0: run records it as 0.0, and a record that holds
+        -0.0 shares the row of 0."""
+        data = _synth(tmp_path)
+        out = str(tmp_path / "r.jsonl")
+        for rate in ("-0", "0"):
+            assert main(["run", "ne-ma", "--data", data, "--out", out, "--seeds", "0",
+                         "--dropout-rate", rate] + FAST_NE) == 0
+        with open(out) as fh:
+            lines = fh.read().splitlines()
+        assert all('"dropout_rate": 0.0,' in line for line in lines)
+        with open(out, "a") as fh:
+            fh.write(lines[0].replace('"dropout_rate": 0.0', '"dropout_rate": -0.0') + "\n")
+        summary = str(tmp_path / "summary.csv")
+        assert main(["report", "--records", out, "--out", summary]) == 0
+        capsys.readouterr()
+        with open(summary) as fh:
+            rows = {(cells[1], cells[5]) for cells in
+                    (line.split(",") for line in fh.read().splitlines()[1:])}
+        assert rows == {("ne-ma@0", "3")}
 
     def test_rates_equal_to_six_digits_get_their_own_rows(self, tmp_path, capsys):
         path = str(tmp_path / "records.jsonl")

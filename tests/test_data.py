@@ -1,6 +1,7 @@
 """Tests for dataset containers, on-disk format, split I/O in forked
 workers against the serial loop, and the three synthetic generators."""
 
+import dataclasses
 import json
 import math
 import os
@@ -877,6 +878,12 @@ class TestPreferredGenerator:
             generate(SyntheticSpec(kind="preferred", n_instances=10, n_models=2,
                                    rho_p=1.5, seed=0))
 
+    def test_negative_zero_rho_names_the_dataset_of_zero(self):
+        a = generate(SyntheticSpec(kind="preferred", n_instances=10, n_models=2, rho_p=-0.0))
+        b = generate(SyntheticSpec(kind="preferred", n_instances=10, n_models=2, rho_p=0.0))
+        assert a.name == b.name == "preferred-m2-rho0-seed0"
+        np.testing.assert_array_equal(a.val.predictions, b.val.predictions)
+
 
 class TestPolyGenerator:
     """Base models are bootstrap polynomial fits of one fixed cubic."""
@@ -945,6 +952,29 @@ class TestGenerateDispatch:
                 generate(SyntheticSpec(kind=kind, n_instances=1, n_models=2, seed=0))
             with pytest.raises(ConfigError, match="n_models must be at least 2, got 1"):
                 generate(SyntheticSpec(kind=kind, n_instances=10, n_models=1, seed=0))
+
+    @pytest.mark.parametrize("kind", ["experts", "preferred", "poly"])
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_instances", 1, "n_instances must be at least 2, got 1"),
+        ("n_models", 1, "n_models must be at least 2, got 1"),
+        ("n_classes", 2, "n_classes must be at least 3, got 2"),
+        ("rho_p", 1.5, "rho_p must lie in [0, 1], got 1.5"),
+        ("rho_p", math.nan, "rho_p must lie in [0, 1], got nan"),
+        ("degree", 0, "degree must be at least 1, got 0"),
+        ("noise_scale", -0.1, "noise_scale must be a finite number >= 0, got -0.1"),
+        ("noise_scale", math.nan, "noise_scale must be a finite number >= 0, got nan"),
+        ("noise_scale", math.inf, "noise_scale must be a finite number >= 0, got inf"),
+        ("seed", -1, "seed must be a non-negative integer, got -1"),
+    ])
+    def test_spec_checks_every_field_for_every_kind_at_construction(
+            self, kind, field, value, message):
+        """The spec, not the generator, rejects a bad field, whatever the
+        kind; dataclasses.replace checks the copy again."""
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            SyntheticSpec(**{"kind": kind, field: value})
+        spec = SyntheticSpec(kind=kind)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            dataclasses.replace(spec, **{field: value})
 
     @pytest.mark.parametrize("seed", [-1, True, 1.5])
     def test_rejects_a_seed_that_is_not_a_non_negative_integer(self, seed):
