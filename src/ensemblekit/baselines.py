@@ -105,9 +105,11 @@ def greedy_select(
     proj = predictions[metrics.loss_index(labels, task)]
     m_models = proj.shape[1]
     running = np.zeros(proj.shape[0])
+    candidates = np.empty(proj.shape)  # every round's averages, in one buffer
     picks = []
     for k in range(n_slots):
-        candidates = (running[:, None] + proj) / (k + 1)
+        np.add(running[:, None], proj, out=candidates)
+        candidates /= k + 1
         losses = metrics.loss(candidates, labels, task)
         best = int(np.argmin(losses))
         picks.append(best)

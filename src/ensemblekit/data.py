@@ -34,6 +34,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+import math
 import numbers
 import os
 import tempfile
@@ -129,20 +130,26 @@ def check_cube(cube: np.ndarray, where: str) -> None:
         raise DataValidationError(f"{where} has no instances")
     if cube.shape[1] < 1 or cube.shape[2] < 1:
         raise DataValidationError(f"{where} needs at least one model and class")
-    if not np.isfinite(cube).all():
+    # The extremes carry a NaN through and show an infinity, so the checks
+    # allocate nothing the size of the cube until one fails.
+    with np.errstate(invalid="ignore"):
+        lo, hi = cube.min(), cube.max()
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         i, m, c = np.argwhere(~np.isfinite(cube))[0]
         raise DataValidationError(f"{where} entry (instance {i}, model {m}, "
                                   f"class {c}) is not finite: {cube[i, m, c]}")
     if cube.shape[2] == 1:
         return
-    if np.any(cube < -1e-12) or np.any(cube > 1.0 + 1e-12):
+    if lo < -1e-12 or hi > 1.0 + 1e-12:
         raise DataValidationError(f"{where}: predictions must be probabilities in [0, 1]")
-    sums = cube.sum(axis=2)
-    bad = np.abs(sums - 1.0) > SIMPLEX_TOL
-    if np.any(bad):
-        i, m = map(int, np.argwhere(bad)[0])
+    deviation = cube.sum(axis=2)
+    deviation -= 1.0
+    np.abs(deviation, out=deviation)
+    if deviation.max() > SIMPLEX_TOL:
+        i, m = map(int, np.argwhere(deviation > SIMPLEX_TOL)[0])
+        total = cube.sum(axis=2)[i, m]  # the sum the deviation was taken from
         raise DataValidationError(f"{where}: probabilities for instance {i}, model {m} "
-                                  f"sum to {sums[i, m]:.6f}, expected 1 within {SIMPLEX_TOL}")
+                                  f"sum to {total:.6f}, expected 1 within {SIMPLEX_TOL}")
 
 
 def check_labels(labels, n: int, task: TaskKind, n_classes: int, where: str) -> np.ndarray:
@@ -290,7 +297,8 @@ def _csv_digest(stem: str) -> bytes:
     for kind in ("predictions", "labels"):
         sha = hashlib.sha256()
         with open(f"{stem}_{kind}.csv", "rb") as fh:
-            for chunk in iter(lambda: fh.read(1 << 20), b""):
+            # Small chunks: both splits are hashed at once, in two threads.
+            for chunk in iter(lambda: fh.read(1 << 16), b""):
                 sha.update(chunk)
         digests += sha.digest()
     return digests
@@ -521,13 +529,22 @@ class SyntheticSpec:
             )
         # n_classes: experts never labels class 0, so C = 2 would label every instance 1.
         for name, least in (("n_instances", 2), ("n_models", 2), ("n_classes", 3), ("degree", 1)):
-            if getattr(self, name) < least:
-                raise ConfigError(f"{name} must be at least {least}, got {getattr(self, name)}")
+            value = getattr(self, name)
+            check_integer(name, value)
+            if value < least:
+                raise ConfigError(f"{name} must be at least {least}, got {value}")
         if not 0.0 <= self.rho_p <= 1.0:
             raise ConfigError(f"rho_p must lie in [0, 1], got {self.rho_p}")
         if not 0.0 <= self.noise_scale < np.inf:
             raise ConfigError(f"noise_scale must be a finite number >= 0, got {self.noise_scale}")
         check_seed(self.seed)
+
+
+def check_integer(name: str, value) -> None:
+    """Raise ConfigError naming ``name`` unless ``value`` is an integer,
+    numpy's included, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 def check_seed(seed) -> None:

@@ -53,17 +53,24 @@ def loss(values: np.ndarray, targets: np.ndarray, task: TaskKind):
     """
     # The ufuncs np.mean and np.clip call, without their Python wrappers:
     # the same values, bit for bit, in half the time on a training batch.
+    # Each branch works in one new array the size of ``values``.
     n = values.shape[0]
     if task is TaskKind.CLASSIFICATION:
-        return np.add.reduce(-np.log(_clamp(values)), axis=0) / n
+        terms = _clamp(values)
+        np.log(terms, out=terms)
+        np.negative(terms, out=terms)
+        return np.add.reduce(terms, axis=0) / n
     targets = np.asarray(targets, dtype=np.float64)
     with np.errstate(over="ignore"):
-        diff = values - targets.reshape((-1,) + (1,) * (values.ndim - 1))
-        return np.add.reduce(diff * diff, axis=0) / n
+        terms = values - targets.reshape((-1,) + (1,) * (values.ndim - 1))
+        terms *= terms
+        return np.add.reduce(terms, axis=0) / n
 
 
 def _clamp(probs: np.ndarray) -> np.ndarray:
-    return np.minimum(np.maximum(probs, PROB_CLAMP_LO), PROB_CLAMP_HI)
+    """A new array of ``probs`` clamped into [PROB_CLAMP_LO, PROB_CLAMP_HI]."""
+    clamped = np.maximum(probs, PROB_CLAMP_LO)
+    return np.minimum(clamped, PROB_CLAMP_HI, out=clamped)
 
 
 def loss_gradient(values: np.ndarray, targets: np.ndarray, task: TaskKind) -> np.ndarray:

@@ -38,7 +38,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import metrics, nn
-from .data import MetaDataset, SyntheticSpec, TaskKind, check_cube, check_seed, generate
+from .data import (MetaDataset, SyntheticSpec, TaskKind, check_cube, check_integer, check_seed,
+                   generate)
 from .errors import ConfigError, NumericError, ShapeError
 
 MODE_STACKING = "stacking"
@@ -79,8 +80,10 @@ class NEConfig:
             raise ConfigError(f"mode must be '{MODE_STACKING}' or '{MODE_MA}', got {self.mode!r}")
         check_dropout_rate(self.dropout_rate)
         for name in ("layers", "hidden_dim", "steps", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+            value = getattr(self, name)
+            check_integer(name, value)
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
         nn.check_learning_rate(self.learning_rate)
         check_seed(self.seed)
 

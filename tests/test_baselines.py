@@ -10,6 +10,7 @@ import pytest
 from ensemblekit.errors import ConfigError, DataValidationError, ShapeError
 from ensemblekit import baselines, data, metrics, nn
 from ensemblekit.data import SyntheticSpec, TaskKind, generate
+from peakmem import traced_peak
 
 
 def _classification_cube():
@@ -160,6 +161,16 @@ class TestGreedySelect:
                     losses.append(metrics.loss(avg, labels, TaskKind.CLASSIFICATION))
                 chosen.append(int(np.argmin(losses)))
             assert got == tuple(chosen)
+
+    def test_rounds_reuse_one_candidate_buffer(self):
+        """Beside the (N, M) projection, a round holds one array of
+        candidate averages and the loss's terms."""
+        ds = generate(SyntheticSpec(kind="experts", n_instances=2000, n_models=20,
+                                    n_classes=20, seed=0))
+        cube, labels, task = ds.val.predictions, ds.val.labels, ds.task
+        proj_bytes = cube[metrics.loss_index(labels, task)].nbytes
+        _, peak = traced_peak(lambda: baselines.greedy_select(cube, labels, task))
+        assert peak <= 3.2 * proj_bytes
 
     def test_tie_breaks_to_lowest_index(self):
         # duplicate model columns force exact loss ties in every round

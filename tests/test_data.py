@@ -2,6 +2,7 @@
 workers against the serial loop, and the three synthetic generators."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -24,6 +25,7 @@ from ensemblekit.data import (
     load_metadataset,
     save_metadataset,
 )
+from peakmem import traced_peak
 
 
 GOLDEN_CSV = os.path.join(os.path.dirname(__file__), "data", "golden_csv.json")
@@ -144,13 +146,37 @@ class TestInputChecks:
     """check_cube and check_labels are the one rule for a prediction cube
     and a label vector, at load and at every public entry point."""
 
-    def test_cube_names_first_non_finite_entry(self):
-        cube = np.full((3, 2, 2), 0.5)
-        cube[2, 0, 1] = np.inf
-        cube[1, 1, 0] = np.nan
-        pattern = r"^here entry \(instance 1, model 1, class 0\) is not finite: nan$"
-        with pytest.raises(DataValidationError, match=pattern):
+    @pytest.mark.parametrize("shape, entries, message", [
+        ((3, 2, 2), {(2, 0, 1): np.inf, (1, 1, 0): np.nan},
+         "here entry (instance 1, model 1, class 0) is not finite: nan"),
+        ((3, 2, 2), {(2, 0, 1): np.inf}, "here entry (instance 2, model 0, class 1) is not finite: inf"),
+        ((3, 2, 2), {(0, 1, 0): -np.inf},
+         "here entry (instance 0, model 1, class 0) is not finite: -inf"),
+        ((3, 2, 2), {(0, 1, 1): 1.5, (1, 1, 0): np.nan},
+         "here entry (instance 1, model 1, class 0) is not finite: nan"),
+        ((3, 2, 2), {(1, 0, 0): -2e-12}, "here: predictions must be probabilities in [0, 1]"),
+        ((3, 2, 2), {(1, 0, 0): 1.0 + 2e-12}, "here: predictions must be probabilities in [0, 1]"),
+        ((3, 2, 1), {(0, 0, 0): 1e308, (2, 1, 0): -1e308}, None),
+    ], ids=["nan-before-inf", "inf", "minus-inf", "nan-beside-out-of-range", "below-zero",
+            "above-one", "huge-regression-column"])
+    def test_cube_entry_messages(self, shape, entries, message):
+        """A non-finite entry is named before a probability outside [0, 1]
+        is reported; 1e-12 is the range's tolerance, and a regression
+        column may hold any finite value."""
+        cube = np.full(shape, 0.5)
+        for index, value in entries.items():
+            cube[index] = value
+        if message is None:
             data.check_cube(cube, "here")
+            return
+        with pytest.raises(DataValidationError, match=f"^{re.escape(message)}$"):
+            data.check_cube(cube, "here")
+
+    def test_cube_check_allocates_less_than_a_tenth_of_the_cube(self):
+        cube = generate(SyntheticSpec(kind="experts", n_instances=2000, n_models=20,
+                                      n_classes=20, seed=0)).val.predictions
+        _, peak = traced_peak(lambda: data.check_cube(cube, "here"))
+        assert peak < 0.1 * cube.nbytes
 
     def test_cube_shape_and_sizes(self):
         with pytest.raises(ShapeError, match=r"^here must be \(instances, models, classes\)"):
@@ -722,6 +748,19 @@ class TestParseCache:
         assert calls == list(data.SPLIT_NAMES)
         _assert_same_arrays(back, parsed)
 
+    def test_csv_digest_reads_in_small_chunks(self, tmp_path):
+        """Both splits are hashed at once, so each digest holds little."""
+        ds = generate(SyntheticSpec(kind="experts", n_instances=2000, n_models=20,
+                                    n_classes=20, seed=0))
+        save_metadataset(ds, str(tmp_path))
+        stem = str(tmp_path / "val")
+        assert os.path.getsize(stem + "_predictions.csv") > 2 << 20
+        digest, peak = traced_peak(lambda: data._csv_digest(stem))
+        assert peak < 256 << 10
+        whole = [hashlib.sha256((tmp_path / f"val_{kind}.csv").read_bytes()).digest()
+                 for kind in ("predictions", "labels")]
+        assert digest == b"".join(whole)
+
     @pytest.mark.parametrize("damage", ["truncated", "garbage", "missing"])
     def test_damaged_cache_loads_as_a_parse(self, tmp_path, monkeypatch, damage):
         ds = generate(SyntheticSpec(kind="experts", n_instances=10, n_models=2,
@@ -983,6 +1022,19 @@ class TestGenerateDispatch:
         for kind in ("experts", "preferred", "poly"):
             with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
                 generate(SyntheticSpec(kind=kind, n_instances=10, n_models=2, seed=seed))
+
+    @pytest.mark.parametrize("field", ["n_instances", "n_models", "n_classes", "degree"])
+    @pytest.mark.parametrize("value", [2.5, 4.0, True, "4", None])
+    def test_sizes_must_be_integers(self, field, value):
+        message = f"{field} must be an integer, got {value!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            SyntheticSpec(kind="poly", **{field: value})
+
+    def test_numpy_integer_sizes_are_sizes(self):
+        sizes = {"n_instances": 10, "n_models": 3, "n_classes": 4, "degree": 2}
+        a = generate(SyntheticSpec(kind="poly", **{k: np.int64(v) for k, v in sizes.items()}))
+        b = generate(SyntheticSpec(kind="poly", **sizes))
+        assert np.array_equal(a.val.predictions, b.val.predictions)
 
     def test_numpy_integer_seed_is_a_seed(self):
         a = generate(SyntheticSpec(kind="poly", n_instances=10, n_models=2, seed=np.int64(3)))

@@ -10,8 +10,9 @@ import pytest
 
 from ensemblekit.errors import DataValidationError, ShapeError, UndefinedMetricError
 from ensemblekit import metrics
-from ensemblekit.data import TaskKind
+from ensemblekit.data import SyntheticSpec, TaskKind, generate
 from gradcheck import finite_difference_gradients, gradient_errors
+from peakmem import traced_peak
 
 
 def _auc_pair_counting(scores, labels):
@@ -77,6 +78,22 @@ class TestLoss:
                 inside = (values > lo) & (values < hi)
                 want = np.where(inside, -1.0 / np.clip(values, lo, hi), 0.0) / n
                 assert metrics.loss_gradient(values, targets, task).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["experts", "preferred"])
+    def test_allocates_one_array_the_size_of_its_values(self, kind):
+        """Only the (N, M) terms of the mean are new, and ``values`` is
+        not written to."""
+        ds = generate(SyntheticSpec(kind=kind, n_instances=2000, n_models=20,
+                                    n_classes=20, seed=0))
+        labels = ds.val.labels
+        values = ds.val.predictions[metrics.loss_index(labels, ds.task)]
+        before = values.copy()
+        _, peak = traced_peak(lambda: metrics.loss(values, labels, ds.task))
+        # Subtracting the broadcast (N, 1) targets adds numpy's fixed ufunc
+        # buffer of 8192 float64 values, whatever the size of ``values``.
+        buffer = 8192 * 8 if ds.task is TaskKind.REGRESSION else 0
+        assert peak <= 1.1 * values.nbytes + buffer
+        assert values.tobytes() == before.tobytes()
 
     def test_nll_is_loss_of_true_class_column(self):
         rng = np.random.default_rng(3)

@@ -71,6 +71,18 @@ class TestConfigValidation:
             with pytest.raises(ConfigError):
                 neural.NEConfig(**kwargs)
 
+    @pytest.mark.parametrize("field", ["layers", "hidden_dim", "steps", "batch_size"])
+    @pytest.mark.parametrize("value", [2.5, 4.0, True, "4", None])
+    def test_sizes_must_be_integers(self, field, value):
+        message = f"{field} must be an integer, got {value!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            neural.NEConfig(**{field: value})
+
+    def test_numpy_integer_sizes_are_sizes(self):
+        sizes = {"layers": 2, "hidden_dim": 4, "steps": 3, "batch_size": 8}
+        config = neural.NEConfig(**{k: np.int64(v) for k, v in sizes.items()})
+        assert config == neural.NEConfig(**sizes)
+
     @pytest.mark.parametrize("seed", [-1, True])
     def test_rejects_a_bad_seed(self, seed):
         message = f"seed must be a non-negative integer, got {seed!r}"
