@@ -15,15 +15,19 @@ Exit codes: 0 success, 2 usage or data error, 3 numeric failure (a
 non-finite training loss or metric; nothing is appended then).
 
 Each (seed, rate) task of `run` is a copy of one `NEConfig`, so every
-flag is checked, for every method, before the data is read. The tasks
-run in forked worker processes, one per usable CPU and never more than
-there are tasks; a single task, a single CPU or a platform without fork
-runs them one after another in this process. The mapper is
-`data.fork_map`, which also writes and parses the dataset splits. The
-parent loads the data, holds the lock, appends the records seed-major in
-the order `--seeds` and `--dropout-rate` list them and prints; only
-tasks and records cross between processes, so the records are the same
-either way. A worker's error re-raises in the parent, type and message.
+flag is checked, for every method, before the data is read. `run` holds
+one split at a time: it loads the validation split and fits every task
+on it, then drops it, and only then loads the test split and scores
+every fit on it. The fits, and then the scoring, run in forked worker
+processes, one per usable CPU and never more than there are tasks; a
+single task, a single CPU or a platform without fork runs them one after
+another in this process. The mapper is `data.fork_map`, which also
+writes and parses the dataset splits. The parent loads each split, holds
+the lock, appends the records seed-major in the order `--seeds` and
+`--dropout-rate` list them and prints; only tasks, fits (a combiner's
+parameters or static weights) and records cross between processes, so
+the records are the same either way. A worker's error re-raises in the
+parent, type and message.
 """
 
 from __future__ import annotations
@@ -42,8 +46,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import baselines, metrics, neural
-from .data import MetaDataset, SyntheticSpec, TaskKind, fork_map, generate
-from .data import load_metadataset, save_metadataset
+from .data import MetaDataset, SyntheticSpec, TaskKind, fork_map, load_metadataset, load_split
+from .data import save_synthetic
 from .errors import ConfigError, DataFormatError, EnsembleKitError, LockError, NumericError
 
 METHODS = (
@@ -111,16 +115,10 @@ def _finite(values: Dict[str, float], where: str) -> Dict[str, float]:
     return values
 
 
-def _evaluate(ds: MetaDataset, predictions: np.ndarray, split: str) -> metrics.MetricReport:
-    labels = getattr(ds, split).labels
-    if ds.task is TaskKind.CLASSIFICATION:
+def _evaluate(task: TaskKind, predictions: np.ndarray, labels: np.ndarray) -> metrics.MetricReport:
+    if task is TaskKind.CLASSIFICATION:
         return metrics.classification_report(predictions, labels)
     return metrics.regression_report(predictions, labels)
-
-
-def _single_best_reference(ds: MetaDataset) -> metrics.MetricReport:
-    idx = baselines.single_best(ds.val.predictions, ds.val.labels, ds.task)
-    return _evaluate(ds, ds.test.predictions[:, idx, :], "test")
 
 
 def _label(method: str, config: dict) -> str:
@@ -190,9 +188,8 @@ def cmd_synth(args) -> int:
         noise_scale=args.noise,
         seed=args.seed,
     )
-    ds = generate(spec)
-    save_metadataset(ds, args.out)
-    print(f"wrote {ds.name} to {args.out}")
+    name = save_synthetic(spec, args.out)
+    print(f"wrote {name} to {args.out}")
     return 0
 
 
@@ -213,35 +210,56 @@ def cmd_run(args) -> int:
     # + 0.0 records a rate of -0.0 as 0.0.
     tasks = [replace(config, seed=seed, dropout_rate=rate + 0.0)
              for seed in seeds for rate in rates]
-    ds = load_metadataset(args.data)
-    reference = _single_best_reference(ds)
+    fit_ds = load_split(args.data, "val")
+    dataset, kind = fit_ds.name, fit_ds.task
+    best = baselines.single_best(fit_ds.val.predictions, fit_ds.val.labels, kind)
+    neural_method = args.method in _NE_MODE_BY_METHOD
 
-    def worker(task: neural.NEConfig) -> dict:
+    def fit(task: neural.NEConfig) -> Tuple[object, Dict, float]:
+        """The task's fit on the validation split (NEParams, or a static
+        baseline's weights), its config echo and the seconds it took."""
         start = time.perf_counter()
-        if args.method in _NE_MODE_BY_METHOD:
-            params, _ = neural.train(ds, task)
-            predictions, mode = neural.predict(params, ds.test.predictions), task.mode
+        if neural_method:
+            fitted, _ = neural.train(fit_ds, task)
             echoed = ("dropout_rate", "layers", "hidden_dim", "steps", "batch_size")
             echo = dict({name: getattr(task, name) for name in echoed}, lr=task.learning_rate)
         else:
-            weights, echo = _static_weights(ds, args.method, task, args.n)
-            predictions, mode = baselines.predict_static(weights, ds.test.predictions), ""
-        report = _evaluate(ds, predictions, "test")
+            fitted, echo = _static_weights(fit_ds, args.method, task, args.n)
+        return fitted, echo, time.perf_counter() - start
+
+    def score(job: Tuple[neural.NEConfig, Tuple[object, Dict, float]]) -> dict:
+        """A task's record: its fit scored on the test split."""
+        task, (fitted, echo, fit_seconds) = job
+        start = time.perf_counter()
+        if neural_method:
+            predictions, mode = neural.predict(fitted, test.predictions), task.mode
+        else:
+            predictions, mode = baselines.predict_static(fitted, test.predictions), ""
+        report = _evaluate(kind, predictions, test.labels)
         normalized = metrics.normalize_report(report, reference)
-        where = f"{ds.name} {_label(args.method, echo)} seed {task.seed}"
+        where = f"{dataset} {_label(args.method, echo)} seed {task.seed}"
         return {
-            "dataset": ds.name,
+            "dataset": dataset,
             "method": args.method,
             "mode": mode,
             "seed": task.seed,
             "metrics": _finite(report.as_dict(), where),
             "normalized": _finite(normalized.as_dict(), where),
-            "wall_time_seconds": time.perf_counter() - start,
+            "wall_time_seconds": fit_seconds + time.perf_counter() - start,
             "config": echo,
         }
 
     with _locked_output(args.out):
-        records = fork_map(worker, tasks)
+        fits = fork_map(fit, tasks)
+        # The last reference to the validation arrays, which is also fit's
+        # closure cell: the test split is read only once they are gone.
+        del fit_ds
+        test = load_split(args.data, "test").test
+        reference = _evaluate(kind, test.predictions[:, best, :], test.labels)
+        # Scored in forked workers too: a worker starts with less memory
+        # than the parent, which the fits' pool grew, so a full-split
+        # forward pass there leaves the run's peak where it was.
+        records = fork_map(score, list(zip(tasks, fits)))
         _append_records(args.out, records)
     for record in records:
         print(

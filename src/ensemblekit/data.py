@@ -3,30 +3,39 @@
 A meta-dataset is everything an ensembling method is allowed to see: a
 prediction cube of shape (instances, models, classes) and a label vector,
 for a validation split (used for fitting) and a test split (evaluation
-only). Regression datasets use a single pseudo-class column.
+only). Regression datasets use a single pseudo-class column. A dataset may
+hold one split only, the other None: ``load_split`` loads one, so that a
+run can fit on val and drop it before it reads test.
 
 The on-disk layout is one directory per dataset: ``manifest.json`` plus
 ``<split>_predictions.csv`` / ``<split>_labels.csv``, written by
 ``np.savetxt`` with ``%.17g`` (17 significant digits, so a save/load round
 trip is exact; class labels use ``%d``) and read back by ``np.loadtxt``.
+``save_metadataset`` writes a dataset it is given; ``save_synthetic``
+writes the bytes ``save_metadataset(generate(spec))`` would, drawing each
+split where it is written, so no process holds both splits. Both write
+into a staging directory inside the target and move the files into place
+only when every split is written, so a failure leaves no dataset.
 
-Beside each split's CSV files, ``save_metadataset`` writes a parse cache,
+Beside each split's CSV files, the writers put a parse cache,
 ``<split>_cache.npy``: three ``np.save`` records holding the sha256 of the
 split's two CSV files and of its two arrays, the float64 predictions and
-the float64 labels. ``load_metadataset`` takes both splits from their
-caches only when each cache opens, its digests equal a fresh sha256 of the
-CSV bytes beside it and of the arrays it holds, and its shapes fit the
-manifest. ``%.17g`` and ``%d`` round-trip exactly, so with both digests
-equal a hit returns the arrays a parse of those bytes would. Anything
-else parses the CSV files, with the parse's errors; the loader never
-writes a cache, and deleting one only forces a parse.
+the float64 labels. A load takes a split from its cache only when the
+cache opens, its digests equal a fresh sha256 of the CSV bytes beside it
+and of the arrays it holds, and its shapes fit the manifest.
+``load_metadataset`` takes the caches only when both are hits. ``%.17g``
+and ``%d`` round-trip exactly, so with both digests equal a hit returns
+the arrays a parse of those bytes would. Anything else parses the CSV
+files, with the parse's errors; the loaders never write a cache, and
+deleting one only forces a parse.
 
-The splits are written and parsed in forked worker processes, one per
-split up to the usable CPUs (``fork_map``); there is no setting for it.
-A dataset too small to repay starting the workers, a single CPU or a
-platform without fork handles the splits one after another in this
-process. The bytes written, the arrays read and every error are the same
-either way; validation always runs in the calling process.
+The writers handle the splits in forked worker processes, one per split up
+to the usable CPUs (``fork_map``), and so does ``load_metadataset``'s
+parse; ``load_split`` reads its one split in this process. There is no
+setting for it. A dataset too small to repay starting the workers, a
+single CPU or a platform without fork handles the splits one after another
+in this process. The bytes written, the arrays read and every error are
+the same either way; a loader validates in the calling process.
 """
 
 from __future__ import annotations
@@ -37,6 +46,7 @@ import json
 import math
 import numbers
 import os
+import shutil
 import tempfile
 import threading
 import warnings
@@ -90,33 +100,38 @@ class MetaDataset:
 
     Arrays are validated and frozen read-only on construction: fitting
     code reads the validation split, evaluation reads test, nobody writes.
+    One split may be None, meaning not loaded: fitting needs val only.
     """
 
     name: str
     task: TaskKind
-    val: Split
-    test: Split
+    val: Optional[Split]
+    test: Optional[Split]
 
     def __post_init__(self):
         if not isinstance(self.task, TaskKind):
             raise ConfigError(f"task must be a TaskKind, got {self.task!r}")
-        val = _sanitize_split(self.val, self.task, "val")
-        test = _sanitize_split(self.test, self.task, "test")
-        if val.predictions.shape[1:] != test.predictions.shape[1:]:
+        if self.val is None and self.test is None:
+            raise ConfigError("a dataset needs a val or a test split")
+        shapes = []
+        for split_name in SPLIT_NAMES:
+            split = getattr(self, split_name)
+            if split is not None:
+                split = _sanitize_split(split, self.task, split_name)
+                object.__setattr__(self, split_name, split)
+                shapes.append(split.predictions.shape[1:])
+        if len(set(shapes)) > 1:
             raise DataValidationError(
-                f"val and test disagree on (models, classes): "
-                f"{val.predictions.shape[1:]} vs {test.predictions.shape[1:]}"
+                f"val and test disagree on (models, classes): {shapes[0]} vs {shapes[1]}"
             )
-        object.__setattr__(self, "val", val)
-        object.__setattr__(self, "test", test)
 
     @property
     def n_models(self) -> int:
-        return self.val.predictions.shape[1]
+        return (self.val or self.test).predictions.shape[1]
 
     @property
     def n_classes(self) -> int:
-        return self.val.predictions.shape[2]
+        return (self.val or self.test).predictions.shape[2]
 
 
 def check_cube(cube: np.ndarray, where: str) -> None:
@@ -259,23 +274,60 @@ def save_metadataset(ds: MetaDataset, path: str) -> None:
     This process writes the manifest; each split's two CSV files and its
     parse cache are written by a fork_map worker, or here for a small
     dataset."""
-    os.makedirs(path, exist_ok=True)
+    if ds.val is None or ds.test is None:
+        raise ConfigError(f"dataset {ds.name} needs both splits loaded to be saved")
+    _write_dataset(path, ds.name, ds.task, ds.n_models, ds.n_classes,
+                   lambda split_name: getattr(ds, split_name),
+                   ds.val.predictions.size + ds.test.predictions.size)
+
+
+def save_synthetic(spec: SyntheticSpec, path: str) -> str:
+    """Write the directory ``save_metadataset(generate(spec), path)`` would,
+    byte for byte, and return the dataset's name.
+
+    Each split is drawn, checked and written by its own fork_map worker,
+    or here for a small dataset; the test split's draw first replays the
+    val draw to reach its place in the spec's stream. So no process holds
+    both splits, and data that fails validation leaves no dataset."""
+    name, task, _ = _generator(spec)
+    n_classes = spec.n_classes if task is TaskKind.CLASSIFICATION else 1
+
+    def draw(split_name: str) -> Split:
+        _, _, one_split = _generator(spec)
+        for _ in range(SPLIT_NAMES.index(split_name)):
+            one_split()  # an earlier split's draw, dropped at once
+        return _sanitize_split(one_split(), task, split_name)
+
+    _write_dataset(path, name, task, spec.n_models, n_classes, draw,
+                   len(SPLIT_NAMES) * spec.n_instances * spec.n_models * n_classes)
+    return name
+
+
+def _write_dataset(path: str, name: str, task: TaskKind, n_models: int, n_classes: int,
+                   source: Callable[[str], Split], n_values: int) -> None:
+    """Write a dataset directory whose splits are ``source(split_name)``.
+
+    The files go into a staging directory inside ``path`` and move into
+    ``path`` only once every split is written, so an error, in ``source``
+    or in a write, leaves ``path`` as it was (and no ``path`` if there was
+    none). ``n_values``, the dataset's prediction values, picks between
+    fork_map's workers and this process."""
     manifest = {
-        "name": ds.name,
-        "task": ds.task.value,
-        "n_models": ds.n_models,
-        "n_classes": ds.n_classes,
+        "name": name,
+        "task": task.value,
+        "n_models": n_models,
+        "n_classes": n_classes,
         "splits": list(SPLIT_NAMES),
     }
-    with open(os.path.join(path, "manifest.json"), "w", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    label_fmt = "%d" if ds.task is TaskKind.CLASSIFICATION else _FLOAT_FMT
-    header = ",".join(_prediction_header(ds.n_models, ds.n_classes))
+    label_fmt = "%d" if task is TaskKind.CLASSIFICATION else _FLOAT_FMT
+    header = ",".join(_prediction_header(n_models, n_classes))
+    new = not os.path.isdir(path)
+    os.makedirs(path, exist_ok=True)
+    staging = tempfile.mkdtemp(prefix=".staging-", dir=path)
 
     def write(split_name: str) -> None:
-        split: Split = getattr(ds, split_name)
-        stem = os.path.join(path, split_name)
+        split = source(split_name)
+        stem = os.path.join(staging, split_name)
         np.savetxt(f"{stem}_predictions.csv", split.predictions.reshape(split.n_instances, -1),
                    fmt=_FLOAT_FMT, delimiter=",", header=header, comments="")
         np.savetxt(f"{stem}_labels.csv", split.labels, fmt=label_fmt, header="label", comments="")
@@ -288,7 +340,17 @@ def save_metadataset(ds: MetaDataset, path: str) -> None:
             np.save(fh, preds)
             np.save(fh, labels)
 
-    _map_splits(write, ds.val.predictions.size + ds.test.predictions.size, _FORK_MIN_VALUES)
+    try:
+        with open(os.path.join(staging, "manifest.json"), "w", newline="\n") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        _map_splits(write, n_values, _FORK_MIN_VALUES)
+        for file_name in os.listdir(staging):
+            os.replace(os.path.join(staging, file_name), os.path.join(path, file_name))
+        os.rmdir(staging)
+    except BaseException:
+        shutil.rmtree(path if new else staging, ignore_errors=True)
+        raise
 
 
 def _csv_digest(stem: str) -> bytes:
@@ -397,8 +459,9 @@ def _read_csv(path: str, n_columns: int) -> Tuple[List[str], np.ndarray]:
     return header.split(","), values
 
 
-def load_metadataset(path: str) -> MetaDataset:
-    """Load a dataset directory written by save_metadataset."""
+def _read_manifest(path: str) -> Tuple[str, TaskKind, int, int]:
+    """The name, task, n_models and n_classes of the dataset directory
+    ``path``, from its checked manifest."""
     manifest_path = os.path.join(path, "manifest.json")
     if not os.path.isdir(path):
         raise FileNotFoundError(f"dataset directory not found: {path}")
@@ -433,15 +496,31 @@ def load_metadataset(path: str) -> MetaDataset:
             raise DataFormatError(
                 f"{manifest_path}: '{key}' must be a JSON integer >= 1, got {json.dumps(size)}"
             )
-    n_models, n_classes = manifest["n_models"], manifest["n_classes"]
     name = manifest["name"]
     if not isinstance(name, str) or not name:
         raise DataFormatError(
             f"{manifest_path}: 'name' must be a non-empty JSON string, got {json.dumps(name)}"
         )
+    return name, task, manifest["n_models"], manifest["n_classes"]
+
+
+def load_metadataset(path: str) -> MetaDataset:
+    """Load a dataset directory written by save_metadataset."""
+    name, task, n_models, n_classes = _read_manifest(path)
     val, test = (_cached_splits(path, n_models, n_classes)
                  or _parsed_splits(path, n_models, n_classes))
     return MetaDataset(name=name, task=task, val=val, test=test)
+
+
+def load_split(path: str, split_name: str) -> MetaDataset:
+    """The dataset directory ``path`` with only its ``split_name`` split
+    loaded, the other None: from the split's cache on a hit, else parsed
+    here, and checked as load_metadataset checks it."""
+    name, task, n_models, n_classes = _read_manifest(path)
+    splits = dict.fromkeys(SPLIT_NAMES)
+    splits[split_name] = (_cached_split(os.path.join(path, split_name), n_models, n_classes)
+                          or _parse_split(path, split_name, n_models, n_classes))
+    return MetaDataset(name=name, task=task, **splits)
 
 
 def _parsed_splits(path: str, n_models: int, n_classes: int) -> List[Split]:
@@ -557,15 +636,28 @@ def check_seed(seed) -> None:
 def generate(spec: SyntheticSpec) -> MetaDataset:
     """The dataset of the generator named by spec.kind, with both splits
     drawn, val first, from one stream seeded by spec.seed."""
-    rng = np.random.default_rng(spec.seed)
-    name, task, one_split = _GENERATORS[spec.kind](spec, rng)
-    return MetaDataset(name=name, task=task, val=one_split(spec.n_instances),
-                       test=one_split(spec.n_instances))
+    name, task, one_split = _generator(spec)
+    return MetaDataset(name=name, task=task, val=one_split(), test=one_split())
 
 
 # A generator returns the dataset's name, its task and a function that
 # draws one split of n instances.
 _Generator = Tuple[str, TaskKind, Callable[[int], Split]]
+
+
+def _generator(spec: SyntheticSpec) -> Tuple[str, TaskKind, Callable[[], Split]]:
+    """The name, the task and a function that draws the next split of
+    spec.n_instances, of spec.kind's generator on a stream seeded by
+    spec.seed. Overflow and invalid values are left to validation, which
+    names the first entry that is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        name, task, one_split = _GENERATORS[spec.kind](spec, np.random.default_rng(spec.seed))
+
+    def draw() -> Split:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return one_split(spec.n_instances)
+
+    return name, task, draw
 
 
 def _experts(spec: SyntheticSpec, rng: np.random.Generator) -> _Generator:

@@ -117,6 +117,11 @@ class NEParams:
         """Per-net views of a vector laid out like ``flat``."""
         return [vector[start:end] for start, end in self._bounds]
 
+    def __reduce__(self):
+        # Pickled as its constructor arguments, so that a copy's nets are
+        # views into the copy's own ``flat``, which is pickled once.
+        return NEParams, (self.mode, self.n_models, self.layer_dims, self.flat)
+
 
 def _layer_dims(config: NEConfig, n_models: int) -> List[List[int]]:
     """Layer dims of the combiner's networks, in ``NEParams.flat`` order."""

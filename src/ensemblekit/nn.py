@@ -51,6 +51,11 @@ class DenseNet:
             start = bias + fan_out
         self.weights, self.biases = self.unpack(self.flat)
 
+    def __reduce__(self):
+        # Pickled as its constructor arguments, so that a copy's weights and
+        # biases are views into the copy's own ``flat``.
+        return DenseNet, (self.layer_dims, self.flat)
+
     def unpack(self, vector: np.ndarray) -> Tuple[List[np.ndarray], List[np.ndarray]]:
         """Per-layer weight and bias views of a vector laid out like ``flat``."""
         weights = [vector[w:b].reshape(shape) for w, b, _, shape in self._layout]

@@ -24,6 +24,7 @@ from ensemblekit.errors import ConfigError
 from ensemblekit.data import (
     MetaDataset, Split, SyntheticSpec, TaskKind, generate, load_metadataset, save_metadataset,
 )
+from peakmem import child_peak_rss_mb, traced_peak
 
 RECORD_KEYS = {
     "dataset", "method", "mode", "seed", "metrics",
@@ -115,6 +116,14 @@ def _readme_commands(path):
                 commands.append(shlex.split(line)[1:])
             line = ""
     return commands
+
+
+def _split_io(monkeypatch, forked):
+    """Write splits and fit tasks in forked workers (two usable CPUs and no
+    size floor), or one after another in this process (one usable CPU)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1} if forked else {0})
+    monkeypatch.setattr(ensemblekit.data, "_FORK_MIN_VALUES", 0)
+    monkeypatch.setattr(ensemblekit.data, "_FORK_MIN_BYTES", 0)
 
 
 def _assert_only_error_line(err, fragment):
@@ -366,6 +375,98 @@ class TestRun:
                      "--seeds", "0,zero"]) == 2
 
 
+class TestOneSplitAtATime:
+    """`run` fits on the validation split and reads the test split only
+    after dropping it, and `synth` draws each split where it writes it, so
+    no process holds both prediction cubes."""
+
+    def test_run_peak_stays_below_two_cubes(self, tmp_path):
+        ds = generate(SyntheticSpec(kind="experts", n_instances=2000, n_models=20,
+                                    n_classes=20, seed=0))
+        cube_bytes = ds.val.predictions.nbytes
+        data = str(tmp_path / "ds")
+        save_metadataset(ds, data)
+        del ds
+        out = str(tmp_path / "runs.jsonl")
+        code, peak = traced_peak(lambda: main(["run", "greedy", "--data", data, "--out", out,
+                                               "--seeds", "0"]))
+        assert code == 0
+        assert peak < 1.5 * cube_bytes, peak / cube_bytes
+
+    def test_serial_synth_peak_stays_below_two_cubes(self, tmp_path):
+        n, models, classes = 800, 10, 10
+        values = len(ensemblekit.data.SPLIT_NAMES) * n * models * classes
+        assert values < ensemblekit.data._FORK_MIN_VALUES  # both splits drawn here
+        _synth(tmp_path, "warm-up")  # numpy's writer imports what it needs once
+        out = str(tmp_path / "ds")
+        code, peak = traced_peak(lambda: main([
+            "synth", "--kind", "experts", "--out", out, "--n", str(n), "--models", str(models),
+            "--classes", str(classes)]))
+        assert code == 0
+        cube_bytes = n * models * classes * 8
+        assert peak < 1.5 * cube_bytes, peak / cube_bytes
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="ru_maxrss is counted in KiB on Linux only")
+    def test_cli_children_stay_below_two_cubes(self, tmp_path):
+        """Each heavy child's peak RSS, its worker processes included, less
+        that of a child that loads a tiny dataset."""
+        env = _child_env()
+        floor = child_peak_rss_mb(["validate", "--data", _synth(tmp_path, "tiny")], env)
+        n, models, classes = 4000, 20, 20
+        cube_mib = n * models * classes * 8 / 2**20
+        data, out = str(tmp_path / "ds"), str(tmp_path / "runs.jsonl")
+        children = {
+            "synth": ["synth", "--kind", "experts", "--out", data, "--n", str(n),
+                      "--models", str(models), "--classes", str(classes), "--seed", "0"],
+            "greedy": ["run", "greedy", "--data", data, "--out", out, "--seeds", "0"],
+            "ma": ["run", "ma", "--data", data, "--out", out, "--seeds", "0", "--steps", "50"],
+        }
+        for name, argv in children.items():
+            above = child_peak_rss_mb(argv, env) - floor
+            assert above < 1.5 * cube_mib, (name, above, cube_mib)
+
+    def test_bad_test_split_exits_2_after_the_fit(self, tmp_path, monkeypatch, capfd):
+        data = _synth(tmp_path)
+        out = tmp_path / "runs.jsonl"
+        assert main(["run", "akaike", "--data", data, "--out", str(out), "--seeds", "0"]) == 0
+        before = out.read_bytes()
+        path = os.path.join(data, "test_predictions.csv")
+        with open(path) as fh:
+            lines = fh.readlines()
+        lines[1] = "abc," + lines[1].split(",", 1)[1]
+        with open(path, "w") as fh:
+            fh.writelines(lines)
+        fitted = []
+        static_weights = cli._static_weights
+
+        def spy(ds, method, config, n):
+            fitted.append((method, config.seed, ds.test))
+            return static_weights(ds, method, config, n)
+
+        monkeypatch.setattr(cli, "_static_weights", spy)
+        _split_io(monkeypatch, forked=False)
+        capfd.readouterr()
+        assert main(["run", "greedy", "--data", data, "--out", str(out), "--seeds", "0,1"]) == 2
+        _assert_only_error_line(capfd.readouterr().err,
+                                f"{path}: line 2, column 1: 'abc' is not a number")
+        assert fitted == [("greedy", 0, None), ("greedy", 1, None)]
+        assert out.read_bytes() == before
+
+    @pytest.mark.parametrize("forked", [False, True], ids=["serial", "forked"])
+    def test_overflowing_draw_exits_2_with_one_line(self, tmp_path, monkeypatch, capfd, forked):
+        """numpy's overflow warnings stay quiet in the draw, in a worker or
+        here; validation names the entry, and no directory is left."""
+        _split_io(monkeypatch, forked)
+        out = str(tmp_path / "ds")
+        capfd.readouterr()
+        assert main(["synth", "--kind", "poly", "--out", out, "--n", "10",
+                     "--noise", "1e308"]) == 2
+        _assert_only_error_line(capfd.readouterr().err,
+                                "val split entry (instance 0, model 0, class 0) is not finite")
+        assert not os.path.exists(out)
+
+
 class TestRunDeterminism:
     def test_records_follow_the_listed_seed_order(self, tmp_path):
         """Seeds 2,0,1 run in up to min(3, usable CPUs) forked workers and
@@ -512,10 +613,10 @@ class TestDropoutRates:
         data = _synth(tmp_path)
         out = str(tmp_path / "sweep.jsonl")
 
-        def load(path):
+        def load(path, split_name):
             raise AssertionError("the dataset was loaded before the flags were checked")
 
-        monkeypatch.setattr(cli, "load_metadataset", load)
+        monkeypatch.setattr(cli, "load_split", load)
         assert main(["run", method, "--data", data, "--out", out, "--seeds", seeds,
                      "--dropout-rate", rates] + FAST_NE + list(extra)) == 2
         assert not os.path.exists(out)

@@ -23,7 +23,9 @@ from ensemblekit.data import (
     TaskKind,
     generate,
     load_metadataset,
+    load_split,
     save_metadataset,
+    save_synthetic,
 )
 from peakmem import traced_peak
 
@@ -140,6 +142,28 @@ class TestSplitValidation:
         for split in (ds.val, ds.test, hit.val, hit.test, parsed.val, parsed.test):
             assert not split.predictions.flags.writeable
             assert not split.labels.flags.writeable
+
+
+    def test_one_split_may_be_absent(self):
+        split = _tiny_classification()
+        for val, test in ((split, None), (None, split)):
+            ds = MetaDataset(name="t", task=TaskKind.CLASSIFICATION, val=val, test=test)
+            assert (ds.n_models, ds.n_classes) == (2, 2)
+            present = ds.val if val is not None else ds.test
+            assert not present.predictions.flags.writeable
+            assert (ds.test if val is not None else ds.val) is None
+        with pytest.raises(ConfigError, match="needs a val or a test split"):
+            MetaDataset(name="t", task=TaskKind.CLASSIFICATION, val=None, test=None)
+        bad = Split(predictions=split.predictions * 2.0, labels=split.labels)
+        with pytest.raises(DataValidationError, match="^test split"):
+            MetaDataset(name="t", task=TaskKind.CLASSIFICATION, val=None, test=bad)
+
+    def test_saving_needs_both_splits(self, tmp_path):
+        ds = MetaDataset(name="t", task=TaskKind.CLASSIFICATION, val=_tiny_classification(),
+                         test=None)
+        with pytest.raises(ConfigError, match="needs both splits"):
+            save_metadataset(ds, str(tmp_path / "ds"))
+        assert not (tmp_path / "ds").exists()
 
 
 class TestInputChecks:
@@ -801,6 +825,119 @@ class TestParseCache:
             errors.append(str(err.value))
         assert errors[0] == errors[1]
         assert errors[0].startswith(f"{out / 'val_predictions.csv'}: {fault}")
+
+
+class TestOneSplitAtATime:
+    """save_synthetic writes what save_metadataset(generate(spec)) writes,
+    drawing each split where it is written; load_split loads one split
+    as load_metadataset loads it. A failed write leaves no dataset."""
+
+    @pytest.mark.parametrize("forked", [False, True], ids=["serial", "forked"])
+    @pytest.mark.parametrize("kind", ["experts", "preferred", "poly"])
+    def test_synth_writer_matches_save_metadataset(self, tmp_path, monkeypatch, kind, forked):
+        spec = SyntheticSpec(kind=kind, n_instances=30, n_models=3, n_classes=4, degree=3,
+                             seed=5)
+        _split_io(monkeypatch, forked)
+        save_metadataset(generate(spec), str(tmp_path / "saved"))
+        assert save_synthetic(spec, str(tmp_path / "drawn")) == generate(spec).name
+        names = sorted(os.listdir(tmp_path / "saved"))
+        assert names == sorted(["manifest.json"] + CACHE_FILES + [
+            f"{split}_{kind}.csv" for split in data.SPLIT_NAMES
+            for kind in ("predictions", "labels")])
+        assert sorted(os.listdir(tmp_path / "drawn")) == names
+        for name in names:
+            assert (tmp_path / "drawn" / name).read_bytes() == \
+                (tmp_path / "saved" / name).read_bytes(), name
+
+    def test_synth_writer_draws_each_split_in_its_worker(self, tmp_path, monkeypatch):
+        """With two CPUs neither split is drawn in this process; with one,
+        val is drawn once and test after a replay of val's draw."""
+        draws = []
+        generator = data._generator
+
+        def spy(spec):
+            name, task, draw = generator(spec)
+
+            def counted():
+                draws.append(os.getpid())
+                return draw()
+
+            return name, task, counted
+
+        monkeypatch.setattr(data, "_generator", spy)
+        spec = SyntheticSpec(kind="experts", n_instances=10, n_models=2, n_classes=3, seed=0)
+        _split_io(monkeypatch, forked=True)
+        save_synthetic(spec, str(tmp_path / "forked"))
+        assert draws == []
+        _split_io(monkeypatch, forked=False)
+        save_synthetic(spec, str(tmp_path / "serial"))
+        assert draws == [os.getpid()] * 3
+
+    @pytest.mark.parametrize("cached", [True, False], ids=["cache", "parse"])
+    @pytest.mark.parametrize("split", data.SPLIT_NAMES)
+    def test_split_loader_matches_the_dataset_loader(self, tmp_path, monkeypatch, split,
+                                                     cached):
+        ds = generate(SyntheticSpec(kind="experts", n_instances=20, n_models=3, n_classes=4,
+                                    seed=2))
+        save_metadataset(ds, str(tmp_path))
+        if not cached:
+            _drop_caches(tmp_path)
+        whole = load_metadataset(str(tmp_path))
+        calls = _parse_spy(monkeypatch)
+        one = load_split(str(tmp_path), split)
+        assert calls == ([] if cached else [split])
+        assert (one.name, one.task, one.n_models, one.n_classes) == (
+            whole.name, whole.task, whole.n_models, whole.n_classes)
+        other = "test" if split == "val" else "val"
+        assert getattr(one, other) is None
+        got, want = getattr(one, split), getattr(whole, split)
+        for field in ("predictions", "labels"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+            assert not a.flags.writeable
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: m.pop("task"),
+        lambda m: m.update(splits=["val"]),
+        lambda m: m.update(n_models=0),
+    ], ids=["no-task", "splits", "size"])
+    def test_split_loader_gives_the_manifest_errors(self, tmp_path, edit):
+        save_metadataset(generate(SyntheticSpec(kind="poly", n_instances=10, n_models=3,
+                                                seed=0)), str(tmp_path))
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        edit(manifest)
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(DataFormatError) as whole:
+            load_metadataset(str(tmp_path))
+        for split in data.SPLIT_NAMES:
+            with pytest.raises(DataFormatError) as one:
+                load_split(str(tmp_path), split)
+            assert str(one.value) == str(whole.value)
+
+    def test_split_loader_reads_its_split_only(self, tmp_path):
+        ds = generate(SyntheticSpec(kind="preferred", n_instances=10, n_models=3, seed=0))
+        save_metadataset(ds, str(tmp_path))
+        (tmp_path / "test_predictions.csv").write_text("garbage\n")
+        assert load_split(str(tmp_path), "val").val.predictions.shape == (10, 3, 1)
+        with pytest.raises(DataFormatError, match="test_predictions.csv"):
+            load_split(str(tmp_path), "test")
+
+    @pytest.mark.parametrize("forked", [False, True], ids=["serial", "forked"])
+    def test_failed_write_leaves_no_dataset(self, tmp_path, monkeypatch, forked):
+        """A split that fails validation leaves no new directory, and an
+        existing dataset as it was, with nothing staged inside it."""
+        _split_io(monkeypatch, forked)
+        bad = SyntheticSpec(kind="poly", n_instances=10, noise_scale=1e308, seed=0)
+        with pytest.raises(DataValidationError, match="^val split entry"):
+            save_synthetic(bad, str(tmp_path / "new"))
+        assert not (tmp_path / "new").exists()
+        old = tmp_path / "old"
+        save_metadataset(generate(SyntheticSpec(kind="poly", n_instances=10, seed=1)),
+                         str(old))
+        before = {name: (old / name).read_bytes() for name in os.listdir(old)}
+        with pytest.raises(DataValidationError):
+            save_synthetic(bad, str(old))
+        assert {name: (old / name).read_bytes() for name in os.listdir(old)} == before
 
 
 class TestExpertsGenerator:

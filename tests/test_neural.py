@@ -2,6 +2,7 @@
 the masked training forward, both forward modes, training-loss
 gradients, the training loop, and the diversity diagnostic."""
 
+import pickle
 import re
 
 import numpy as np
@@ -388,6 +389,34 @@ class TestForwardContract:
         assert out.shape == (cube.shape[0], 3)
         assert np.all(out > 0)
         np.testing.assert_allclose(out.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+class TestPickle:
+    """A combiner crosses fork_map's pipe as a pickle: the copy's nets are
+    views into the copy's own flat vector, as in the original."""
+
+    @pytest.mark.parametrize("mode", ["stacking", "ma"])
+    def test_round_trip_keeps_the_nets_views_into_flat(self, mode):
+        rng = np.random.default_rng(31)
+        params, cube, _, _ = _random_case(rng, mode, 3)
+        copy = pickle.loads(pickle.dumps(params))
+        assert (copy.mode, copy.n_models, copy.layer_dims) == (
+            params.mode, params.n_models, params.layer_dims)
+        assert copy.flat.tobytes() == params.flat.tobytes()
+        for net in copy.nets:
+            assert np.shares_memory(net.flat, copy.flat)
+            for array in (*net.weights, *net.biases):
+                assert np.shares_memory(array, copy.flat)
+        want = neural.predict(params, cube)
+        assert neural.predict(copy, cube).tobytes() == want.tobytes()
+        copy.flat[:] = 0.0  # writes through to every net
+        assert not any(np.any(w) for net in copy.nets for w in net.weights)
+        assert neural.predict(params, cube).tobytes() == want.tobytes()
+
+    def test_pickle_holds_the_parameters_once(self):
+        config = neural.NEConfig(mode="ma", hidden_dim=32)
+        params = neural.init_ne_params(config, 5)
+        assert len(pickle.dumps(params)) < params.flat.nbytes + 1024
 
 
 class TestTrainingGradients:

@@ -1,6 +1,8 @@
 """Tests for the dense network core: forward, backward, Adam, softmax,
 and the finite-difference oracle used to check analytic gradients."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,21 @@ class TestInit:
         net = nn.init_dense_net(dims, seed=0)
         expected = sum((i + 1) * o for i, o in zip(dims[:-1], dims[1:]))
         assert net.flat.size == expected
+
+
+class TestPickle:
+    def test_round_trip_keeps_weights_views_into_flat(self):
+        rng = np.random.default_rng(5)
+        net = nn.init_dense_net([4, 6, 2], seed=3)
+        _jitter(net, rng)
+        copy = pickle.loads(pickle.dumps(net))
+        assert copy.layer_dims == net.layer_dims
+        assert copy.flat.tobytes() == net.flat.tobytes()
+        assert all(np.shares_memory(a, copy.flat) for a in (*copy.weights, *copy.biases))
+        x = rng.normal(size=(3, 4))
+        assert nn.forward(copy, x)[0].tobytes() == nn.forward(net, x)[0].tobytes()
+        copy.flat += 1.0
+        assert np.array_equal(copy.weights[1], net.weights[1] + 1.0)
 
 
 class TestBackward:

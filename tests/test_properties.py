@@ -5,7 +5,8 @@
   class columns, and model-averaging weights are invariant under it;
 * row i of ``predict`` depends on row i of the cube only;
 * classification outputs and ma weights are simplex rows;
-* fitting never reads the test split.
+* fitting never reads the test split, and runs on a dataset that holds
+  the validation split alone.
 
 Examples are derandomized, so every run checks the same cases.
 """
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ensemblekit import neural
+from ensemblekit import cli, neural
 from ensemblekit.data import MetaDataset, SyntheticSpec, generate
 
 PROPERTY = settings(max_examples=20, derandomize=True, database=None, deadline=None)
@@ -99,7 +100,16 @@ def test_fitting_never_reads_the_test_split(mode, kind, n_test, seed):
     swapped = MetaDataset(name=ds.name, task=ds.task, val=ds.val, test=other.test)
     config = neural.NEConfig(mode=mode, dropout_rate=0.5, layers=2, hidden_dim=4,
                              steps=20, batch_size=16, seed=seed)
+    val_only = MetaDataset(name=ds.name, task=ds.task, val=ds.val, test=None)
     params, trace = neural.train(ds, config)
-    swapped_params, swapped_trace = neural.train(swapped, config)
-    assert params.flat.tobytes() == swapped_params.flat.tobytes()
-    assert trace == swapped_trace
+    for other_ds in (swapped, val_only):
+        other_params, other_trace = neural.train(other_ds, config)
+        assert params.flat.tobytes() == other_params.flat.tobytes()
+        assert trace == other_trace
+    for method in cli.METHODS:
+        if method in cli._NE_MODE_BY_METHOD:
+            continue
+        weights, echo = cli._static_weights(ds, method, config, 2)
+        for other_ds in (swapped, val_only):
+            other_weights, other_echo = cli._static_weights(other_ds, method, config, 2)
+            assert (other_weights.tobytes(), other_echo) == (weights.tobytes(), echo)
