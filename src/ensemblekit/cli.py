@@ -11,8 +11,8 @@ the dropout ablation one run: one record per (seed, rate) pair, with the
 rate in `config.dropout_rate`. `report` shows one row per method and
 rate (`ne-ma@0.75`), so each rate's normalized NLL reads off the table.
 
-Exit codes: 0 success, 2 usage or data error, 3 numeric failure (a
-non-finite training loss or metric; nothing is appended then).
+Exit codes: 0 success, 2 usage or data error or a dead worker, 3 numeric
+failure (a non-finite training loss or metric; nothing is appended then).
 
 Each (seed, rate) task of `run` is a copy of one `NEConfig`, so every
 flag is checked, for every method, before the data is read. `run` holds
@@ -27,7 +27,7 @@ the lock, appends the records seed-major in the order `--seeds` and
 `--dropout-rate` list them and prints; only tasks, fits (a combiner's
 parameters or static weights) and records cross between processes, so
 the records are the same either way. A worker's error re-raises in the
-parent, type and message.
+parent, type and message; a worker that dies is WorkerDiedError, exit 2.
 """
 
 from __future__ import annotations

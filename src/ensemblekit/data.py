@@ -8,9 +8,11 @@ hold one split only, the other None: ``load_split`` loads one, so that a
 run can fit on val and drop it before it reads test.
 
 The on-disk layout is one directory per dataset: ``manifest.json`` plus
-``<split>_predictions.csv`` / ``<split>_labels.csv``, written by
-``np.savetxt`` with ``%.17g`` (17 significant digits, so a save/load round
-trip is exact; class labels use ``%d``) and read back by ``np.loadtxt``.
+``<split>_predictions.csv`` / ``<split>_labels.csv``, read by ``np.loadtxt``
+and written by ``_write_csv`` as ``np.savetxt`` would write them with
+``%.17g`` (17 significant digits, so a save/load round trip is exact; class
+labels use ``%d``), but formatting each distinct row once and hashing the
+bytes as they are written.
 ``save_metadataset`` writes a dataset it is given; ``save_synthetic``
 writes the bytes ``save_metadataset(generate(spec))`` would, drawing each
 split where it is written, so no process holds both splits. Both write
@@ -55,19 +57,21 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, DataValidationError, ShapeError
+from .errors import ConfigError, DataFormatError, DataValidationError, ShapeError, WorkerDiedError
 
 SIMPLEX_TOL = 1e-4
 SPLIT_NAMES = ("val", "test")
 
 _FLOAT_FMT = "%.17g"
 _CACHE_SUFFIX = "_cache.npy"
+# _write_csv compares, formats and writes about this many bytes of rows at a time.
+_CHUNK_BYTES = 1 << 14
 
-# Below these sizes the splits are handled in this process. In a fresh
-# process, starting fork_map's workers (importing multiprocessing, forking,
-# handing the arrays back) costs about 40 ms, which halving the serial work
-# repays only from about 250 000 prediction values to write or 5 MB of
-# prediction CSV to parse (measured on a 2-CPU host).
+# Below these sizes the splits are handled in this process: starting
+# fork_map's workers in a fresh process costs about 40 ms. On a 2-CPU host
+# that pays from about 250 000 values to write when no row repeats (0.17 s
+# serial, 0.16 s forked), from about 1 000 000 for experts data, whose
+# repeated rows are formatted once, and from 5 MB of prediction CSV to parse.
 _FORK_MIN_VALUES = 250_000
 _FORK_MIN_BYTES = 5_000_000
 
@@ -229,7 +233,7 @@ def fork_map(worker: Callable, tasks: Sequence) -> List:
 
     Results come back in task order, and the first failing task's
     exception, in task order, re-raises here. A worker process that dies
-    raises BrokenProcessPool.
+    raises WorkerDiedError, naming the first task whose result was lost.
     """
     global _task_worker
     n_workers = 1
@@ -239,14 +243,19 @@ def fork_map(worker: Callable, tasks: Sequence) -> List:
         return [worker(task) for task in tasks]
     # Imported here, so that single-task commands start no slower.
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
     # A call made inside a worker must hand that worker back its own.
     outer_worker, _task_worker = _task_worker, worker
+    results: List = []
     try:
         context = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(n_workers, mp_context=context) as pool:
-            return list(pool.map(_call_task_worker, tasks))
+            results.extend(pool.map(_call_task_worker, tasks))
+        return results
+    except BrokenProcessPool:
+        raise WorkerDiedError(f"a worker process died (killed, perhaps out of memory) before "
+                              f"task {len(results) + 1} of {len(tasks)} returned") from None
     finally:
         _task_worker = outer_worker
 
@@ -305,7 +314,8 @@ def save_synthetic(spec: SyntheticSpec, path: str) -> str:
 
 def _write_dataset(path: str, name: str, task: TaskKind, n_models: int, n_classes: int,
                    source: Callable[[str], Split], n_values: int) -> None:
-    """Write a dataset directory whose splits are ``source(split_name)``.
+    """Write a dataset directory whose splits are ``source(split_name)``:
+    each split's CSV files by _write_csv, then its cache with their digests.
 
     The files go into a staging directory inside ``path`` and move into
     ``path`` only once every split is written, so an error, in ``source``
@@ -328,15 +338,13 @@ def _write_dataset(path: str, name: str, task: TaskKind, n_models: int, n_classe
     def write(split_name: str) -> None:
         split = source(split_name)
         stem = os.path.join(staging, split_name)
-        np.savetxt(f"{stem}_predictions.csv", split.predictions.reshape(split.n_instances, -1),
-                   fmt=_FLOAT_FMT, delimiter=",", header=header, comments="")
-        np.savetxt(f"{stem}_labels.csv", split.labels, fmt=label_fmt, header="label", comments="")
         # C order and float64 labels: the arrays _parse_split returns.
         preds = np.ascontiguousarray(split.predictions)
+        digests = (_write_csv(f"{stem}_predictions.csv", header, preds, _FLOAT_FMT)
+                   + _write_csv(f"{stem}_labels.csv", "label", split.labels, label_fmt))
         labels = split.labels.astype(np.float64)
         with open(stem + _CACHE_SUFFIX, "wb") as fh:
-            np.save(fh, np.frombuffer(_csv_digest(stem) + _array_digest(preds, labels),
-                                      dtype=np.uint8))
+            np.save(fh, np.frombuffer(digests + _array_digest(preds, labels), dtype=np.uint8))
             np.save(fh, preds)
             np.save(fh, labels)
 
@@ -353,13 +361,46 @@ def _write_dataset(path: str, name: str, task: TaskKind, n_models: int, n_classe
         raise
 
 
+def _write_csv(path: str, header: str, rows: np.ndarray, fmt: str) -> bytes:
+    """Write the bytes ``np.savetxt(path, rows, fmt, delimiter=",",
+    header=header, comments="")`` would, N >= 1 rows of any shape flattened
+    to lines, and return their sha256, taken as they are written. A row
+    whose bytes equal an earlier row's (-0.0 is not 0.0) reuses its text,
+    kept only until its last repeat: each distinct row is formatted once."""
+    rows = np.ascontiguousarray(rows).reshape(len(rows), -1)
+    u8, line = rows.view(np.uint8), ",".join([fmt] * rows.shape[1]) + "\n"
+    # Sorted stably by bytes, a run of equal rows starts at its first row and
+    # ends at its last; neighbours are compared a chunk at a time, not copied whole.
+    order = np.argsort(u8.view(np.dtype((np.void, u8.shape[1]))).ravel(), kind="stable")
+    new, step = np.ones(len(rows), dtype=bool), max(1, _CHUNK_BYTES // u8.shape[1])
+    for lo in range(1, len(rows), step):
+        hi = min(lo + step, len(rows))
+        new[lo:hi] = (u8[order[lo:hi]] != u8[order[lo - 1:hi - 1]]).any(axis=1)
+    run = np.cumsum(new) - 1
+    first, last = np.empty_like(order), np.empty_like(order)
+    first[order], last[order] = order[new][run], order[np.append(new[1:], True)][run]
+    sha, texts, lines, end = hashlib.sha256(), {}, [header + "\n"], len(rows) - 1
+    with open(path, "wb") as fh:
+        for i, f, l in zip(range(len(rows)), first.tolist(), last.tolist()):
+            lines.append(texts[f] if f < i else line % tuple(rows[i].tolist()))
+            if l == i:
+                texts.pop(f, None)
+            elif f == i:
+                texts[i] = lines[-1]
+            if len(lines) > step or i == end:
+                text, lines = "".join(lines).encode(), []
+                sha.update(text)
+                fh.write(text)
+    return sha.digest()
+
+
 def _csv_digest(stem: str) -> bytes:
     """The sha256 digests of a split's predictions and labels CSV files."""
     digests = b""
     for kind in ("predictions", "labels"):
         sha = hashlib.sha256()
         with open(f"{stem}_{kind}.csv", "rb") as fh:
-            # Small chunks: both splits are hashed at once, in two threads.
+            # Small chunks: a load checks both splits' caches at once, in two threads.
             for chunk in iter(lambda: fh.read(1 << 16), b""):
                 sha.update(chunk)
         digests += sha.digest()

@@ -1,8 +1,8 @@
 """Exception taxonomy shared across the package.
 
 The CLI maps these onto exit codes: configuration, shape, data and lock
-problems are usage/data errors (exit 2), numeric failures during training
-abort the run (exit 3).
+problems and a dead worker process are usage/data errors (exit 2), numeric
+failures during training abort the run (exit 3).
 """
 
 
@@ -36,3 +36,7 @@ class NumericError(EnsembleKitError, ArithmeticError):
 
 class LockError(EnsembleKitError, OSError):
     """An output file is already locked by another run."""
+
+
+class WorkerDiedError(EnsembleKitError, RuntimeError):
+    """A worker process died (say, killed for memory) before returning a result."""

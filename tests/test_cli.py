@@ -540,18 +540,37 @@ class TestSeedMapper:
     def test_dead_worker_raises_instead_of_hanging(self):
         code = textwrap.dedent("""
             import os
-            from concurrent.futures.process import BrokenProcessPool
             from ensemblekit import cli
+            from ensemblekit.errors import WorkerDiedError
             os.sched_getaffinity = lambda pid: {0, 1}
             try:
                 cli.fork_map(lambda seed: os._exit(7), [0, 1])
-            except BrokenProcessPool:
-                print("broken")
+            except WorkerDiedError:
+                print("died")
         """)
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env=_child_env(), timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "broken\n"
+        assert proc.stdout == "died\n"
+
+    def test_dead_worker_exits_2_without_a_traceback(self, tmp_path):
+        """A worker killed mid-run (say, for memory) ends `run` with one
+        error line and exit 2, and appends no record."""
+        data, out = _synth(tmp_path), str(tmp_path / "runs.jsonl")
+        code = textwrap.dedent("""
+            import os, sys
+            from ensemblekit import cli, neural
+            os.sched_getaffinity = lambda pid: {0, 1}
+            neural.train = lambda *args, **kwargs: os._exit(9)
+            sys.exit(cli.main(sys.argv[1:]))
+        """)
+        proc = subprocess.run([sys.executable, "-c", code, "run", "ne-ma", "--data", data,
+                               "--out", out, "--seeds", "0,1"] + FAST_NE,
+                              capture_output=True, text=True, env=_child_env(), timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == ("error: a worker process died (killed, perhaps out of memory) "
+                               "before task 1 of 2 returned\n")
+        assert not os.path.exists(out)
 
     def test_run_records_match_single_seed_runs(self, tmp_path):
         data = _synth(tmp_path)

@@ -503,6 +503,67 @@ class TestCsvFiles:
         assert str(err.value) == f"{path}: {where}"
 
 
+def _savetxt_bytes(tmp_path, rows, fmt):
+    """The reference: what np.savetxt writes for ``rows`` flattened to lines."""
+    path = tmp_path / "savetxt.csv"
+    np.savetxt(path, rows.reshape(len(rows), -1), fmt=fmt, delimiter=",", header="h",
+               comments="")
+    return path.read_bytes()
+
+
+_RNG = np.random.default_rng(3)
+_MANY = _RNG.random((1000, 3))
+
+
+class TestCsvWriter:
+    """_write_csv writes the bytes np.savetxt writes, formatting each
+    distinct row once, and returns their sha256."""
+
+    @pytest.mark.parametrize("rows, fmt", [
+        (np.array([[-0.0, 0.0], [0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [0.0, 0.0]]), "%.17g"),
+        (np.vstack([_MANY[:1], _MANY, _MANY[500:501], _MANY[:1]]), "%.17g"),
+        (np.full((500, 4), 0.1), "%.17g"),
+        (np.array([[0.25, 1e-300, -3.0]]), "%.17g"),
+        (_RNG.integers(-5, 5, 1000), "%d"),
+        (np.concatenate([_RNG.standard_normal(600), np.full(400, np.pi)]), "%.17g"),
+        (_RNG.random((40, 5000)), "%.17g"),
+        (_RNG.random((50, 4, 3)), "%.17g"),
+    ], ids=["signed-zeros", "late-repeats", "all-equal", "single-row", "column-d",
+            "column-g", "wide", "cube"])
+    def test_bytes_and_digest_match_savetxt(self, tmp_path, rows, fmt):
+        path = tmp_path / "written.csv"
+        digest = data._write_csv(str(path), "h", rows, fmt)
+        written = path.read_bytes()
+        assert written == _savetxt_bytes(tmp_path, rows, fmt)
+        assert digest == hashlib.sha256(written).digest()
+
+    def test_signed_zeros_are_different_rows(self, tmp_path):
+        path = tmp_path / "written.csv"
+        data._write_csv(str(path), "h", np.array([[-0.0, 0.0], [0.0, 0.0], [-0.0, 0.0]]),
+                        "%.17g")
+        assert path.read_text() == "h\n-0,0\n0,0\n-0,0\n"
+
+    def test_serial_save_without_repeats_stays_below_two_cubes(self, tmp_path, monkeypatch):
+        """Dense data repeats no row, so the writer formats every row; it
+        keeps no row's text beyond the chunk it writes."""
+        _split_io(monkeypatch, forked=False)
+        rng = np.random.default_rng(0)
+        splits = []
+        for _ in data.SPLIT_NAMES:
+            preds = rng.random((1000, 10, 10))
+            preds /= preds.sum(axis=2, keepdims=True)
+            splits.append(Split(predictions=preds, labels=rng.integers(0, 10, 1000)))
+        ds = MetaDataset(name="dense", task=TaskKind.CLASSIFICATION, val=splits[0],
+                         test=splits[1])
+        del splits
+        assert len(np.unique(ds.val.predictions.reshape(1000, -1), axis=0)) == 1000
+        save_metadataset(generate(SyntheticSpec(kind="experts", n_instances=10)),
+                         str(tmp_path / "warm-up"))
+        _, peak = traced_peak(lambda: save_metadataset(ds, str(tmp_path / "ds")))
+        cube_bytes = ds.val.predictions.nbytes
+        assert peak < 1.5 * cube_bytes, peak / cube_bytes
+
+
 def _split_io(monkeypatch, forked):
     """Write and parse splits in forked workers (two usable CPUs and no
     size floor), or one after another in this process (one usable CPU)."""
@@ -662,15 +723,15 @@ class TestForkedSplits:
         _drop_caches(tmp_path / "ds")
         code = textwrap.dedent("""
             import os, sys
-            from concurrent.futures.process import BrokenProcessPool
             from ensemblekit import data
+            from ensemblekit.errors import WorkerDiedError
             os.sched_getaffinity = lambda pid: {0, 1}
             data._FORK_MIN_BYTES = 0
             data._parse_split = lambda *args: os._exit(7)
             try:
                 data.load_metadataset(sys.argv[1])
-            except BrokenProcessPool:
-                print("broken")
+            except WorkerDiedError as exc:
+                print(exc)
         """)
         src = os.path.dirname(os.path.dirname(data.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -678,7 +739,8 @@ class TestForkedSplits:
         proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "ds")],
                               capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "broken\n"
+        assert proc.stdout == ("a worker process died (killed, perhaps out of memory) "
+                               "before task 1 of 2 returned\n")
 
 
 def _parse_spy(monkeypatch):
