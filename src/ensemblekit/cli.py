@@ -15,14 +15,15 @@ Exit codes: 0 success, 2 usage or data error or a dead worker, 3 numeric
 failure (a non-finite training loss or metric; nothing is appended then).
 
 Each (seed, rate) task of `run` is a copy of one `NEConfig`, so every
-flag is checked, for every method, before the data is read. `run` holds
-one split at a time: it loads the validation split and fits every task
-on it, then drops it, and only then loads the test split and scores
-every fit on it. The fits, and then the scoring, run in forked worker
-processes, one per usable CPU and never more than there are tasks; a
-single task, a single CPU or a platform without fork runs them one after
-another in this process. The mapper is `data.fork_map`, which also
-writes and parses the dataset splits. The parent loads each split, holds
+flag is checked, for every method, before the data is read. `validate`
+and `run` hold one split at a time: `validate` counts each split and
+drops it before it reads the next, and `run` loads the validation split
+and fits every task on it, then drops it, and only then loads the test
+split and scores every fit on it. The fits, and then the scoring, run
+in forked worker processes, one per usable CPU and never more than there
+are tasks; a single task, a single CPU or a platform without fork runs
+them one after another in this process. The mapper is `data.fork_map`,
+which also writes the dataset splits. The parent loads each split, holds
 the lock, appends the records seed-major in the order `--seeds` and
 `--dropout-rate` list them and prints; only tasks, fits (a combiner's
 parameters or static weights) and records cross between processes, so
@@ -46,7 +47,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import baselines, metrics, neural
-from .data import MetaDataset, SyntheticSpec, TaskKind, fork_map, load_metadataset, load_split
+from .data import SPLIT_NAMES, MetaDataset, SyntheticSpec, TaskKind, fork_map, load_split
 from .data import save_synthetic
 from .errors import ConfigError, DataFormatError, EnsembleKitError, LockError, NumericError
 
@@ -169,11 +170,13 @@ def _static_weights(ds: MetaDataset, method: str, config: neural.NEConfig,
 
 
 def cmd_validate(args) -> int:
-    ds = load_metadataset(args.data)
-    print(
-        f"{ds.name}: task={ds.task.value} models={ds.n_models} classes={ds.n_classes} "
-        f"val={ds.val.n_instances} test={ds.test.n_instances}"
-    )
+    counts = []
+    for split_name in SPLIT_NAMES:
+        ds = load_split(args.data, split_name)
+        summary = f"{ds.name}: task={ds.task.value} models={ds.n_models} classes={ds.n_classes}"
+        counts.append(f"{split_name}={getattr(ds, split_name).n_instances}")
+        del ds  # counted: dropped before the next split is read
+    print(" ".join([summary] + counts))
     return 0
 
 

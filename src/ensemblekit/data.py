@@ -24,20 +24,19 @@ Beside each split's CSV files, the writers put a parse cache,
 split's two CSV files and of its two arrays, the float64 predictions and
 the float64 labels. A load takes a split from its cache only when the
 cache opens, its digests equal a fresh sha256 of the CSV bytes beside it
-and of the arrays it holds, and its shapes fit the manifest.
-``load_metadataset`` takes the caches only when both are hits. ``%.17g``
-and ``%d`` round-trip exactly, so with both digests equal a hit returns
-the arrays a parse of those bytes would. Anything else parses the CSV
-files, with the parse's errors; the loaders never write a cache, and
-deleting one only forces a parse.
+and of the arrays it holds, and its shapes fit the manifest; each split's
+cache is judged on its own. ``%.17g`` and ``%d`` round-trip exactly, so
+with both digests equal a hit returns the arrays a parse of those bytes
+would. Anything else parses the CSV files, with the parse's errors; the
+loaders never write a cache, and deleting one only forces a parse.
 
-The writers handle the splits in forked worker processes, one per split up
-to the usable CPUs (``fork_map``), and so does ``load_metadataset``'s
-parse; ``load_split`` reads its one split in this process. There is no
-setting for it. A dataset too small to repay starting the workers, a
-single CPU or a platform without fork handles the splits one after another
-in this process. The bytes written, the arrays read and every error are
-the same either way; a loader validates in the calling process.
+Both loaders read a split with ``_read_split``, in this process:
+``load_metadataset`` reads val, then test, and ``load_split`` its one.
+The writers handle the splits in forked worker processes, one per split
+up to the usable CPUs (``fork_map``). There is no setting for it. A
+dataset too small to repay starting the workers, a single CPU or a
+platform without fork writes the splits one after another in this
+process, with the same bytes and errors.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ import numbers
 import os
 import shutil
 import tempfile
-import threading
 import warnings
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -67,13 +65,12 @@ _CACHE_SUFFIX = "_cache.npy"
 # _write_csv compares, formats and writes about this many bytes of rows at a time.
 _CHUNK_BYTES = 1 << 14
 
-# Below these sizes the splits are handled in this process: starting
+# Below this size the splits are written in this process: starting
 # fork_map's workers in a fresh process costs about 40 ms. On a 2-CPU host
 # that pays from about 250 000 values to write when no row repeats (0.17 s
-# serial, 0.16 s forked), from about 1 000 000 for experts data, whose
-# repeated rows are formatted once, and from 5 MB of prediction CSV to parse.
+# serial, 0.16 s forked), and from about 1 000 000 for experts data, whose
+# repeated rows are formatted once.
 _FORK_MIN_VALUES = 250_000
-_FORK_MIN_BYTES = 5_000_000
 
 
 class TaskKind(enum.Enum):
@@ -265,14 +262,6 @@ def fork_map(worker: Callable, tasks: Sequence) -> List:
 # ---------------------------------------------------------------------------
 
 
-def _map_splits(worker: Callable, work: int, break_even: int) -> List:
-    """``worker`` of each split name, in fork_map's workers, or one after
-    another in this process when ``work`` is below ``break_even``."""
-    if work < break_even:
-        return [worker(split_name) for split_name in SPLIT_NAMES]
-    return fork_map(worker, SPLIT_NAMES)
-
-
 def _prediction_header(n_models: int, n_classes: int) -> List[str]:
     return [f"m{m}_c{c}" for m in range(n_models) for c in range(n_classes)]
 
@@ -352,7 +341,11 @@ def _write_dataset(path: str, name: str, task: TaskKind, n_models: int, n_classe
         with open(os.path.join(staging, "manifest.json"), "w", newline="\n") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        _map_splits(write, n_values, _FORK_MIN_VALUES)
+        if n_values < _FORK_MIN_VALUES:
+            for split_name in SPLIT_NAMES:
+                write(split_name)
+        else:
+            fork_map(write, SPLIT_NAMES)
         for file_name in os.listdir(staging):
             os.replace(os.path.join(staging, file_name), os.path.join(path, file_name))
         os.rmdir(staging)
@@ -400,7 +393,7 @@ def _csv_digest(stem: str) -> bytes:
     for kind in ("predictions", "labels"):
         sha = hashlib.sha256()
         with open(f"{stem}_{kind}.csv", "rb") as fh:
-            # Small chunks: a load checks both splits' caches at once, in two threads.
+            # 64 KiB chunks: a digest holds little, however large the file.
             for chunk in iter(lambda: fh.read(1 << 16), b""):
                 sha.update(chunk)
         digests += sha.digest()
@@ -432,23 +425,6 @@ def _cached_split(stem: str, n_models: int, n_classes: int) -> Optional[Split]:
     except (OSError, ValueError, EOFError, MemoryError):
         pass
     return None
-
-
-def _cached_splits(path: str, n_models: int, n_classes: int) -> Optional[List[Split]]:
-    """Both splits from their caches, or None unless both are hits. The
-    test split is checked in a second thread, since hashing and reading
-    release the GIL."""
-    stems = [os.path.join(path, split_name) for split_name in SPLIT_NAMES]
-    found: List[Optional[Split]] = [None, None]
-
-    def check(i: int) -> None:
-        found[i] = _cached_split(stems[i], n_models, n_classes)
-
-    worker = threading.Thread(target=check, args=(1,))
-    worker.start()
-    check(0)
-    worker.join()
-    return None if any(split is None for split in found) else found
 
 
 def _is_number(cell: str) -> bool:
@@ -546,53 +522,29 @@ def _read_manifest(path: str) -> Tuple[str, TaskKind, int, int]:
 
 
 def load_metadataset(path: str) -> MetaDataset:
-    """Load a dataset directory written by save_metadataset."""
+    """Load a dataset directory written by save_metadataset, val first."""
     name, task, n_models, n_classes = _read_manifest(path)
-    val, test = (_cached_splits(path, n_models, n_classes)
-                 or _parsed_splits(path, n_models, n_classes))
+    val, test = (_read_split(path, split_name, n_models, n_classes)
+                 for split_name in SPLIT_NAMES)
     return MetaDataset(name=name, task=task, val=val, test=test)
 
 
 def load_split(path: str, split_name: str) -> MetaDataset:
     """The dataset directory ``path`` with only its ``split_name`` split
-    loaded, the other None: from the split's cache on a hit, else parsed
-    here, and checked as load_metadataset checks it."""
+    loaded, the other None, and checked as load_metadataset checks it."""
+    if split_name not in SPLIT_NAMES:
+        raise ConfigError(f"split must be one of {list(SPLIT_NAMES)}, got {split_name!r}")
     name, task, n_models, n_classes = _read_manifest(path)
     splits = dict.fromkeys(SPLIT_NAMES)
-    splits[split_name] = (_cached_split(os.path.join(path, split_name), n_models, n_classes)
-                          or _parse_split(path, split_name, n_models, n_classes))
+    splits[split_name] = _read_split(path, split_name, n_models, n_classes)
     return MetaDataset(name=name, task=task, **splits)
 
 
-def _parsed_splits(path: str, n_models: int, n_classes: int) -> List[Split]:
-    """Both splits parsed from their CSV files, in fork_map's workers for a
-    large dataset."""
-    parent = os.getpid()
-    with tempfile.TemporaryFile(buffering=0) as val_fh, \
-            tempfile.TemporaryFile(buffering=0) as test_fh:
-        files = dict(zip(SPLIT_NAMES, (val_fh, test_fh)))
-
-        def parse(split_name: str) -> Optional[Split]:
-            split = _parse_split(path, split_name, n_models, n_classes)
-            if os.getpid() == parent:
-                return split
-            # The pool would pickle the arrays through its pipe, about 0.14 s
-            # per 32 MB split; through the inherited file it takes 0.06 s.
-            np.save(files[split_name], split.predictions)
-            np.save(files[split_name], split.labels)
-            return None
-
-        pred_paths = [os.path.join(path, f"{name}_predictions.csv") for name in SPLIT_NAMES]
-        csv_bytes = sum(os.path.getsize(p) for p in pred_paths if os.path.isfile(p))
-        splits = _map_splits(parse, csv_bytes, _FORK_MIN_BYTES)
-        return [_read_back(fh) if split is None else split
-                for split, fh in zip(splits, files.values())]
-
-
-def _read_back(fh) -> Split:
-    """The split a forked worker saved into the file ``fh``."""
-    fh.seek(0)
-    return _OwnedSplit(predictions=np.load(fh), labels=np.load(fh))
+def _read_split(path: str, split_name: str, n_models: int, n_classes: int) -> Split:
+    """One split of the dataset directory ``path``: from its cache on a
+    hit, else parsed from its CSV files."""
+    return (_cached_split(os.path.join(path, split_name), n_models, n_classes)
+            or _parse_split(path, split_name, n_models, n_classes))
 
 
 def _parse_split(path: str, split_name: str, n_models: int, n_classes: int) -> Split:

@@ -123,7 +123,6 @@ def _split_io(monkeypatch, forked):
     size floor), or one after another in this process (one usable CPU)."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1} if forked else {0})
     monkeypatch.setattr(ensemblekit.data, "_FORK_MIN_VALUES", 0)
-    monkeypatch.setattr(ensemblekit.data, "_FORK_MIN_BYTES", 0)
 
 
 def _assert_only_error_line(err, fragment):
@@ -152,15 +151,22 @@ class TestSynthAndValidate:
         assert main(["validate", "--data", str(tmp_path / "nope")]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_validate_tampered_dataset_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("bad_test", [False, True], ids=["val", "val-and-test"])
+    def test_validate_tampered_dataset_exits_2(self, tmp_path, capsys, bad_test):
+        """A val split that fails validation is reported, as `run` reports
+        it, even when the test split would not parse."""
         data = _synth(tmp_path)
-        path = os.path.join(data, "val_predictions.csv")
-        with open(path) as fh:
-            lines = fh.readlines()
-        lines[1] = "2.5," + lines[1].split(",", 1)[1]
-        with open(path, "w") as fh:
-            fh.writelines(lines)
+        for split in ("val", "test") if bad_test else ("val",):
+            path = os.path.join(data, f"{split}_predictions.csv")
+            with open(path) as fh:
+                lines = fh.readlines()
+            lines[1] = ("2.5," if split == "val" else "abc,") + lines[1].split(",", 1)[1]
+            with open(path, "w") as fh:
+                fh.writelines(lines)
+        capsys.readouterr()
         assert main(["validate", "--data", data]) == 2
+        _assert_only_error_line(capsys.readouterr().err,
+                                "val split: predictions must be probabilities in [0, 1]")
 
     @pytest.mark.parametrize("edit, fragment", [
         (lambda m: 5, "the manifest must be a JSON object, got 5"),
@@ -377,8 +383,9 @@ class TestRun:
 
 class TestOneSplitAtATime:
     """`run` fits on the validation split and reads the test split only
-    after dropping it, and `synth` draws each split where it writes it, so
-    no process holds both prediction cubes."""
+    after dropping it, `validate` counts each split and drops it before it
+    reads the next, and `synth` draws each split where it writes it, so no
+    process holds both prediction cubes."""
 
     def test_run_peak_stays_below_two_cubes(self, tmp_path):
         ds = generate(SyntheticSpec(kind="experts", n_instances=2000, n_models=20,
@@ -421,6 +428,7 @@ class TestOneSplitAtATime:
                       "--models", str(models), "--classes", str(classes), "--seed", "0"],
             "greedy": ["run", "greedy", "--data", data, "--out", out, "--seeds", "0"],
             "ma": ["run", "ma", "--data", data, "--out", out, "--seeds", "0", "--steps", "50"],
+            "validate": ["validate", "--data", data],
         }
         for name, argv in children.items():
             above = child_peak_rss_mb(argv, env) - floor

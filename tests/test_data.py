@@ -565,11 +565,10 @@ class TestCsvWriter:
 
 
 def _split_io(monkeypatch, forked):
-    """Write and parse splits in forked workers (two usable CPUs and no
-    size floor), or one after another in this process (one usable CPU)."""
+    """Write splits in forked workers (two usable CPUs and no size floor),
+    or one after another in this process (one usable CPU)."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1} if forked else {0})
     monkeypatch.setattr(data, "_FORK_MIN_VALUES", 0)
-    monkeypatch.setattr(data, "_FORK_MIN_BYTES", 0)
 
 
 def _load_error(monkeypatch, path, forked):
@@ -584,8 +583,9 @@ def _open_fds():
 
 
 class TestForkedSplits:
-    """save_metadataset and load_metadataset hand each split to a fork_map
-    worker; files, arrays and errors are those of the serial loop."""
+    """save_metadataset hands each split to a fork_map worker, and
+    load_metadataset reads them in this process; files, arrays and errors
+    are the same with one usable CPU or two."""
 
     @pytest.mark.parametrize("kind", ["experts", "preferred", "poly"])
     def test_bytes_and_arrays_match_serial(self, tmp_path, monkeypatch, kind):
@@ -610,8 +610,8 @@ class TestForkedSplits:
                 np.testing.assert_array_equal(got, want)
 
     def test_splits_run_in_forked_workers(self, tmp_path, monkeypatch):
-        """Save and load map over the split names; with two CPUs each split
-        is parsed in a worker process, with one CPU in this process."""
+        """Save maps the split names through fork_map once; load parses
+        both splits in this process, even with two CPUs."""
         calls, pids = [], []
         fork_map, parse = data.fork_map, data._parse_split
 
@@ -632,10 +632,7 @@ class TestForkedSplits:
         save_metadataset(ds, out)
         _drop_caches(out)
         load_metadataset(out)
-        assert calls == [data.SPLIT_NAMES] * 2
-        assert pids == []  # the workers appended to their own copies
-        _split_io(monkeypatch, forked=False)
-        load_metadataset(out)
+        assert calls == [data.SPLIT_NAMES]
         assert pids == [os.getpid()] * 2
 
     @pytest.mark.parametrize("split", data.SPLIT_NAMES)
@@ -672,7 +669,8 @@ class TestForkedSplits:
 
     def test_nothing_left_behind(self, tmp_path, monkeypatch):
         """No temporary file, open descriptor or child process outlives a
-        load, whether it succeeds or fails."""
+        load, whether it succeeds from the caches, succeeds by a parse, or
+        fails."""
         import multiprocessing
         import tempfile
 
@@ -686,6 +684,10 @@ class TestForkedSplits:
         _split_io(monkeypatch, forked=True)
         fds = _open_fds()
         load_metadataset(str(out))
+        _drop_caches(out)
+        calls = _parse_spy(monkeypatch)
+        load_metadataset(str(out))
+        assert calls == list(data.SPLIT_NAMES)
         (out / "test_labels.csv").write_text("label\nabc\n")
         with pytest.raises(DataFormatError):
             load_metadataset(str(out))
@@ -693,54 +695,31 @@ class TestForkedSplits:
         assert _open_fds() == fds
         assert multiprocessing.active_children() == []
 
-    def test_nothing_left_behind_by_a_forked_parse(self, tmp_path, monkeypatch):
-        """A successful load without the caches parses in forked workers and,
-        like a cache hit, leaves no temporary file, descriptor or child."""
-        import multiprocessing
-        import tempfile
-
-        temp = tmp_path / "temp"
-        temp.mkdir()
-        monkeypatch.setattr(tempfile, "tempdir", str(temp))
-        ds = generate(SyntheticSpec(kind="experts", n_instances=10, n_models=2,
-                                    n_classes=3, seed=0))
-        out = tmp_path / "ds"
-        save_metadataset(ds, str(out))
-        _drop_caches(out)
-        _split_io(monkeypatch, forked=True)
-        fds = _open_fds()
-        calls = _parse_spy(monkeypatch)
-        load_metadataset(str(out))
-        assert calls == []  # the workers parsed
-        assert os.listdir(temp) == []
-        assert _open_fds() == fds
-        assert multiprocessing.active_children() == []
-
     def test_dead_worker_raises_instead_of_hanging(self, tmp_path):
-        ds = generate(SyntheticSpec(kind="experts", n_instances=10, n_models=2,
-                                    n_classes=3, seed=0))
-        save_metadataset(ds, str(tmp_path / "ds"))
-        _drop_caches(tmp_path / "ds")
         code = textwrap.dedent("""
             import os, sys
             from ensemblekit import data
             from ensemblekit.errors import WorkerDiedError
             os.sched_getaffinity = lambda pid: {0, 1}
-            data._FORK_MIN_BYTES = 0
-            data._parse_split = lambda *args: os._exit(7)
+            data._FORK_MIN_VALUES = 0
+            data._write_csv = lambda *args: os._exit(7)
+            ds = data.generate(data.SyntheticSpec(kind="experts", n_instances=10, n_models=2,
+                                                  n_classes=3, seed=0))
             try:
-                data.load_metadataset(sys.argv[1])
+                data.save_metadataset(ds, sys.argv[1])
             except WorkerDiedError as exc:
                 print(exc)
         """)
         src = os.path.dirname(os.path.dirname(data.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "ds")],
+        out = tmp_path / "ds"
+        proc = subprocess.run([sys.executable, "-c", code, str(out)],
                               capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == ("a worker process died (killed, perhaps out of memory) "
                                "before task 1 of 2 returned\n")
+        assert not out.exists()
 
 
 def _parse_spy(monkeypatch):
@@ -776,7 +755,7 @@ class TestParseCache:
     def _parsed(path, monkeypatch):
         """The dataset at ``path`` parsed from its CSV files, caches left in place."""
         with monkeypatch.context() as patch:
-            patch.setattr(data, "_cached_splits", lambda *args: None)
+            patch.setattr(data, "_cached_split", lambda *args: None)
             return load_metadataset(str(path))
 
     @pytest.mark.parametrize("kind", ["experts", "preferred", "poly"])
@@ -812,7 +791,7 @@ class TestParseCache:
         cell = edited[first_row:].split(",", 1)[0]
         calls = _parse_spy(monkeypatch)
         back = load_metadataset(str(out))
-        assert calls == list(data.SPLIT_NAMES)
+        assert calls == ["val"]
         assert back.val.predictions[0, 0, 0] == float(cell) != ds.val.predictions[0, 0, 0]
 
     def test_flipped_bit_in_cached_arrays_is_read_from_the_csv(self, tmp_path, monkeypatch):
@@ -831,11 +810,11 @@ class TestParseCache:
         cache.write_bytes(bytes(raw))
         calls = _parse_spy(monkeypatch)
         back = load_metadataset(str(out))
-        assert calls == list(data.SPLIT_NAMES)
+        assert calls == ["val"]
         _assert_same_arrays(back, parsed)
 
     def test_csv_digest_reads_in_small_chunks(self, tmp_path):
-        """Both splits are hashed at once, so each digest holds little."""
+        """A digest reads its files in small chunks, so it holds little."""
         ds = generate(SyntheticSpec(kind="experts", n_instances=2000, n_models=20,
                                     n_classes=20, seed=0))
         save_metadataset(ds, str(tmp_path))
@@ -863,7 +842,7 @@ class TestParseCache:
             cache.unlink()
         calls = _parse_spy(monkeypatch)
         back = load_metadataset(str(out))
-        assert calls == list(data.SPLIT_NAMES)
+        assert calls == ["test"]  # val's cache is judged on its own, and hits
         _assert_same_arrays(back, parsed)
 
     @pytest.mark.parametrize("sizes, fault", [
@@ -983,6 +962,14 @@ class TestOneSplitAtATime:
         assert load_split(str(tmp_path), "val").val.predictions.shape == (10, 3, 1)
         with pytest.raises(DataFormatError, match="test_predictions.csv"):
             load_split(str(tmp_path), "test")
+
+    @pytest.mark.parametrize("split", ["train", "VAL", 3, None])
+    def test_split_loader_rejects_other_split_names(self, tmp_path, split):
+        """An unknown split is named before the manifest is read: the
+        directory here does not exist."""
+        with pytest.raises(ConfigError) as err:
+            load_split(str(tmp_path / "nowhere"), split)
+        assert str(err.value) == f"split must be one of ['val', 'test'], got {split!r}"
 
     @pytest.mark.parametrize("forked", [False, True], ids=["serial", "forked"])
     def test_failed_write_leaves_no_dataset(self, tmp_path, monkeypatch, forked):
