@@ -62,7 +62,7 @@ SPLIT_NAMES = ("val", "test")
 
 _FLOAT_FMT = "%.17g"
 _CACHE_SUFFIX = "_cache.npy"
-# _write_csv compares, formats and writes about this many bytes of rows at a time.
+# _write_csv formats and writes about this many bytes of rows at a time.
 _CHUNK_BYTES = 1 << 14
 
 # Below this size the splits are written in this process: starting
@@ -357,29 +357,20 @@ def _write_dataset(path: str, name: str, task: TaskKind, n_models: int, n_classe
 def _write_csv(path: str, header: str, rows: np.ndarray, fmt: str) -> bytes:
     """Write the bytes ``np.savetxt(path, rows, fmt, delimiter=",",
     header=header, comments="")`` would, N >= 1 rows of any shape flattened
-    to lines, and return their sha256, taken as they are written. A row
-    whose bytes equal an earlier row's (-0.0 is not 0.0) reuses its text,
-    kept only until its last repeat: each distinct row is formatted once."""
+    to lines, and return their sha256, taken as they are written. Rows are
+    told apart by the sha256 of their bytes, as the parse cache trusts, so
+    -0.0 is not 0.0: each distinct row is formatted once and its text kept
+    only until its last repeat."""
     rows = np.ascontiguousarray(rows).reshape(len(rows), -1)
-    u8, line = rows.view(np.uint8), ",".join([fmt] * rows.shape[1]) + "\n"
-    # Sorted stably by bytes, a run of equal rows starts at its first row and
-    # ends at its last; neighbours are compared a chunk at a time, not copied whole.
-    order = np.argsort(u8.view(np.dtype((np.void, u8.shape[1]))).ravel(), kind="stable")
-    new, step = np.ones(len(rows), dtype=bool), max(1, _CHUNK_BYTES // u8.shape[1])
-    for lo in range(1, len(rows), step):
-        hi = min(lo + step, len(rows))
-        new[lo:hi] = (u8[order[lo:hi]] != u8[order[lo - 1:hi - 1]]).any(axis=1)
-    run = np.cumsum(new) - 1
-    first, last = np.empty_like(order), np.empty_like(order)
-    first[order], last[order] = order[new][run], order[np.append(new[1:], True)][run]
+    line, step = ",".join([fmt] * rows.shape[1]) + "\n", max(1, _CHUNK_BYTES // rows[0].nbytes)
+    digests = [hashlib.sha256(row).digest() for row in rows]
+    last = {digest: i for i, digest in enumerate(digests)}
     sha, texts, lines, end = hashlib.sha256(), {}, [header + "\n"], len(rows) - 1
     with open(path, "wb") as fh:
-        for i, f, l in zip(range(len(rows)), first.tolist(), last.tolist()):
-            lines.append(texts[f] if f < i else line % tuple(rows[i].tolist()))
-            if l == i:
-                texts.pop(f, None)
-            elif f == i:
-                texts[i] = lines[-1]
+        for i, digest in enumerate(digests):
+            if digest not in texts:
+                texts[digest] = line % tuple(rows[i].tolist())
+            lines.append(texts.pop(digest) if last[digest] == i else texts[digest])
             if len(lines) > step or i == end:
                 text, lines = "".join(lines).encode(), []
                 sha.update(text)
@@ -524,8 +515,9 @@ def _read_manifest(path: str) -> Tuple[str, TaskKind, int, int]:
 def load_metadataset(path: str) -> MetaDataset:
     """Load a dataset directory written by save_metadataset, val first."""
     name, task, n_models, n_classes = _read_manifest(path)
-    val, test = (_read_split(path, split_name, n_models, n_classes)
-                 for split_name in SPLIT_NAMES)
+    val = _read_split(path, "val", n_models, n_classes)
+    MetaDataset(name=name, task=task, val=val, test=None)  # val's errors come before test's
+    test = _read_split(path, "test", n_models, n_classes)
     return MetaDataset(name=name, task=task, val=val, test=test)
 
 

@@ -17,8 +17,9 @@ so the inference-time forward pass needs no compensation, reach the
 networks' first layers. The MA gate, its softmax and the average run on
 the retained models alone, models-major: the head's kept rows score a
 (k, B) array, the softmax runs over its model axis, and the average
-reads the kept cube model by model. Inference is the same pass with
-every model kept. The result equals zeroing the dropped models'
+reads the kept cube model by model. ``keep`` always names the kept
+models; inference is the same pass at gamma = 1 keeping them all, which
+reads the cube as it is. The result equals zeroing the dropped models'
 inputs and weights. Everything is deterministic in the config seed.
 
 The forward pass returns the combiner's prediction in both modes: (B, C)
@@ -177,17 +178,16 @@ def _forward(
 
     The prediction is (B, C): the softmax of the stacking column scores
     (the score itself when C = 1), or the ma average of the base models
-    under the per-instance weights theta. A train-time mask drops models
-    from the pass: the first layer sees the kept models' columns only,
-    scaled by 1/gamma. The ma gate scores the kept models only,
-    models-major: the head's kept rows give (k, B) scores, softmaxed over
-    the models. The cache starts with ``keep``; the ma cache ends with
-    theta, (B, k). Unmasked, every model is kept.
+    under the per-instance weights theta. ``keep`` names the models a
+    mask keeps, all M without one; the first layer sees their columns
+    only, scaled by 1/gamma, and a pass that keeps all M at gamma = 1
+    reads the cube as it is. The ma gate scores the kept models only,
+    models-major, as (k, B) scores softmaxed over the models. The cache
+    starts with ``keep``; the ma cache ends with theta, (B, k).
     """
-    if mask is None:
-        keep, kept, x = None, cube, cube
-    else:
-        keep = np.flatnonzero(mask)
+    keep = np.arange(cube.shape[1]) if mask is None else np.flatnonzero(mask)
+    kept = x = cube
+    if len(keep) < cube.shape[1] or retain_prob != 1.0:
         # take, unlike cube[:, keep], returns a C-contiguous array; sums over
         # the models of a transposed layout would round differently.
         kept = cube.take(keep, axis=1)
@@ -202,10 +202,9 @@ def _forward(
         return out, (keep, acts, out)
     head = params.nets[1]
     embed = functools.reduce(np.add, outs)  # the deep-set sum, in class order
-    rows = slice(None) if keep is None else keep
-    weights = head.weights[0][rows]
+    weights = head.weights[0][keep]
     scores = weights @ embed.T
-    scores += head.biases[0][rows, None]
+    scores += head.biases[0][keep, None]
     theta = nn.softmax(scores, axis=0)
     out = np.einsum("mb,bmc->bc", theta, kept)
     return out, (keep, kept, acts, embed, weights, theta.T)
@@ -236,12 +235,11 @@ def _backward(params: NEParams, cache: tuple, dout: np.ndarray) -> np.ndarray:
         keep, kept, acts, embed, weights, theta = cache
         dscores = nn.softmax_backward(theta.T, np.einsum("bc,bmc->mb", dout, kept), axis=0)
         (grad_weights,), (grad_biases,) = params.nets[1].unpack(grads[1])
-        rows = slice(None) if keep is None else keep
-        grad_weights[rows] = dscores @ embed
-        grad_biases[rows] = dscores.sum(axis=1)
+        grad_weights[keep] = dscores @ embed
+        grad_biases[keep] = dscores.sum(axis=1)
         douts = [dscores.T @ weights] * len(acts)
     # The column kernel's gradient, summed over the class columns in class
-    # order; with ``keep``, only those first-layer weight columns get one.
+    # order; only the kept models' first-layer weight columns get one.
     for a, column_dout in zip(acts, douts):
         nn.backward(params.nets[0], a, column_dout, grads[0], columns=keep)
     return grad

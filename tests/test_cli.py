@@ -20,7 +20,7 @@ import pytest
 import ensemblekit
 from ensemblekit import baselines, cli, metrics, neural
 from ensemblekit.cli import main
-from ensemblekit.errors import ConfigError
+from ensemblekit.errors import ConfigError, DataValidationError
 from ensemblekit.data import (
     MetaDataset, Split, SyntheticSpec, TaskKind, generate, load_metadataset, save_metadataset,
 )
@@ -154,7 +154,8 @@ class TestSynthAndValidate:
     @pytest.mark.parametrize("bad_test", [False, True], ids=["val", "val-and-test"])
     def test_validate_tampered_dataset_exits_2(self, tmp_path, capsys, bad_test):
         """A val split that fails validation is reported, as `run` reports
-        it, even when the test split would not parse."""
+        it, even when the test split would not parse; load_metadataset
+        raises the same error."""
         data = _synth(tmp_path)
         for split in ("val", "test") if bad_test else ("val",):
             path = os.path.join(data, f"{split}_predictions.csv")
@@ -165,8 +166,11 @@ class TestSynthAndValidate:
                 fh.writelines(lines)
         capsys.readouterr()
         assert main(["validate", "--data", data]) == 2
-        _assert_only_error_line(capsys.readouterr().err,
-                                "val split: predictions must be probabilities in [0, 1]")
+        err = capsys.readouterr().err
+        _assert_only_error_line(err, "val split: predictions must be probabilities in [0, 1]")
+        with pytest.raises(DataValidationError) as raised:
+            load_metadataset(data)
+        assert err == f"error: {raised.value}\n"
 
     @pytest.mark.parametrize("edit, fragment", [
         (lambda m: 5, "the manifest must be a JSON object, got 5"),

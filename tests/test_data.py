@@ -528,8 +528,10 @@ class TestCsvWriter:
         (np.concatenate([_RNG.standard_normal(600), np.full(400, np.pi)]), "%.17g"),
         (_RNG.random((40, 5000)), "%.17g"),
         (_RNG.random((50, 4, 3)), "%.17g"),
+        (np.tile(_MANY[:2], (50, 1)), "%.17g"),
+        (np.tile(_RNG.random((3, 4, 3)), (40, 1, 1)), "%.17g"),
     ], ids=["signed-zeros", "late-repeats", "all-equal", "single-row", "column-d",
-            "column-g", "wide", "cube"])
+            "column-g", "wide", "cube", "interleaved", "cycle-of-three"])
     def test_bytes_and_digest_match_savetxt(self, tmp_path, rows, fmt):
         path = tmp_path / "written.csv"
         digest = data._write_csv(str(path), "h", rows, fmt)

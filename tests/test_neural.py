@@ -185,12 +185,22 @@ class TestTrainingGateWeights:
         np.testing.assert_allclose(theta.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(theta[:, mask == 1.0] > 0.0)
 
-    def test_full_mask_equals_plain_softmax(self):
+    @pytest.mark.parametrize("mask", [np.ones(4), None], ids=["full", "unmasked"])
+    def test_full_mask_equals_plain_softmax(self, mask):
+        """A pass that keeps every model names them all in ``keep``, masked
+        or not, and a full mask at delta = 0 trains as the unmasked pass."""
         rng = np.random.default_rng(10)
         params = _ma_params(4, 10, rng)
         cube = rng.normal(size=(5, 4, 1))
-        got = _training_weights(params, cube, np.ones(4), 1.0)
+        got = _training_weights(params, cube, mask, 1.0)
         np.testing.assert_allclose(got, neural.ma_weights(params, cube), atol=1e-15)
+        labels = rng.normal(size=5)
+        loss, grad = neural._loss_and_gradients(params, cube, labels, TaskKind.REGRESSION,
+                                                mask, 1.0)
+        plain_loss, plain_grad = neural._loss_and_gradients(
+            params, cube, labels, TaskKind.REGRESSION, None, 1.0)
+        assert loss == plain_loss
+        np.testing.assert_array_equal(grad, plain_grad)
 
     def test_single_survivor_gets_unit_weight(self):
         rng = np.random.default_rng(11)
