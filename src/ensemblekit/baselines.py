@@ -16,7 +16,7 @@ from typing import Tuple
 import numpy as np
 
 from . import metrics, nn
-from .data import TaskKind, check_labels, check_seed
+from .data import TaskKind, check_integer, check_labels, check_seed
 from .errors import ConfigError, ShapeError
 
 DEFAULT_N = 50
@@ -69,8 +69,7 @@ def top_n(
     predictions: np.ndarray, labels: np.ndarray, task: TaskKind, n: int = DEFAULT_N
 ) -> ModelSelection:
     """Uniform ensemble of the N individually best models."""
-    if n < 1:
-        raise ConfigError(f"top-n needs n >= 1, got {n}")
+    check_integer("n", n, 1)
     losses = model_losses(predictions, labels, task)
     n = min(n, losses.shape[0])
     order = np.argsort(losses, kind="stable")[:n]
@@ -79,10 +78,8 @@ def top_n(
 
 def random_n(n_models: int, n: int = DEFAULT_N, seed: int = 0) -> ModelSelection:
     """Uniform ensemble of N distinct models drawn uniformly at random."""
-    if n < 1:
-        raise ConfigError(f"random-n needs n >= 1, got {n}")
-    if n_models < 1:
-        raise ConfigError(f"random-n needs at least one model, got {n_models}")
+    check_integer("n", n, 1)
+    check_integer("n_models", n_models, 1)
     check_seed(seed)
     n = min(n, n_models)
     rng = np.random.default_rng(seed)
@@ -99,8 +96,7 @@ def greedy_select(
     lowest validation loss of the uniform average over all picks so far;
     ties go to the lowest index. Runs exactly ``n_slots`` rounds.
     """
-    if n_slots < 1:
-        raise ConfigError(f"greedy needs at least one slot, got {n_slots}")
+    check_integer("n_slots", n_slots, 1)
     labels = check_labels(labels, len(predictions), task, predictions.shape[-1], "greedy_select")
     proj = predictions[metrics.loss_index(labels, task)]
     m_models = proj.shape[1]
@@ -128,8 +124,7 @@ def quick_select(
     models were considered or N models were kept. Never worse than the
     single best model on validation.
     """
-    if n < 1:
-        raise ConfigError(f"quick needs n >= 1, got {n}")
+    check_integer("n", n, 1)
     labels = check_labels(labels, len(predictions), task, predictions.shape[-1], "quick_select")
     proj = predictions[metrics.loss_index(labels, task)]
     losses = metrics.loss(proj, labels, task)
@@ -185,8 +180,7 @@ def fit_constant_ma(
     fit starts from the uniform average. The optimization is full-batch
     and deterministic.
     """
-    if steps < 1:
-        raise ConfigError(f"fit_constant_ma needs steps >= 1, got {steps}")
+    check_integer("steps", steps, 1)
     predictions = np.asarray(predictions, dtype=np.float64)
     labels = check_labels(labels, len(predictions), task, predictions.shape[-1], "fit_constant_ma")
     proj = predictions[metrics.loss_index(labels, task)]

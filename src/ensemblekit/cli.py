@@ -48,7 +48,7 @@ import numpy as np
 
 from . import baselines, metrics, neural
 from .data import SPLIT_NAMES, MetaDataset, SyntheticSpec, TaskKind, fork_map, load_split
-from .data import save_synthetic
+from .data import check_integer, save_synthetic
 from .errors import ConfigError, DataFormatError, EnsembleKitError, LockError, NumericError
 
 METHODS = (
@@ -204,8 +204,7 @@ def cmd_run(args) -> int:
     if len(rates) > 1 and args.method not in _NE_MODE_BY_METHOD:
         raise ConfigError(f"{args.method} has no dropout rate; a list of "
                           f"{len(rates)} rates would repeat each record")
-    if args.n < 1:
-        raise ConfigError(f"--n must be >= 1, got {args.n}")
+    check_integer("--n", args.n, 1)
     # Every flag, seed and rate is checked here, for every method, before the load.
     config = neural.NEConfig(mode=_NE_MODE_BY_METHOD.get(args.method, neural.MODE_MA),
                              layers=args.layers, hidden_dim=args.hidden_dim, steps=args.steps,

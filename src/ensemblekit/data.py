@@ -593,22 +593,26 @@ class SyntheticSpec:
             )
         # n_classes: experts never labels class 0, so C = 2 would label every instance 1.
         for name, least in (("n_instances", 2), ("n_models", 2), ("n_classes", 3), ("degree", 1)):
-            value = getattr(self, name)
-            check_integer(name, value)
-            if value < least:
-                raise ConfigError(f"{name} must be at least {least}, got {value}")
-        if not 0.0 <= self.rho_p <= 1.0:
-            raise ConfigError(f"rho_p must lie in [0, 1], got {self.rho_p}")
-        if not 0.0 <= self.noise_scale < np.inf:
-            raise ConfigError(f"noise_scale must be a finite number >= 0, got {self.noise_scale}")
+            check_integer(name, getattr(self, name), least)
+        if not _is_real(self.rho_p) or not 0.0 <= self.rho_p <= 1.0:
+            raise ConfigError(f"rho_p must lie in [0, 1], got {self.rho_p!r}")
+        if not _is_real(self.noise_scale) or not 0.0 <= self.noise_scale < np.inf:
+            raise ConfigError(f"noise_scale must be a finite number >= 0, got {self.noise_scale!r}")
         check_seed(self.seed)
 
 
-def check_integer(name: str, value) -> None:
-    """Raise ConfigError naming ``name`` unless ``value`` is an integer,
-    numpy's included, and not a bool."""
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_integer(name: str, value, least: int) -> None:
+    """The count rule of every size, step and model-count argument in the
+    package: raise ConfigError naming ``name`` unless ``value`` is an
+    integer, numpy's included, not a bool, and at least ``least``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ConfigError(f"{name} must be at least {least}, got {value}")
 
 
 def check_seed(seed) -> None:

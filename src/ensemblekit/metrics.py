@@ -159,6 +159,9 @@ def ambiguity(weights: np.ndarray, base_preds: np.ndarray) -> float:
         raise ShapeError(
             f"weights shape {weights.shape} incompatible with base_preds {base_preds.shape}"
         )
+    for name, values in (("weights", weights), ("base predictions", base_preds)):
+        if not np.isfinite(values).all():
+            raise DataValidationError(f"ensemble {name} must be finite")
     if np.any(weights < 0):
         raise DataValidationError("ensemble weights must be nonnegative")
     row_sums = weights.sum(axis=1)

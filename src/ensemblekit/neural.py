@@ -81,10 +81,7 @@ class NEConfig:
             raise ConfigError(f"mode must be '{MODE_STACKING}' or '{MODE_MA}', got {self.mode!r}")
         check_dropout_rate(self.dropout_rate)
         for name in ("layers", "hidden_dim", "steps", "batch_size"):
-            value = getattr(self, name)
-            check_integer(name, value)
-            if value < 1:
-                raise ConfigError(f"{name} must be >= 1, got {value}")
+            check_integer(name, getattr(self, name), 1)
         nn.check_learning_rate(self.learning_rate)
         check_seed(self.seed)
 
@@ -126,6 +123,7 @@ class NEParams:
 
 def _layer_dims(config: NEConfig, n_models: int) -> List[List[int]]:
     """Layer dims of the combiner's networks, in ``NEParams.flat`` order."""
+    check_integer("n_models", n_models, 1)
     h = config.hidden_dim
     if config.mode == MODE_STACKING:
         return [[n_models] + [h] * (config.layers - 1) + [1]]
@@ -141,8 +139,6 @@ def param_count(config: NEConfig, n_models: int) -> int:
 def init_ne_params(config: NEConfig, n_models: int) -> NEParams:
     """Fresh networks for a dataset with ``n_models`` base models,
     deterministic in config.seed."""
-    if n_models < 1:
-        raise ConfigError(f"need at least one base model, got {n_models}")
     seeds = np.random.SeedSequence(config.seed).generate_state(2)
     dims = _layer_dims(config, n_models)
     flat = np.concatenate([nn.init_dense_net(d, int(s)).flat for d, s in zip(dims, seeds)])
@@ -304,6 +300,8 @@ def train(ds: MetaDataset, config: NEConfig) -> Tuple[NEParams, List[float]]:
     and the per-step training-loss trace. Fully deterministic in
     config.seed; the test split is never touched.
     """
+    if ds.val is None:
+        raise ConfigError(f"{ds.name}: train needs the val split, which is not loaded")
     cube = ds.val.predictions
     labels = ds.val.labels
     n = cube.shape[0]
@@ -351,10 +349,11 @@ def diversity_limit_oracle(
     masks. As rho_p -> 1 the result approaches the dropout rate
     1 - retain_prob; with full retention it approaches 0.
     """
-    if not 0.0 < retain_prob <= 1.0:
-        raise ConfigError(f"retain_prob must lie in (0, 1], got {retain_prob}")
-    if n_samples < 2 or n_masks < 1:
-        raise ConfigError("need n_samples >= 2 and n_masks >= 1")
+    if (isinstance(retain_prob, bool) or not isinstance(retain_prob, numbers.Real)
+            or not 0.0 < retain_prob <= 1.0):
+        raise ConfigError(f"retain_prob must lie in (0, 1], got {retain_prob!r}")
+    check_integer("n_samples", n_samples, 2)
+    check_integer("n_masks", n_masks, 1)
     check_seed(seed)
     data_seed, mask_seed = (int(s) for s in np.random.SeedSequence(seed).generate_state(2))
     ds = generate(SyntheticSpec(kind="preferred", n_instances=n_samples, n_models=n_models,

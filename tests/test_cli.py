@@ -706,12 +706,12 @@ class TestDropoutRates:
     @pytest.mark.parametrize("method, extra, fragment", [
         ("greedy", ["--lr", "nan"], "learning rate must be a finite number > 0, got nan"),
         ("ma", ["--lr", "inf"], "learning rate must be a finite number > 0, got inf"),
-        ("random", ["--layers", "0"], "layers must be >= 1, got 0"),
-        ("akaike", ["--steps", "0"], "steps must be >= 1, got 0"),
-        ("single-best", ["--batch-size", "0"], "batch_size must be >= 1, got 0"),
-        ("top-n", ["--hidden-dim", "0"], "hidden_dim must be >= 1, got 0"),
-        ("quick", ["--n", "0"], "--n must be >= 1, got 0"),
-        ("ne-ma", ["--n", "0"], "--n must be >= 1, got 0"),
+        ("random", ["--layers", "0"], "layers must be at least 1, got 0"),
+        ("akaike", ["--steps", "0"], "steps must be at least 1, got 0"),
+        ("single-best", ["--batch-size", "0"], "batch_size must be at least 1, got 0"),
+        ("top-n", ["--hidden-dim", "0"], "hidden_dim must be at least 1, got 0"),
+        ("quick", ["--n", "0"], "--n must be at least 1, got 0"),
+        ("ne-ma", ["--n", "0"], "--n must be at least 1, got 0"),
     ], ids=["greedy-lr-nan", "ma-lr-inf", "random-layers-0", "akaike-steps-0",
             "single-best-batch-size-0", "top-n-hidden-dim-0", "quick-n-0", "ne-ma-n-0"])
     def test_every_flag_is_checked_for_every_method_before_loading(

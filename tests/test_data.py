@@ -1,5 +1,6 @@
 """Tests for dataset containers, on-disk format, split I/O in forked
-workers against the serial loop, and the three synthetic generators."""
+workers against the serial loop, the three synthetic generators, and the
+count rule every exported count argument shares."""
 
 import dataclasses
 import hashlib
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from ensemblekit.errors import ConfigError, DataFormatError, DataValidationError, ShapeError
-from ensemblekit import data
+from ensemblekit import baselines, data, neural
 from ensemblekit.data import (
     MetaDataset,
     Split,
@@ -1187,10 +1188,16 @@ class TestGenerateDispatch:
         ("n_classes", 2, "n_classes must be at least 3, got 2"),
         ("rho_p", 1.5, "rho_p must lie in [0, 1], got 1.5"),
         ("rho_p", math.nan, "rho_p must lie in [0, 1], got nan"),
+        ("rho_p", "0.5", "rho_p must lie in [0, 1], got '0.5'"),
+        ("rho_p", True, "rho_p must lie in [0, 1], got True"),
+        ("rho_p", None, "rho_p must lie in [0, 1], got None"),
         ("degree", 0, "degree must be at least 1, got 0"),
         ("noise_scale", -0.1, "noise_scale must be a finite number >= 0, got -0.1"),
         ("noise_scale", math.nan, "noise_scale must be a finite number >= 0, got nan"),
         ("noise_scale", math.inf, "noise_scale must be a finite number >= 0, got inf"),
+        ("noise_scale", "0.1", "noise_scale must be a finite number >= 0, got '0.1'"),
+        ("noise_scale", True, "noise_scale must be a finite number >= 0, got True"),
+        ("noise_scale", None, "noise_scale must be a finite number >= 0, got None"),
         ("seed", -1, "seed must be a non-negative integer, got -1"),
     ])
     def test_spec_checks_every_field_for_every_kind_at_construction(
@@ -1228,3 +1235,51 @@ class TestGenerateDispatch:
         a = generate(SyntheticSpec(kind="poly", n_instances=10, n_models=2, seed=np.int64(3)))
         b = generate(SyntheticSpec(kind="poly", n_instances=10, n_models=2, seed=3))
         assert np.array_equal(a.val.predictions, b.val.predictions)
+
+
+_CUBE = np.full((4, 3, 2), 0.5)
+_LABELS = np.array([0, 1, 0, 1])
+_CLS = TaskKind.CLASSIFICATION
+
+# Every count argument of an exported function: a call that takes the
+# count, the argument's name and its least value.
+COUNT_ARGUMENTS = [
+    pytest.param(lambda v: baselines.top_n(_CUBE, _LABELS, _CLS, n=v), "n", 1, id="top_n-n"),
+    pytest.param(lambda v: baselines.random_n(3, n=v), "n", 1, id="random_n-n"),
+    pytest.param(lambda v: baselines.random_n(v, n=1), "n_models", 1, id="random_n-n_models"),
+    pytest.param(lambda v: baselines.greedy_select(_CUBE, _LABELS, _CLS, n_slots=v),
+                 "n_slots", 1, id="greedy_select-n_slots"),
+    pytest.param(lambda v: baselines.quick_select(_CUBE, _LABELS, _CLS, n=v),
+                 "n", 1, id="quick_select-n"),
+    pytest.param(lambda v: baselines.fit_constant_ma(_CUBE, _LABELS, _CLS, steps=v),
+                 "steps", 1, id="fit_constant_ma-steps"),
+    pytest.param(lambda v: neural.init_ne_params(neural.NEConfig(), v),
+                 "n_models", 1, id="init_ne_params-n_models"),
+    pytest.param(lambda v: neural.param_count(neural.NEConfig(), v),
+                 "n_models", 1, id="param_count-n_models"),
+    pytest.param(lambda v: neural.diversity_limit_oracle(0.5, 0.9, 3, n_samples=v, n_masks=2),
+                 "n_samples", 2, id="diversity_limit_oracle-n_samples"),
+    pytest.param(lambda v: neural.diversity_limit_oracle(0.5, 0.9, 3, n_samples=10, n_masks=v),
+                 "n_masks", 1, id="diversity_limit_oracle-n_masks"),
+]
+
+
+class TestCountRule:
+    """data.check_integer is the one rule of every exported count argument."""
+
+    @pytest.mark.parametrize("call, name, least", COUNT_ARGUMENTS)
+    @pytest.mark.parametrize("value", [2.5, True, "3"])
+    def test_a_count_must_be_an_integer(self, call, name, least, value):
+        message = f"{name} must be an integer, got {value!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            call(value)
+
+    @pytest.mark.parametrize("call, name, least", COUNT_ARGUMENTS)
+    def test_a_count_below_its_least_is_refused(self, call, name, least):
+        message = f"{name} must be at least {least}, got {least - 1}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            call(least - 1)
+
+    @pytest.mark.parametrize("call, name, least", COUNT_ARGUMENTS)
+    def test_a_numpy_integer_at_its_least_is_a_count(self, call, name, least):
+        call(np.int64(least))

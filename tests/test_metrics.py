@@ -305,6 +305,18 @@ class TestAmbiguity:
         with pytest.raises(DataValidationError):
             metrics.ambiguity(np.array([0.4, 0.4]), np.array([[0.0, 1.0]]))
 
+    @pytest.mark.parametrize("weights, preds, name", [
+        ([math.nan, 1.0], [[0.0, 1.0]], "weights"),
+        ([[0.5, 0.5], [math.nan, math.nan]], [[0.0, 1.0], [0.0, 1.0]], "weights"),
+        ([0.5, 0.5], [[0.0, math.inf]], "base predictions"),
+        ([0.5, 0.5], [[math.nan, 1.0]], "base predictions"),
+    ], ids=["nan-weight", "nan-weight-row", "inf-prediction", "nan-prediction"])
+    def test_rejects_non_finite_input(self, weights, preds, name):
+        """NaN fails no comparison of the simplex check, so it is named
+        before the check runs instead of returning nan."""
+        with pytest.raises(DataValidationError, match=f"^ensemble {name} must be finite$"):
+            metrics.ambiguity(np.array(weights), np.array(preds))
+
 
 class TestReports:
     """Bundled metric reports and single-best normalization."""

@@ -10,7 +10,7 @@ import pytest
 
 from ensemblekit.errors import ConfigError, DataValidationError, NumericError, ShapeError
 from ensemblekit import neural, nn
-from ensemblekit.data import SyntheticSpec, TaskKind, generate
+from ensemblekit.data import MetaDataset, SyntheticSpec, TaskKind, generate
 from gradcheck import finite_difference_gradients, gradient_errors, ma_step_reference, training_loss
 
 
@@ -549,6 +549,15 @@ class TestTrainingLoop:
         neural.train(ds, config)
         np.testing.assert_array_equal(ds.test.predictions, before)
 
+    def test_a_dataset_without_its_val_split_is_refused(self):
+        """A dataset loaded for scoring (val None) names itself, not a
+        missing attribute."""
+        ds = generate(SyntheticSpec(kind="experts", n_instances=20, n_models=2, seed=0))
+        test_only = MetaDataset(name=ds.name, task=ds.task, val=None, test=ds.test)
+        message = f"{ds.name}: train needs the val split, which is not loaded"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            neural.train(test_only, neural.NEConfig(steps=1, batch_size=4))
+
 
 class TestDiversityOracle:
     def test_full_retention_has_no_spread(self):
@@ -569,3 +578,7 @@ class TestDiversityOracle:
             neural.diversity_limit_oracle(0.5, 0.9, 5, n_samples=1)
         with pytest.raises(ConfigError, match="seed must be a non-negative integer, got -1"):
             neural.diversity_limit_oracle(0.5, 0.9, 5, seed=-1)
+        for rate in ("0.5", True, None):
+            message = f"retain_prob must lie in (0, 1], got {rate!r}"
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                neural.diversity_limit_oracle(rate, 0.9, 5)
