@@ -30,9 +30,12 @@ class ModelSelection:
     n_models: int
 
     def __post_init__(self):
+        check_integer("n_models", self.n_models, 1)
         if len(self.indices) == 0:
             raise ConfigError("a model selection cannot be empty")
-        if any(i < 0 or i >= self.n_models for i in self.indices):
+        for i in self.indices:
+            check_integer("selection index", i, 0)
+        if any(i >= self.n_models for i in self.indices):
             raise ConfigError(f"selection indices out of range for M={self.n_models}")
 
     def weights(self) -> np.ndarray:

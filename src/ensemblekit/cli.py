@@ -11,8 +11,9 @@ the dropout ablation one run: one record per (seed, rate) pair, with the
 rate in `config.dropout_rate`. `report` shows one row per method and
 rate (`ne-ma@0.75`), so each rate's normalized NLL reads off the table.
 
-Exit codes: 0 success, 2 usage or data error or a dead worker, 3 numeric
-failure (a non-finite training loss or metric; nothing is appended then).
+Exit codes: 0 success, 2 usage or data error, a dead worker or a
+MemoryError, 3 numeric failure (a non-finite training loss or metric;
+nothing is appended then).
 
 Each (seed, rate) task of `run` is a copy of one `NEConfig`, so every
 flag is checked, for every method, before the data is read. `validate`
@@ -41,14 +42,14 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import baselines, metrics, neural
-from .data import SPLIT_NAMES, MetaDataset, SyntheticSpec, TaskKind, fork_map, load_split
-from .data import check_integer, save_synthetic
+from .data import GENERATORS, SPLIT_NAMES, MetaDataset, SyntheticSpec, TaskKind, fork_map
+from .data import check_integer, load_split, save_synthetic
 from .errors import ConfigError, DataFormatError, EnsembleKitError, LockError, NumericError
 
 METHODS = (
@@ -64,6 +65,7 @@ METHODS = (
 )
 
 _NE_MODE_BY_METHOD = {"ne-stack": neural.MODE_STACKING, "ne-ma": neural.MODE_MA}
+_NE_FIELDS = ("layers", "hidden_dim", "steps", "batch_size", "learning_rate")  # set by run flags
 
 # Lower is better for every normalized metric except AUC.
 _HIGHER_IS_BETTER = {"auc"}
@@ -143,9 +145,7 @@ def _static_weights(ds: MetaDataset, method: str, config: neural.NEConfig,
     val_p, val_y = ds.val.predictions, ds.val.labels
     if method == "single-best":
         idx = baselines.single_best(val_p, val_y, ds.task)
-        weights = np.zeros(ds.n_models)
-        weights[idx] = 1.0
-        return weights, {"index": idx}
+        return baselines.ModelSelection((idx,), ds.n_models).weights(), {"index": idx}
     if method == "akaike":
         return baselines.akaike_weights(baselines.model_losses(val_p, val_y, ds.task)), {}
     if method == "ma":
@@ -181,16 +181,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    spec = SyntheticSpec(
-        kind=args.kind,
-        n_instances=args.n,
-        n_models=args.models,
-        n_classes=args.classes,
-        rho_p=args.rho,
-        degree=args.degree,
-        noise_scale=args.noise,
-        seed=args.seed,
-    )
+    spec = SyntheticSpec(**{f.name: getattr(args, f.name) for f in fields(SyntheticSpec)})
     name = save_synthetic(spec, args.out)
     print(f"wrote {name} to {args.out}")
     return 0
@@ -207,8 +198,7 @@ def cmd_run(args) -> int:
     check_integer("--n", args.n, 1)
     # Every flag, seed and rate is checked here, for every method, before the load.
     config = neural.NEConfig(mode=_NE_MODE_BY_METHOD.get(args.method, neural.MODE_MA),
-                             layers=args.layers, hidden_dim=args.hidden_dim, steps=args.steps,
-                             batch_size=args.batch_size, learning_rate=args.lr)
+                             **{name: getattr(args, name) for name in _NE_FIELDS})
     # + 0.0 records a rate of -0.0 as 0.0.
     tasks = [replace(config, seed=seed, dropout_rate=rate + 0.0)
              for seed in seeds for rate in rates]
@@ -376,21 +366,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset directory")
     p.set_defaults(func=cmd_validate)
 
+    # A flag that sets a SyntheticSpec or NEConfig field is stored under the field's name,
+    # shown under its own, and takes the field's default; [1:] skips kind, which has none.
     p = sub.add_parser("synth", help="write a synthetic dataset directory")
-    p.add_argument("--kind", required=True, choices=["experts", "preferred", "poly"])
+    p.add_argument("--kind", required=True, choices=list(GENERATORS))
     p.add_argument("--out", required=True, help="output dataset directory")
-    p.add_argument("--n", type=int, default=2000, help="instances per split")
-    p.add_argument("--models", type=int, default=5, help="number of base models")
-    p.add_argument("--classes", type=int, default=3,
+    p.add_argument("--n", dest="n_instances", metavar="N", type=int, help="instances per split")
+    p.add_argument("--models", dest="n_models", metavar="MODELS", type=int,
+                   help="number of base models")
+    p.add_argument("--classes", dest="n_classes", metavar="CLASSES", type=int,
                    help="classes, >= 3; used by experts, checked for every kind")
-    p.add_argument("--rho", type=float, default=0.9,
+    p.add_argument("--rho", dest="rho_p", metavar="RHO", type=float,
                    help="target correlation in [0, 1]; used by preferred, checked for every kind")
-    p.add_argument("--degree", type=int, default=10,
+    p.add_argument("--degree", type=int,
                    help="polynomial degree, >= 1; used by poly, checked for every kind")
-    p.add_argument("--noise", type=float, default=0.1,
+    p.add_argument("--noise", dest="noise_scale", metavar="NOISE", type=float,
                    help="label noise scale, finite and >= 0; used by poly, checked for every kind")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_synth)
+    p.add_argument("--seed", type=int)
+    p.set_defaults(func=cmd_synth, **{f.name: f.default for f in fields(SyntheticSpec)[1:]})
 
     p = sub.add_parser("run", help="fit a method and append run records")
     p.add_argument("method", choices=list(METHODS))
@@ -399,15 +392,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", default="0,1,2", help="comma-separated seeds")
     p.add_argument("--n", type=int, default=baselines.DEFAULT_N,
                    help="ensemble size for random/top-n/quick/greedy")
-    p.add_argument("--dropout-rate", default="0.75",
+    p.add_argument("--dropout-rate", default=str(neural.NEConfig.dropout_rate),
                    help="comma-separated base-model dropout rates in [0, 1); "
                         "a list needs ne-stack or ne-ma")
-    p.add_argument("--layers", type=int, default=4, help="stacking network depth")
-    p.add_argument("--hidden-dim", type=int, default=32, help="hidden width")
-    p.add_argument("--steps", type=int, default=10000, help="training steps")
-    p.add_argument("--batch-size", type=int, default=2048, help="training batch size")
-    p.add_argument("--lr", type=float, default=1e-3, help="Adam learning rate")
-    p.set_defaults(func=cmd_run)
+    p.add_argument("--layers", type=int, help="stacking network depth")
+    p.add_argument("--hidden-dim", type=int, help="hidden width")
+    p.add_argument("--steps", type=int, help="training steps")
+    p.add_argument("--batch-size", type=int, help="training batch size")
+    p.add_argument("--lr", dest="learning_rate", metavar="LR", type=float,
+                   help="Adam learning rate")
+    p.set_defaults(func=cmd_run, **{name: getattr(neural.NEConfig, name) for name in _NE_FIELDS})
 
     p = sub.add_parser("report", help="aggregate run records into a table")
     p.add_argument("--records", required=True, help="JSON-lines records file")
@@ -427,6 +421,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 3
     except (EnsembleKitError, FileNotFoundError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's names the allocation; Python's own is empty
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -172,6 +172,8 @@ def check_labels(labels, n: int, task: TaskKind, n_classes: int, where: str) -> 
     """A new array of ``labels`` checked to be 1-D with ``n`` entries: int64
     class indices in [0, n_classes) for classification, finite float64
     targets for regression. ``where`` starts each message."""
+    if not isinstance(task, TaskKind):
+        raise ConfigError(f"task must be a TaskKind, got {task!r}")
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.shape[0] != n:
         raise ShapeError(f"{where} labels must be 1-D with {n} entries, got shape {labels.shape}")
@@ -587,9 +589,9 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in _GENERATORS:
+        if self.kind not in GENERATORS:
             raise ConfigError(
-                f"unknown synthetic kind '{self.kind}', expected one of {sorted(_GENERATORS)}"
+                f"unknown synthetic kind '{self.kind}', expected one of {sorted(GENERATORS)}"
             )
         # n_classes: experts never labels class 0, so C = 2 would label every instance 1.
         for name, least in (("n_instances", 2), ("n_models", 2), ("n_classes", 3), ("degree", 1)):
@@ -606,9 +608,10 @@ def _is_real(value) -> bool:
 
 
 def check_integer(name: str, value, least: int) -> None:
-    """The count rule of every size, step and model-count argument in the
-    package: raise ConfigError naming ``name`` unless ``value`` is an
-    integer, numpy's included, not a bool, and at least ``least``."""
+    """The count rule of every size, step, model-count and model-index
+    argument in the package: raise ConfigError naming ``name`` unless
+    ``value`` is an integer, numpy's included, not a bool, and at least
+    ``least``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if value < least:
@@ -640,7 +643,7 @@ def _generator(spec: SyntheticSpec) -> Tuple[str, TaskKind, Callable[[], Split]]
     spec.seed. Overflow and invalid values are left to validation, which
     names the first entry that is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        name, task, one_split = _GENERATORS[spec.kind](spec, np.random.default_rng(spec.seed))
+        name, task, one_split = GENERATORS[spec.kind](spec, np.random.default_rng(spec.seed))
 
     def draw() -> Split:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -750,4 +753,5 @@ def _poly(spec: SyntheticSpec, rng: np.random.Generator) -> _Generator:
     return f"poly-d{spec.degree}-m{spec.n_models}-seed{spec.seed}", TaskKind.REGRESSION, one_split
 
 
-_GENERATORS = {"experts": _experts, "preferred": _preferred, "poly": _poly}
+# SyntheticSpec's kinds, in the order `synth --kind` lists them.
+GENERATORS = {"experts": _experts, "preferred": _preferred, "poly": _poly}

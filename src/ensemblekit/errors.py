@@ -1,8 +1,8 @@
 """Exception taxonomy shared across the package.
 
 The CLI maps these onto exit codes: configuration, shape, data and lock
-problems and a dead worker process are usage/data errors (exit 2), numeric
-failures during training abort the run (exit 3).
+problems, a dead worker process and Python's MemoryError are usage/data
+errors (exit 2), numeric failures during training abort the run (exit 3).
 """
 
 

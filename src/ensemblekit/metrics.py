@@ -140,9 +140,9 @@ def mse(predictions: np.ndarray, targets: np.ndarray) -> float:
 def ambiguity(weights: np.ndarray, base_preds: np.ndarray) -> float:
     """Weighted spread of base predictions around their weighted mean.
 
-    ``base_preds`` has shape (N, M): one scalar prediction per instance
-    and model (for classification, the true-class probability). A 1-D
-    vector is treated as a single instance (1, M). ``weights`` is a
+    ``base_preds`` has shape (N, M) with N >= 1: one scalar prediction per
+    instance and model (for classification, the true-class probability).
+    A 1-D vector is treated as a single instance (1, M). ``weights`` is a
     static simplex vector (M,) or per-instance weights (N, M). Returns
     the mean over instances of sum_m w_m * (z_m - zbar)^2 with
     zbar = sum_m w_m * z_m.
@@ -153,6 +153,8 @@ def ambiguity(weights: np.ndarray, base_preds: np.ndarray) -> float:
         base_preds = base_preds[None, :]
     if base_preds.ndim != 2:
         raise ShapeError(f"base_preds must be (N, M), got shape {base_preds.shape}")
+    if base_preds.shape[0] == 0:
+        raise DataValidationError("ensemble base predictions need at least one instance")
     if weights.ndim == 1:
         weights = np.broadcast_to(weights, base_preds.shape)
     if weights.shape != base_preds.shape:

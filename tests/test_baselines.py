@@ -104,6 +104,16 @@ class TestLabelChecks:
             fit(cube, labels, TaskKind.CLASSIFICATION)
 
     @pytest.mark.parametrize("fit", _LABEL_CHECKED, ids=_LABEL_CHECKED_IDS)
+    @pytest.mark.parametrize("task", ["classification", None])
+    def test_task_must_be_a_task_kind(self, fit, task):
+        # Unchecked, a task string scored the cube as regression: on this
+        # cube single_best returned 1 where TaskKind.CLASSIFICATION gives 4.
+        cube = generate(SyntheticSpec(kind="experts", n_instances=200, seed=0)).val
+        message = f"task must be a TaskKind, got {task!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            fit(cube.predictions, cube.labels, task)
+
+    @pytest.mark.parametrize("fit", _LABEL_CHECKED, ids=_LABEL_CHECKED_IDS)
     def test_non_finite_regression_target(self, fit):
         cube = np.zeros((4, 2, 1))
         with pytest.raises(DataValidationError, match="labels contain non-finite values"):

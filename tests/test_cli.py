@@ -5,6 +5,7 @@ output locking, the forked task mapper, records across BLAS thread
 counts, edge-case datasets, and the commands shown in README."""
 
 import csv
+import dataclasses
 import fcntl
 import json
 import os
@@ -383,6 +384,28 @@ class TestRun:
         out = str(tmp_path / "runs.jsonl")
         assert main(["run", "single-best", "--data", data, "--out", out,
                      "--seeds", "0,zero"]) == 2
+
+    @pytest.mark.parametrize("message, line", [
+        ("", "error: out of memory"),
+        ("Unable to allocate 7.45 GiB for an array with shape (1000000000,) and data type "
+         "float64", "error: Unable to allocate 7.45 GiB for an array with shape"),
+    ], ids=["python", "numpy"])
+    @pytest.mark.parametrize("callee, argv", [
+        ("save_synthetic", ["synth", "--kind", "experts", "--out", "ds"]),
+        ("load_split", ["run", "greedy", "--data", "ds", "--out", "runs.jsonl"]),
+    ], ids=["synth", "run"])
+    def test_memory_error_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys, message,
+                                                line, callee, argv):
+        """A callee raises MemoryError; no memory is asked for. Python's
+        own carries no message, so the line says what happened."""
+        def out_of_memory(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, callee, out_of_memory)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        _assert_only_error_line(capsys.readouterr().err, line)
+        assert os.listdir(tmp_path) == []
 
 
 class TestOneSplitAtATime:
@@ -1077,6 +1100,25 @@ class TestEntryPoint:
                 parser.parse_args(argv)
             except SystemExit:
                 pytest.fail(f"README command does not parse: ensemblekit {shlex.join(argv)}")
+
+    def test_flags_default_to_the_library_defaults(self, capsys):
+        """synth and run store each field flag under its field's name, with
+        SyntheticSpec's and NEConfig's defaults, and --kind lists the
+        generators in their table's order."""
+        parser = cli.build_parser()
+        args = parser.parse_args(["synth", "--kind", "poly", "--out", "ds"])
+        spec = SyntheticSpec(**{f.name: getattr(args, f.name)
+                                for f in dataclasses.fields(SyntheticSpec)})
+        assert spec == SyntheticSpec("poly")
+        args = parser.parse_args(["run", "ne-ma", "--data", "ds", "--out", "runs.jsonl"])
+        config = neural.NEConfig()
+        for name in cli._NE_FIELDS:
+            assert getattr(args, name) == getattr(config, name), name
+        assert float(args.dropout_rate) == config.dropout_rate
+        with pytest.raises(SystemExit):
+            main(["synth", "--help"])
+        kinds = "{" + ",".join(ensemblekit.data.GENERATORS) + "}"
+        assert kinds == "{experts,preferred,poly}" and kinds in capsys.readouterr().out
 
     def test_missing_subcommand_is_an_argparse_error(self):
         with pytest.raises(SystemExit) as err:

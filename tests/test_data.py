@@ -1241,8 +1241,9 @@ _CUBE = np.full((4, 3, 2), 0.5)
 _LABELS = np.array([0, 1, 0, 1])
 _CLS = TaskKind.CLASSIFICATION
 
-# Every count argument of an exported function: a call that takes the
-# count, the argument's name and its least value.
+# Every count argument of an exported function or class, and a model
+# selection's index: a call that takes the value, the argument's name and
+# its least value.
 COUNT_ARGUMENTS = [
     pytest.param(lambda v: baselines.top_n(_CUBE, _LABELS, _CLS, n=v), "n", 1, id="top_n-n"),
     pytest.param(lambda v: baselines.random_n(3, n=v), "n", 1, id="random_n-n"),
@@ -1261,11 +1262,16 @@ COUNT_ARGUMENTS = [
                  "n_samples", 2, id="diversity_limit_oracle-n_samples"),
     pytest.param(lambda v: neural.diversity_limit_oracle(0.5, 0.9, 3, n_samples=10, n_masks=v),
                  "n_masks", 1, id="diversity_limit_oracle-n_masks"),
+    pytest.param(lambda v: baselines.ModelSelection((0,), v), "n_models", 1,
+                 id="ModelSelection-n_models"),
+    pytest.param(lambda v: baselines.ModelSelection((1, v), 3), "selection index", 0,
+                 id="ModelSelection-index"),
 ]
 
 
 class TestCountRule:
-    """data.check_integer is the one rule of every exported count argument."""
+    """data.check_integer is the one rule of every exported count argument
+    and of a model selection's indices."""
 
     @pytest.mark.parametrize("call, name, least", COUNT_ARGUMENTS)
     @pytest.mark.parametrize("value", [2.5, True, "3"])

@@ -305,6 +305,13 @@ class TestAmbiguity:
         with pytest.raises(DataValidationError):
             metrics.ambiguity(np.array([0.4, 0.4]), np.array([[0.0, 1.0]]))
 
+    @pytest.mark.parametrize("weights", [[0.5, 0.5], np.zeros((0, 2))], ids=["static", "per-row"])
+    def test_rejects_zero_instances(self, weights):
+        """A mean over no instances is undefined, so it is refused, not nan."""
+        with pytest.raises(DataValidationError,
+                           match="^ensemble base predictions need at least one instance$"):
+            metrics.ambiguity(np.array(weights), np.zeros((0, 2)))
+
     @pytest.mark.parametrize("weights, preds, name", [
         ([math.nan, 1.0], [[0.0, 1.0]], "weights"),
         ([[0.5, 0.5], [math.nan, math.nan]], [[0.0, 1.0], [0.0, 1.0]], "weights"),
