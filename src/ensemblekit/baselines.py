@@ -31,6 +31,8 @@ class ModelSelection:
 
     def __post_init__(self):
         check_integer("n_models", self.n_models, 1)
+        if not isinstance(self.indices, (tuple, list)):
+            raise ConfigError(f"indices must be a tuple or list, got {self.indices!r}")
         if len(self.indices) == 0:
             raise ConfigError("a model selection cannot be empty")
         for i in self.indices:

@@ -21,8 +21,8 @@ and `run` hold one split at a time: `validate` counts each split and
 drops it before it reads the next, and `run` loads the validation split
 and fits every task on it, then drops it, and only then loads the test
 split and scores every fit on it. The fits, and then the scoring, run
-in forked worker processes, one per usable CPU and never more than there
-are tasks; a single task, a single CPU or a platform without fork runs
+in forked child processes, one per task and at most one per usable CPU
+at a time; a single task, a single CPU or a platform without fork runs
 them one after another in this process. The mapper is `data.fork_map`,
 which also writes the dataset splits. The parent loads each split, holds
 the lock, appends the records seed-major in the order `--seeds` and
@@ -248,9 +248,8 @@ def cmd_run(args) -> int:
         del fit_ds
         test = load_split(args.data, "test").test
         reference = _evaluate(kind, test.predictions[:, best, :], test.labels)
-        # Scored in forked workers too: a worker starts with less memory
-        # than the parent, which the fits' pool grew, so a full-split
-        # forward pass there leaves the run's peak where it was.
+        # Scored in forked children too: a full-split forward pass grows
+        # only its own short-lived child, never the parent.
         records = fork_map(score, list(zip(tasks, fits)))
         _append_records(args.out, records)
     for record in records:

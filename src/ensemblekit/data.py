@@ -32,11 +32,11 @@ loaders never write a cache, and deleting one only forces a parse.
 
 Both loaders read a split with ``_read_split``, in this process:
 ``load_metadataset`` reads val, then test, and ``load_split`` its one.
-The writers handle the splits in forked worker processes, one per split
-up to the usable CPUs (``fork_map``). There is no setting for it. A
-dataset too small to repay starting the workers, a single CPU or a
-platform without fork writes the splits one after another in this
-process, with the same bytes and errors.
+The writers handle each split in a forked child process of its own, at
+most one per usable CPU at a time (``fork_map``). There is no setting for
+it. A dataset too small to repay the forks, a single CPU or a platform
+without fork writes the splits one after another in this process, with
+the same bytes and errors.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ import json
 import math
 import numbers
 import os
+import pickle
 import shutil
 import tempfile
 import warnings
@@ -55,7 +56,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, DataValidationError, ShapeError, WorkerDiedError
+from .errors import (ConfigError, DataFormatError, DataValidationError, EnsembleKitError,
+                     ShapeError, WorkerDiedError)
 
 SIMPLEX_TOL = 1e-4
 SPLIT_NAMES = ("val", "test")
@@ -65,11 +67,13 @@ _CACHE_SUFFIX = "_cache.npy"
 # _write_csv formats and writes about this many bytes of rows at a time.
 _CHUNK_BYTES = 1 << 14
 
-# Below this size the splits are written in this process: starting
-# fork_map's workers in a fresh process costs about 40 ms. On a 2-CPU host
-# that pays from about 250 000 values to write when no row repeats (0.17 s
-# serial, 0.16 s forked), and from about 1 000 000 for experts data, whose
-# repeated rows are formatted once.
+# Below this size the splits are written in this process. A fresh
+# process's first fork_map of 2 trivial tasks takes about 5 ms, but on a
+# 2-CPU host where two busy processes each run 1.5x slower than one alone,
+# forked writes pay only from 250 000-400 000 values when no row repeats
+# (0.18 s serial against 0.21 s forked at 250 000, 0.32 against 0.31 s at
+# 400 000), and for experts data, whose repeated rows format once, not
+# even at 2 000 000 (0.093 against 0.108 s).
 _FORK_MIN_VALUES = 250_000
 
 
@@ -169,14 +173,16 @@ def check_cube(cube: np.ndarray, where: str) -> None:
 
 
 def check_labels(labels, n: int, task: TaskKind, n_classes: int, where: str) -> np.ndarray:
-    """A new array of ``labels`` checked to be 1-D with ``n`` entries: int64
-    class indices in [0, n_classes) for classification, finite float64
-    targets for regression. ``where`` starts each message."""
+    """A new array of ``labels`` checked to be 1-D with ``n`` >= 1 entries:
+    int64 class indices in [0, n_classes) for classification, finite
+    float64 targets for regression. ``where`` starts each message."""
     if not isinstance(task, TaskKind):
         raise ConfigError(f"task must be a TaskKind, got {task!r}")
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.shape[0] != n:
         raise ShapeError(f"{where} labels must be 1-D with {n} entries, got shape {labels.shape}")
+    if n == 0:
+        raise DataValidationError(f"{where} has no instances")
     if task is TaskKind.REGRESSION:
         labels = labels.astype(np.float64)
         if not np.all(np.isfinite(labels)):
@@ -186,7 +192,7 @@ def check_labels(labels, n: int, task: TaskKind, n_classes: int, where: str) -> 
         if not np.all(labels == labels.astype(np.int64)):
             raise DataValidationError(f"{where} labels must be class indices")
     labels = labels.astype(np.int64)
-    if n and (labels.min() < 0 or labels.max() >= n_classes):
+    if labels.min() < 0 or labels.max() >= n_classes:
         raise DataValidationError(f"{where} labels must lie in [0, {n_classes}), got range "
                                   f"[{labels.min()}, {labels.max()}]")
     return labels
@@ -215,48 +221,80 @@ def _sanitize_split(split: Split, task: TaskKind, split_name: str) -> Split:
 # Forked workers
 # ---------------------------------------------------------------------------
 
-# The worker of the running fork_map call. Forked children inherit it,
-# so a closure over the parent's state never has to be pickled.
-_task_worker: Optional[Callable] = None
-
-
-def _call_task_worker(task):
-    return _task_worker(task)
-
 
 def fork_map(worker: Callable, tasks: Sequence) -> List:
-    """``[worker(task) for task in tasks]``, with the tasks spread over
-    ``min(len(tasks), usable CPUs)`` forked worker processes; a single
-    task, a single CPU or a platform without fork runs them one after
-    another in this process.
+    """``[worker(task) for task in tasks]``, each task in a forked child of
+    its own, at most ``min(len(tasks), usable CPUs)`` at once; a single
+    task, a single CPU or a platform without fork runs them in this process.
 
-    Results come back in task order, and the first failing task's
-    exception, in task order, re-raises here. A worker process that dies
-    raises WorkerDiedError, naming the first task whose result was lost.
-    """
-    global _task_worker
-    n_workers = 1
+    Results come back in task order. No task starts after one fails, and the
+    first failing task's exception, in task order, re-raises here; a child
+    that dies is WorkerDiedError, an outcome that does not pickle is
+    EnsembleKitError. Only this call's children are reaped, all of them."""
+    n_slots = 1
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        n_workers = min(len(tasks), len(os.sched_getaffinity(0)))
-    if n_workers == 1:
+        n_slots = min(len(tasks), len(os.sched_getaffinity(0)))
+    if n_slots == 1:
         return [worker(task) for task in tasks]
-    # Imported here, so that single-task commands start no slower.
-    import multiprocessing
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-
-    # A call made inside a worker must hand that worker back its own.
-    outer_worker, _task_worker = _task_worker, worker
-    results: List = []
+    # Imported here, so that a command that never forks imports neither.
+    import select
+    import signal
+    results, failures, running, started = [None] * len(tasks), {}, {}, 0
+    poller = select.poll()  # select.select refuses descriptors from 1024 up
     try:
-        context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(n_workers, mp_context=context) as pool:
-            results.extend(pool.map(_call_task_worker, tasks))
-        return results
-    except BrokenProcessPool:
-        raise WorkerDiedError(f"a worker process died (killed, perhaps out of memory) before "
-                              f"task {len(results) + 1} of {len(tasks)} returned") from None
+        while running or (started < len(tasks) and not failures):
+            while len(running) < n_slots and started < len(tasks) and not failures:
+                read_fd, write_fd = os.pipe()
+                where = f"task {started + 1} of {len(tasks)}"
+                pid = os.fork()
+                if pid == 0:
+                    _run_child(worker, tasks[started], where, write_fd)
+                os.close(write_fd)
+                running[read_fd] = open(read_fd, "rb"), started, pid, where
+                poller.register(read_fd)
+                started += 1
+            # A pipe turns readable once its child has pickled its outcome, or died.
+            for fd, _ in poller.poll():
+                pipe, index, pid, where = running[fd]
+                with pipe:
+                    payload, status = pipe.read(), os.waitpid(pid, 0)[1]
+                poller.unregister(fd)
+                del running[fd]
+                if status:
+                    failures[index] = WorkerDiedError(f"a worker process died (killed, perhaps "
+                                                      f"out of memory) before {where} returned")
+                    continue
+                ok, results[index] = pickle.loads(payload)
+                if not ok:
+                    failures[index] = results[index]
     finally:
-        _task_worker = outer_worker
+        for pipe, _, pid, _ in running.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
+    if failures:
+        raise failures[min(failures)]
+    return results
+
+
+def _run_child(worker: Callable, task, where: str, pipe_fd: int) -> None:
+    """Write ``worker(task)``'s pickled outcome to ``pipe_fd``, then exit."""
+    try:
+        try:
+            outcome = True, worker(task)
+        except BaseException as exc:
+            outcome = False, exc
+        try:
+            payload = pickle.dumps(outcome)
+            pickle.loads(payload)  # what does not load here would not load in the parent
+        except Exception as exc:
+            error = EnsembleKitError(f"{where}'s outcome does not pickle: {exc!r}")
+            payload = pickle.dumps((False, error))
+        with open(pipe_fd, "wb") as pipe:
+            pipe.write(payload)
+        os._exit(0)
+    finally:
+        os._exit(1)
 
 
 # ---------------------------------------------------------------------------

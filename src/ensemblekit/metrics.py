@@ -134,6 +134,8 @@ def mse(predictions: np.ndarray, targets: np.ndarray) -> float:
     targets = np.asarray(targets, dtype=np.float64).reshape(-1)
     if predictions.shape != targets.shape:
         raise ShapeError("predictions and targets disagree on the number of instances")
+    if predictions.size == 0:
+        raise DataValidationError("mse has no instances")
     return float(loss(predictions, targets, TaskKind.REGRESSION))
 
 

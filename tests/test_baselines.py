@@ -3,6 +3,7 @@ Akaike weighting, and the learned constant mixture."""
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -40,6 +41,11 @@ class TestModelSelection:
     def test_rejects_empty(self):
         with pytest.raises(ConfigError):
             baselines.ModelSelection(indices=(), n_models=3)
+
+    @pytest.mark.parametrize("indices", [3, np.array([0, 1]), "01"], ids=["int", "array", "str"])
+    def test_rejects_indices_that_are_not_a_sequence(self, indices):
+        with pytest.raises(ConfigError, match="^indices must be a tuple or list, got "):
+            baselines.ModelSelection(indices, 3)
 
 
 class TestPredictStatic:
@@ -118,6 +124,28 @@ class TestLabelChecks:
         cube = np.zeros((4, 2, 1))
         with pytest.raises(DataValidationError, match="labels contain non-finite values"):
             fit(cube, np.array([0.0, 1.0, np.nan, 2.0]), TaskKind.REGRESSION)
+
+    @pytest.mark.parametrize("call, where", [
+        (lambda c, y: baselines.model_losses(c, y, TaskKind.CLASSIFICATION), "model_losses"),
+        (lambda c, y: baselines.single_best(c, y, TaskKind.CLASSIFICATION), "model_losses"),
+        (lambda c, y: baselines.top_n(c, y, TaskKind.CLASSIFICATION), "model_losses"),
+        (lambda c, y: baselines.greedy_select(c, y, TaskKind.CLASSIFICATION), "greedy_select"),
+        (lambda c, y: baselines.quick_select(c, y, TaskKind.CLASSIFICATION), "quick_select"),
+        (lambda c, y: baselines.fit_constant_ma(c, y, TaskKind.CLASSIFICATION),
+         "fit_constant_ma"),
+        (lambda c, y: metrics.nll(c[:, 0], y), "nll"),
+        (lambda c, y: metrics.error_rate(c[:, 0], y), "error_rate"),
+        (lambda c, y: metrics.auc_binary(c[:, 0, 1], y), "auc_binary"),
+        (lambda c, y: metrics.mse(c[:, 0, 0], y), "mse"),
+    ], ids=["model_losses", "single_best", "top_n", "greedy", "quick", "constant_ma", "nll",
+            "error_rate", "auc_binary", "mse"])
+    def test_zero_instances_are_refused(self, call, where):
+        """A mean over no instances is undefined: before any arithmetic
+        warns, the entry point refuses it, naming itself."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataValidationError, match=f"^{where} has no instances$"):
+                call(np.zeros((0, 2, 2)), np.zeros(0, dtype=np.int64))
 
 
 class TestRandomN:

@@ -10,10 +10,14 @@ import fcntl
 import json
 import os
 import re
+import resource
 import shlex
+import signal
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -21,7 +25,8 @@ import pytest
 import ensemblekit
 from ensemblekit import baselines, cli, metrics, neural
 from ensemblekit.cli import main
-from ensemblekit.errors import ConfigError, DataValidationError
+from ensemblekit.errors import (ConfigError, DataValidationError, EnsembleKitError,
+                                WorkerDiedError)
 from ensemblekit.data import (
     MetaDataset, Split, SyntheticSpec, TaskKind, generate, load_metadataset, save_metadataset,
 )
@@ -93,6 +98,38 @@ def _child_env(**extra):
     src = os.path.dirname(os.path.dirname(ensemblekit.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+def _count_children(monkeypatch):
+    """Spy on os.fork and os.waitpid: the returned dict holds the children
+    forked and not yet reaped, now and at most."""
+    alive = {"now": 0, "most": 0}
+    fork, waitpid = os.fork, os.waitpid
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            alive["now"] += 1
+            alive["most"] = max(alive["most"], alive["now"])
+        return pid
+
+    def counted_waitpid(pid, options):
+        assert pid > 0, "fork_map reaps only the children it forked"
+        alive["now"] -= 1
+        return waitpid(pid, options)
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(os, "waitpid", counted_waitpid)
+    return alive
+
+
+def _no_children():
+    """True when this process has no child left, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
@@ -543,18 +580,134 @@ class TestSeedMapper:
 
     def test_workers_are_capped_and_order_is_kept(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        results = cli.fork_map(lambda seed: (seed, os.getpid()), [2, 0, 1, 3])
-        assert [seed for seed, _ in results] == [2, 0, 1, 3]
-        pids = {pid for _, pid in results}
-        assert os.getpid() not in pids
-        assert 1 <= len(pids) <= 2
+        alive = _count_children(monkeypatch)
+        results = cli.fork_map(lambda seed: (seed, os.getpid(), time.sleep(0.05)),
+                               [2, 0, 1, 3])
+        assert [seed for seed, _, _ in results] == [2, 0, 1, 3]
+        assert all(pid != os.getpid() for _, pid, _ in results)
+        assert alive == {"now": 0, "most": 2}
 
     def test_nested_call_keeps_the_outer_worker(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         results = cli.fork_map(lambda i: cli.fork_map(lambda j: (i, j), [0, 1]),
                                [0, 1, 2, 3])
         assert results == [[(i, 0), (i, 1)] for i in range(4)]
-        assert ensemblekit.data._task_worker is None
+
+    def test_callers_child_keeps_its_exit_code(self, monkeypatch):
+        """fork_map reaps only the children it forked, so a child the
+        caller started, and that exited before the call, keeps its status."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        proc = subprocess.Popen([sys.executable, "-c", "raise SystemExit(5)"])
+        os.waitid(os.P_PID, proc.pid, os.WEXITED | os.WNOWAIT)  # exited, not reaped
+        assert cli.fork_map(lambda seed: seed, [0, 1, 2]) == [0, 1, 2]
+        assert proc.wait(timeout=60) == 5
+
+    @pytest.mark.parametrize("bad", ["result", "exception"])
+    def test_outcome_that_does_not_pickle_is_a_typed_error(self, monkeypatch, bad):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+        class NeedsTwoArguments(Exception):
+            def __init__(self, first, second):
+                super().__init__(first + second)
+
+        def worker(seed):
+            if seed == 0:
+                return seed
+            if bad == "result":
+                return threading.Lock()
+            raise NeedsTwoArguments("a", "b")
+
+        with pytest.raises(EnsembleKitError, match="^task 2 of 2's outcome does not pickle: "):
+            cli.fork_map(worker, [0, 1])
+        assert _no_children()
+
+    @pytest.mark.parametrize("end", ["return", "error", "died", "interrupt"])
+    def test_no_child_outlives_the_call(self, monkeypatch, end):
+        """Whether fork_map returns or raises, even KeyboardInterrupt while
+        its children still run, every child it forked is gone after: an
+        interrupted call kills its running children instead of waiting."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        def worker(seed):
+            if seed == 1 and end == "error":
+                raise ConfigError("bad seed")
+            if seed == 1 and end == "died":
+                os._exit(7)
+            time.sleep(60 if end == "interrupt" else 0.01)
+            return seed
+
+        expected = {"return": None, "error": ConfigError, "died": WorkerDiedError,
+                    "interrupt": KeyboardInterrupt}[end]
+        start = time.monotonic()
+        handler = signal.signal(signal.SIGALRM, interrupt)
+        try:
+            if end == "interrupt":
+                # As Ctrl-C's would, the interrupt arrives while the parent
+                # waits; forked children do not inherit the timer.
+                signal.setitimer(signal.ITIMER_REAL, 1.0)
+            if expected is None:
+                assert cli.fork_map(worker, [0, 1, 2]) == [0, 1, 2]
+            else:
+                with pytest.raises(expected):
+                    cli.fork_map(worker, [0, 1, 2])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, handler)
+        assert time.monotonic() - start < 30  # the sleeping children were killed
+        assert _no_children()
+
+    def test_pipes_above_descriptor_1023(self, monkeypatch):
+        """select.select refuses descriptors from 1024 up; a process that
+        holds that many files still maps its tasks."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        if resource.getrlimit(resource.RLIMIT_NOFILE)[0] < 1100:
+            pytest.skip("the open-file limit is below 1100")
+        held = [os.open(os.devnull, os.O_RDONLY)]
+        try:
+            while held[-1] < 1024:
+                held.append(os.open(os.devnull, os.O_RDONLY))
+            assert cli.fork_map(lambda seed: seed, [0, 1, 2]) == [0, 1, 2]
+        finally:
+            for fd in held:
+                os.close(fd)
+
+    def test_no_task_starts_after_a_failed_one(self, monkeypatch, tmp_path):
+        """Task 1 fails first; task 0, already running, is still waited
+        for and its later error wins, and tasks 2 and 3 never start."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+        def worker(seed):
+            (tmp_path / str(seed)).touch()
+            if seed == 0:
+                time.sleep(0.3)
+            if seed in (0, 1):
+                raise ConfigError(f"seed {seed} is bad")
+            return seed
+
+        with pytest.raises(ConfigError, match="^seed 0 is bad$"):
+            cli.fork_map(worker, [0, 1, 2, 3])
+        assert sorted(os.listdir(tmp_path)) == ["0", "1"]
+
+    def test_run_imports_no_process_pool(self, tmp_path):
+        """Two seeds on two CPUs fork their tasks without multiprocessing
+        or concurrent.futures."""
+        data, out = _synth(tmp_path), str(tmp_path / "runs.jsonl")
+        code = textwrap.dedent("""
+            import os, sys
+            from ensemblekit import cli
+            os.sched_getaffinity = lambda pid: {0, 1}
+            assert cli.main(sys.argv[1:]) == 0
+            print(sorted({"multiprocessing", "concurrent.futures"} & set(sys.modules)))
+        """)
+        proc = subprocess.run([sys.executable, "-c", code, "run", "ne-ma", "--data", data,
+                               "--out", out, "--seeds", "0,1"] + FAST_NE,
+                              capture_output=True, text=True, env=_child_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+        assert [r["seed"] for r in _untimed_records(out)] == [0, 1]
 
     def test_one_cpu_runs_in_this_process(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
