@@ -30,6 +30,10 @@ with both digests equal a hit returns the arrays a parse of those bytes
 would. Anything else parses the CSV files, with the parse's errors; the
 loaders never write a cache, and deleting one only forces a parse.
 
+Each sha256 is CPython's own below ``_OPENSSL_MIN_BYTES`` (4 MiB) and
+OpenSSL's, through ``hashlib`` imported then, from there up: the same
+digests, but a process that hashes only small files never loads OpenSSL.
+
 Both loaders read a split with ``_read_split``, in this process:
 ``load_metadataset`` reads val, then test, and ``load_split`` its one.
 The writers handle each split in a forked child process of its own, at
@@ -42,7 +46,6 @@ the same bytes and errors.
 from __future__ import annotations
 
 import enum
-import hashlib
 import json
 import math
 import numbers
@@ -53,6 +56,11 @@ import tempfile
 import warnings
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
+
+try:  # CPython's own SHA-256, which does not load OpenSSL
+    from _sha2 import sha256 as _builtin_sha256  # Python 3.12 and later
+except ImportError:
+    from _sha256 import sha256 as _builtin_sha256
 
 import numpy as np
 
@@ -75,6 +83,13 @@ _CHUNK_BYTES = 1 << 14
 # 400 000), and for experts data, whose repeated rows format once, not
 # even at 2 000 000 (0.093 against 0.108 s).
 _FORK_MIN_VALUES = 250_000
+
+# Digests of fewer bytes than this use CPython's own SHA-256, larger ones
+# OpenSSL's, through hashlib. Loading OpenSSL's _hashlib costs a process
+# about 3.5 MB and 2 ms; on one Xeon core OpenSSL 3.0 hashes 1.5 GB/s and
+# the built-in 0.27 GB/s, so below 4 MiB the built-in costs at most 13 ms
+# more a digest.
+_OPENSSL_MIN_BYTES = 4 << 20
 
 
 class TaskKind(enum.Enum):
@@ -244,13 +259,19 @@ def fork_map(worker: Callable, tasks: Sequence) -> List:
     try:
         while running or (started < len(tasks) and not failures):
             while len(running) < n_slots and started < len(tasks) and not failures:
-                read_fd, write_fd = os.pipe()
-                where = f"task {started + 1} of {len(tasks)}"
-                pid = os.fork()
-                if pid == 0:
-                    _run_child(worker, tasks[started], where, write_fd)
-                os.close(write_fd)
-                running[read_fd] = open(read_fd, "rb"), started, pid, where
+                # SIGINT waits until the child is in running, where the
+                # finally below finds it; the child unblocks it at once.
+                mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+                try:
+                    read_fd, write_fd = os.pipe()
+                    where = f"task {started + 1} of {len(tasks)}"
+                    pid = os.fork()
+                    if pid == 0:
+                        _run_child(worker, tasks[started], where, write_fd, mask)
+                    os.close(write_fd)
+                    running[read_fd] = open(read_fd, "rb"), started, pid, where
+                finally:
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                 poller.register(read_fd)
                 started += 1
             # A pipe turns readable once its child has pickled its outcome, or died.
@@ -277,10 +298,13 @@ def fork_map(worker: Callable, tasks: Sequence) -> List:
     return results
 
 
-def _run_child(worker: Callable, task, where: str, pipe_fd: int) -> None:
-    """Write ``worker(task)``'s pickled outcome to ``pipe_fd``, then exit."""
+def _run_child(worker: Callable, task, where: str, pipe_fd: int, mask) -> None:
+    """Restore the signal ``mask``, write ``worker(task)``'s pickled outcome
+    to ``pipe_fd``, then exit."""
+    import signal
     try:
         try:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             outcome = True, worker(task)
         except BaseException as exc:
             outcome = False, exc
@@ -394,6 +418,15 @@ def _write_dataset(path: str, name: str, task: TaskKind, n_models: int, n_classe
         raise
 
 
+def _sha256(n_bytes: int) -> Callable:
+    """A SHA-256 constructor for about ``n_bytes``: CPython's own below
+    _OPENSSL_MIN_BYTES, else hashlib's, imported here."""
+    if n_bytes < _OPENSSL_MIN_BYTES:
+        return _builtin_sha256
+    import hashlib
+    return hashlib.sha256
+
+
 def _write_csv(path: str, header: str, rows: np.ndarray, fmt: str) -> bytes:
     """Write the bytes ``np.savetxt(path, rows, fmt, delimiter=",",
     header=header, comments="")`` would, N >= 1 rows of any shape flattened
@@ -403,9 +436,12 @@ def _write_csv(path: str, header: str, rows: np.ndarray, fmt: str) -> bytes:
     only until its last repeat."""
     rows = np.ascontiguousarray(rows).reshape(len(rows), -1)
     line, step = ",".join([fmt] * rows.shape[1]) + "\n", max(1, _CHUNK_BYTES // rows[0].nbytes)
-    digests = [hashlib.sha256(row).digest() for row in rows]
+    # The text takes 2 to 25 bytes a value against the array's 8, so the
+    # array's size picks the constructor for the file's digest too.
+    sha256 = _sha256(rows.nbytes)
+    digests = [sha256(row).digest() for row in rows]
     last = {digest: i for i, digest in enumerate(digests)}
-    sha, texts, lines, end = hashlib.sha256(), {}, [header + "\n"], len(rows) - 1
+    sha, texts, lines, end = sha256(), {}, [header + "\n"], len(rows) - 1
     with open(path, "wb") as fh:
         for i, digest in enumerate(digests):
             if digest not in texts:
@@ -422,8 +458,8 @@ def _csv_digest(stem: str) -> bytes:
     """The sha256 digests of a split's predictions and labels CSV files."""
     digests = b""
     for kind in ("predictions", "labels"):
-        sha = hashlib.sha256()
         with open(f"{stem}_{kind}.csv", "rb") as fh:
+            sha = _sha256(os.fstat(fh.fileno()).st_size)()
             # 64 KiB chunks: a digest holds little, however large the file.
             for chunk in iter(lambda: fh.read(1 << 16), b""):
                 sha.update(chunk)
@@ -433,7 +469,7 @@ def _csv_digest(stem: str) -> bytes:
 
 def _array_digest(preds: np.ndarray, labels: np.ndarray) -> bytes:
     """The sha256 digest of the bytes of a split's C-ordered arrays."""
-    sha = hashlib.sha256(preds)
+    sha = _sha256(preds.nbytes + labels.nbytes)(preds)
     sha.update(labels)
     return sha.digest()
 

@@ -481,9 +481,15 @@ class TestOneSplitAtATime:
                         reason="ru_maxrss is counted in KiB on Linux only")
     def test_cli_children_stay_below_two_cubes(self, tmp_path):
         """Each heavy child's peak RSS, its worker processes included, less
-        that of a child that loads a tiny dataset."""
+        that of a child that loads a tiny dataset. Every heavy child loads
+        OpenSSL's hashlib, synth through numpy.random and the others for
+        digests of 4 MiB and more, so the tiny child imports it at start."""
         env = _child_env()
-        floor = child_peak_rss_mb(["validate", "--data", _synth(tmp_path, "tiny")], env)
+        preload = tmp_path / "preload"
+        preload.mkdir()
+        (preload / "sitecustomize.py").write_text("import hashlib\n")
+        floor_env = dict(env, PYTHONPATH=os.pathsep.join([str(preload), env["PYTHONPATH"]]))
+        floor = child_peak_rss_mb(["validate", "--data", _synth(tmp_path, "tiny")], floor_env)
         n, models, classes = 4000, 20, 20
         cube_mib = n * models * classes * 8 / 2**20
         data, out = str(tmp_path / "ds"), str(tmp_path / "runs.jsonl")
@@ -658,6 +664,33 @@ class TestSeedMapper:
             signal.signal(signal.SIGALRM, handler)
         assert time.monotonic() - start < 30  # the sleeping children were killed
         assert _no_children()
+
+    def test_interrupt_right_after_fork_leaves_no_child(self, monkeypatch):
+        """A Ctrl-C that lands between the fork and the parent's note of the
+        new child still finds that child killed and reaped."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        fork = os.fork
+
+        def fork_then_interrupt():
+            pid = fork()
+            if pid:
+                signal.raise_signal(signal.SIGINT)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork_then_interrupt)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            cli.fork_map(lambda seed: time.sleep(60), [0, 1])
+        assert time.monotonic() - start < 30
+        assert _no_children()
+
+    def test_tasks_run_with_the_callers_signal_mask(self, monkeypatch):
+        """SIGINT is blocked in the parent only around each fork; a task
+        runs with the signal mask its caller had."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        masks = cli.fork_map(lambda seed: signal.pthread_sigmask(signal.SIG_BLOCK, ()), [0, 1])
+        assert masks == [signal.pthread_sigmask(signal.SIG_BLOCK, ())] * 2
+        assert signal.SIGINT not in masks[0]
 
     def test_pipes_above_descriptor_1023(self, monkeypatch):
         """select.select refuses descriptors from 1024 up; a process that

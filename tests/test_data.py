@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from ensemblekit.errors import ConfigError, DataFormatError, DataValidationError, ShapeError
-from ensemblekit import baselines, data, neural
+from ensemblekit import baselines, cli, data, neural
 from ensemblekit.data import (
     MetaDataset,
     Split,
@@ -40,6 +40,27 @@ def _drop_caches(path):
     load parses the CSV files."""
     for name in CACHE_FILES:
         os.remove(os.path.join(path, name))
+
+
+# _OPENSSL_MIN_BYTES values that send every digest through OpenSSL's
+# SHA-256, or through CPython's own.
+SHA256_FLOORS = {"openssl": 0, "builtin": 1 << 62}
+
+
+@pytest.fixture(params=sorted(SHA256_FLOORS))
+def sha256_impl(request, monkeypatch):
+    """Every digest of the test through one SHA-256 implementation, whose
+    name is the fixture's value."""
+    monkeypatch.setattr(data, "_OPENSSL_MIN_BYTES", SHA256_FLOORS[request.param])
+    return request.param
+
+
+def _child_env():
+    """Environment for a child interpreter that imports the same package
+    as this test."""
+    src = os.path.dirname(os.path.dirname(data.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def _tiny_classification():
@@ -533,7 +554,7 @@ class TestCsvWriter:
         (np.tile(_RNG.random((3, 4, 3)), (40, 1, 1)), "%.17g"),
     ], ids=["signed-zeros", "late-repeats", "all-equal", "single-row", "column-d",
             "column-g", "wide", "cube", "interleaved", "cycle-of-three"])
-    def test_bytes_and_digest_match_savetxt(self, tmp_path, rows, fmt):
+    def test_bytes_and_digest_match_savetxt(self, tmp_path, rows, fmt, sha256_impl):
         path = tmp_path / "written.csv"
         digest = data._write_csv(str(path), "h", rows, fmt)
         written = path.read_bytes()
@@ -674,7 +695,6 @@ class TestForkedSplits:
         """No temporary file, open descriptor or child process outlives a
         load, whether it succeeds from the caches, succeeds by a parse, or
         fails."""
-        import multiprocessing
         import tempfile
 
         temp = tmp_path / "temp"
@@ -696,7 +716,8 @@ class TestForkedSplits:
             load_metadataset(str(out))
         assert os.listdir(temp) == []
         assert _open_fds() == fds
-        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):  # no child left, running or unreaped
+            os.waitpid(-1, os.WNOHANG)
 
     def test_dead_worker_raises_instead_of_hanging(self, tmp_path):
         code = textwrap.dedent("""
@@ -713,12 +734,9 @@ class TestForkedSplits:
             except WorkerDiedError as exc:
                 print(exc)
         """)
-        src = os.path.dirname(os.path.dirname(data.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         out = tmp_path / "ds"
         proc = subprocess.run([sys.executable, "-c", code, str(out)],
-                              capture_output=True, text=True, env=env, timeout=60)
+                              capture_output=True, text=True, env=_child_env(), timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == ("a worker process died (killed, perhaps out of memory) "
                                "before task 1 of 2 returned\n")
@@ -762,12 +780,17 @@ class TestParseCache:
             return load_metadataset(str(path))
 
     @pytest.mark.parametrize("kind", ["experts", "preferred", "poly"])
-    def test_hit_returns_the_parsed_arrays(self, tmp_path, monkeypatch, kind):
+    def test_hit_returns_the_parsed_arrays(self, tmp_path, monkeypatch, kind, sha256_impl):
+        """A cache written with one SHA-256 implementation hits when it is
+        read with the other."""
         with open(GOLDEN_CSV) as fh:
             golden = json.load(fh)[kind]
         ds = generate(SyntheticSpec(**golden["spec"]))
         out = tmp_path / "ds"
-        save_metadataset(ds, str(out))
+        with monkeypatch.context() as patch:
+            other = next(name for name in SHA256_FLOORS if name != sha256_impl)
+            patch.setattr(data, "_OPENSSL_MIN_BYTES", SHA256_FLOORS[other])
+            save_metadataset(ds, str(out))
         parsed = self._parsed(out, monkeypatch)
 
         def fail(*args):
@@ -816,7 +839,7 @@ class TestParseCache:
         assert calls == ["val"]
         _assert_same_arrays(back, parsed)
 
-    def test_csv_digest_reads_in_small_chunks(self, tmp_path):
+    def test_csv_digest_reads_in_small_chunks(self, tmp_path, sha256_impl):
         """A digest reads its files in small chunks, so it holds little."""
         ds = generate(SyntheticSpec(kind="experts", n_instances=2000, n_models=20,
                                     n_classes=20, seed=0))
@@ -828,6 +851,39 @@ class TestParseCache:
         whole = [hashlib.sha256((tmp_path / f"val_{kind}.csv").read_bytes()).digest()
                  for kind in ("predictions", "labels")]
         assert digest == b"".join(whole)
+
+    def test_digest_constructor_is_chosen_by_size(self):
+        floor = data._OPENSSL_MIN_BYTES
+        assert data._sha256(floor - 1) is data._builtin_sha256
+        assert data._sha256(floor) is hashlib.sha256
+        assert data._builtin_sha256.__module__ in ("_sha2", "_sha256")
+
+    def test_small_loads_and_report_leave_openssl_unloaded(self, tmp_path):
+        """A process that loads both splits of a 2000 x 20 dataset from
+        their caches, and reports, never loads OpenSSL's _hashlib: each
+        digest is below _OPENSSL_MIN_BYTES. The dataset and its records
+        are written here, as drawing data imports numpy.random, which
+        loads _hashlib through secrets and hmac."""
+        out, runs = str(tmp_path / "ds"), str(tmp_path / "runs.jsonl")
+        save_synthetic(SyntheticSpec(kind="preferred", n_instances=2000, n_models=20), out)
+        assert cli.main(["run", "single-best", "--data", out, "--out", runs]) == 0
+        code = textwrap.dedent("""
+            import sys
+            from ensemblekit import cli, data
+
+            def parse(*args):
+                raise AssertionError("a load parsed its CSV files")
+
+            data._parse_split = parse
+            for split_name in data.SPLIT_NAMES:
+                data.load_split(sys.argv[1], split_name)
+            assert cli.main(["report", "--records", sys.argv[2]]) == 0
+            print("_hashlib" in sys.modules)
+        """)
+        proc = subprocess.run([sys.executable, "-c", code, out, runs],
+                              capture_output=True, text=True, env=_child_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
 
     @pytest.mark.parametrize("damage", ["truncated", "garbage", "missing"])
     def test_damaged_cache_loads_as_a_parse(self, tmp_path, monkeypatch, damage):
