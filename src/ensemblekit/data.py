@@ -33,6 +33,7 @@ loaders never write a cache, and deleting one only forces a parse.
 Each sha256 is CPython's own below ``_OPENSSL_MIN_BYTES`` (4 MiB) and
 OpenSSL's, through ``hashlib`` imported then, from there up: the same
 digests, but a process that hashes only small files never loads OpenSSL.
+A Python built without its own SHA-256 uses OpenSSL's for all.
 
 Both loaders read a split with ``_read_split``, in this process:
 ``load_metadataset`` reads val, then test, and ``load_split`` its one.
@@ -60,7 +61,10 @@ from typing import Callable, List, Optional, Sequence, Tuple
 try:  # CPython's own SHA-256, which does not load OpenSSL
     from _sha2 import sha256 as _builtin_sha256  # Python 3.12 and later
 except ImportError:
-    from _sha256 import sha256 as _builtin_sha256
+    try:
+        from _sha256 import sha256 as _builtin_sha256
+    except ImportError:  # a build without it, such as a FIPS one: OpenSSL's for all
+        from hashlib import sha256 as _builtin_sha256
 
 import numpy as np
 
@@ -251,29 +255,40 @@ def fork_map(worker: Callable, tasks: Sequence) -> List:
         n_slots = min(len(tasks), len(os.sched_getaffinity(0)))
     if n_slots == 1:
         return [worker(task) for task in tasks]
-    # Imported here, so that a command that never forks imports neither.
+    # Imported here, so that a command that never forks imports none of them.
     import select
     import signal
+    import threading
+    # Python runs signal handlers in the main thread only, and can put back
+    # only a SIGINT handler that it knows.
+    defer = (threading.current_thread() is threading.main_thread()
+             and signal.getsignal(signal.SIGINT) is not None)
     results, failures, running, started = [None] * len(tasks), {}, {}, 0
     poller = select.poll()  # select.select refuses descriptors from 1024 up
     try:
         while running or (started < len(tasks) and not failures):
             while len(running) < n_slots and started < len(tasks) and not failures:
-                # SIGINT waits until the child is in running, where the
-                # finally below finds it; the child unblocks it at once.
-                mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+                # A SIGINT that comes before the child is in running, where
+                # the finally below finds it, is only noted, and raised again
+                # once it is there. The child puts the caller's handler back.
+                caught, handler = [], None
+                if defer:
+                    handler = signal.signal(signal.SIGINT, lambda *_: caught.append(True))
                 try:
                     read_fd, write_fd = os.pipe()
                     where = f"task {started + 1} of {len(tasks)}"
                     pid = os.fork()
                     if pid == 0:
-                        _run_child(worker, tasks[started], where, write_fd, mask)
+                        _run_child(worker, tasks[started], where, write_fd, handler)
                     os.close(write_fd)
                     running[read_fd] = open(read_fd, "rb"), started, pid, where
                 finally:
-                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                    if defer:
+                        signal.signal(signal.SIGINT, handler)
                 poller.register(read_fd)
                 started += 1
+                if caught:
+                    signal.raise_signal(signal.SIGINT)
             # A pipe turns readable once its child has pickled its outcome, or died.
             for fd, _ in poller.poll():
                 pipe, index, pid, where = running[fd]
@@ -298,13 +313,14 @@ def fork_map(worker: Callable, tasks: Sequence) -> List:
     return results
 
 
-def _run_child(worker: Callable, task, where: str, pipe_fd: int, mask) -> None:
-    """Restore the signal ``mask``, write ``worker(task)``'s pickled outcome
-    to ``pipe_fd``, then exit."""
+def _run_child(worker: Callable, task, where: str, pipe_fd: int, handler) -> None:
+    """Put SIGINT's ``handler`` back unless it is None, write
+    ``worker(task)``'s pickled outcome to ``pipe_fd``, then exit."""
     import signal
     try:
         try:
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            if handler is not None:
+                signal.signal(signal.SIGINT, handler)
             outcome = True, worker(task)
         except BaseException as exc:
             outcome = False, exc
@@ -419,7 +435,7 @@ def _write_dataset(path: str, name: str, task: TaskKind, n_models: int, n_classe
 
 
 def _sha256(n_bytes: int) -> Callable:
-    """A SHA-256 constructor for about ``n_bytes``: CPython's own below
+    """A SHA-256 constructor for ``n_bytes`` or fewer: CPython's own below
     _OPENSSL_MIN_BYTES, else hashlib's, imported here."""
     if n_bytes < _OPENSSL_MIN_BYTES:
         return _builtin_sha256
@@ -436,12 +452,12 @@ def _write_csv(path: str, header: str, rows: np.ndarray, fmt: str) -> bytes:
     only until its last repeat."""
     rows = np.ascontiguousarray(rows).reshape(len(rows), -1)
     line, step = ",".join([fmt] * rows.shape[1]) + "\n", max(1, _CHUNK_BYTES // rows[0].nbytes)
-    # The text takes 2 to 25 bytes a value against the array's 8, so the
-    # array's size picks the constructor for the file's digest too.
-    sha256 = _sha256(rows.nbytes)
-    digests = [sha256(row).digest() for row in rows]
+    row_sha256 = _sha256(rows.nbytes)
+    digests = [row_sha256(row).digest() for row in rows]
     last = {digest: i for i, digest in enumerate(digests)}
-    sha, texts, lines, end = sha256(), {}, [header + "\n"], len(rows) - 1
+    # The file's digest is sized by the most its text can take: 25 bytes a
+    # value, separator included, for %.17g and for %d of an int64.
+    sha, texts, lines, end = _sha256(rows.size * 25)(), {}, [header + "\n"], len(rows) - 1
     with open(path, "wb") as fh:
         for i, digest in enumerate(digests):
             if digest not in texts:

@@ -10,7 +10,7 @@ as ``peakmem`` from a test module in this directory.
 import subprocess
 import sys
 import tracemalloc
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 
 def traced_peak(call: Callable[[], Any]) -> Tuple[Any, int]:
@@ -37,12 +37,18 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
-def child_peak_rss_mb(argv: List[str], env: Optional[Dict[str, str]] = None) -> float:
+def child_peak_rss_mb(argv: List[str], env: Optional[Dict[str, str]] = None,
+                      preload: Sequence[str] = ()) -> float:
     """The peak resident set size, in MiB, of ``python -m ensemblekit
     *argv`` and of the worker processes it waited for: ``ru_maxrss`` from
-    ``os.wait4``, which Linux counts in KiB. Raises unless the child exits 0."""
-    done = subprocess.run([sys.executable, "-c", _WAIT4, sys.executable, "-m", "ensemblekit",
-                           *argv], env=env, capture_output=True, text=True, check=True)
+    ``os.wait4``, which Linux counts in KiB. The child imports the modules
+    named in ``preload`` first. Raises unless the child exits 0."""
+    start = ["-m", "ensemblekit"]
+    if preload:
+        start = ["-c", f"import {', '.join(preload)}, runpy; "
+                       "runpy.run_module('ensemblekit', run_name='__main__', alter_sys=True)"]
+    done = subprocess.run([sys.executable, "-c", _WAIT4, sys.executable, *start, *argv],
+                          env=env, capture_output=True, text=True, check=True)
     code, kib = map(int, done.stdout.split())
     if code != 0:
         raise AssertionError(f"ensemblekit {' '.join(argv)} exited {code}: {done.stderr}")

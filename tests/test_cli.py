@@ -485,11 +485,8 @@ class TestOneSplitAtATime:
         OpenSSL's hashlib, synth through numpy.random and the others for
         digests of 4 MiB and more, so the tiny child imports it at start."""
         env = _child_env()
-        preload = tmp_path / "preload"
-        preload.mkdir()
-        (preload / "sitecustomize.py").write_text("import hashlib\n")
-        floor_env = dict(env, PYTHONPATH=os.pathsep.join([str(preload), env["PYTHONPATH"]]))
-        floor = child_peak_rss_mb(["validate", "--data", _synth(tmp_path, "tiny")], floor_env)
+        floor = child_peak_rss_mb(["validate", "--data", _synth(tmp_path, "tiny")], env,
+                                  preload=["hashlib"])
         n, models, classes = 4000, 20, 20
         cube_mib = n * models * classes * 8 / 2**20
         data, out = str(tmp_path / "ds"), str(tmp_path / "runs.jsonl")
@@ -665,32 +662,67 @@ class TestSeedMapper:
         assert time.monotonic() - start < 30  # the sleeping children were killed
         assert _no_children()
 
-    def test_interrupt_right_after_fork_leaves_no_child(self, monkeypatch):
+    # From Python 3.12 a fork with a second thread alive warns; this one is meant.
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    @pytest.mark.parametrize("receiver", ["main-thread", "other-thread"])
+    def test_interrupt_right_after_fork_leaves_no_child(self, monkeypatch, receiver):
         """A Ctrl-C that lands between the fork and the parent's note of the
-        new child still finds that child killed and reaped."""
+        new child still finds that child killed and reaped, also when the
+        kernel hands the signal to a thread other than the main one."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        fork = os.fork
+        fork, done = os.fork, threading.Event()
+        helper = threading.Thread(target=done.wait)
+        helper.start()
 
         def fork_then_interrupt():
             pid = fork()
-            if pid:
+            if pid and receiver == "main-thread":
                 signal.raise_signal(signal.SIGINT)
+            elif pid:
+                signal.pthread_kill(helper.ident, signal.SIGINT)
+                time.sleep(0.1)  # the helper's C handler runs, the main thread's later
             return pid
 
         monkeypatch.setattr(os, "fork", fork_then_interrupt)
         start = time.monotonic()
-        with pytest.raises(KeyboardInterrupt):
-            cli.fork_map(lambda seed: time.sleep(60), [0, 1])
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                cli.fork_map(lambda seed: time.sleep(60), [0, 1])
+        finally:
+            done.set()
+            helper.join()
         assert time.monotonic() - start < 30
         assert _no_children()
 
-    def test_tasks_run_with_the_callers_signal_mask(self, monkeypatch):
-        """SIGINT is blocked in the parent only around each fork; a task
-        runs with the signal mask its caller had."""
+    def test_tasks_run_with_the_callers_sigint_handler(self, monkeypatch):
+        """A task runs with the SIGINT handler its caller had, and the
+        caller keeps it."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        masks = cli.fork_map(lambda seed: signal.pthread_sigmask(signal.SIG_BLOCK, ()), [0, 1])
-        assert masks == [signal.pthread_sigmask(signal.SIG_BLOCK, ())] * 2
-        assert signal.SIGINT not in masks[0]
+
+        def on_sigint(signum, frame):
+            raise KeyboardInterrupt
+
+        previous = signal.signal(signal.SIGINT, on_sigint)
+        try:
+            kept = cli.fork_map(lambda seed: signal.getsignal(signal.SIGINT) is on_sigint, [0, 1])
+            assert signal.getsignal(signal.SIGINT) is on_sigint
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        assert kept == [True, True]
+
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_maps_from_a_thread_other_than_the_main_one(self, monkeypatch):
+        """Python sets signal handlers from the main thread only; a call
+        from another thread forks its tasks all the same."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        counted = _count_children(monkeypatch)
+        results = []
+        mapper = threading.Thread(target=lambda: results.append(
+            cli.fork_map(lambda seed: seed * 2, [0, 1, 2])))
+        mapper.start()
+        mapper.join()
+        assert results == [[0, 2, 4]]
+        assert counted == {"now": 0, "most": 2}
 
     def test_pipes_above_descriptor_1023(self, monkeypatch):
         """select.select refuses descriptors from 1024 up; a process that

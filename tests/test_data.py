@@ -561,6 +561,18 @@ class TestCsvWriter:
         assert written == _savetxt_bytes(tmp_path, rows, fmt)
         assert digest == hashlib.sha256(written).digest()
 
+    @pytest.mark.parametrize("value, fmt", [(-2.2250738585072014e-308, "%.17g"),
+                                            (np.iinfo(np.int64).min, "%d")])
+    def test_file_digest_is_sized_by_the_longest_text(self, tmp_path, monkeypatch, value, fmt):
+        """Row digests are sized by the array's bytes, the file's digest by
+        25 bytes a value, which the longest text a value takes fills."""
+        sizes, choose = [], data._sha256
+        monkeypatch.setattr(data, "_sha256", lambda n: sizes.append(n) or choose(n))
+        path = tmp_path / "written.csv"
+        data._write_csv(str(path), "h", np.full((4, 3), value), fmt)
+        assert sizes == [96, 300]
+        assert path.stat().st_size - len("h\n") <= 300
+
     def test_signed_zeros_are_different_rows(self, tmp_path):
         path = tmp_path / "written.csv"
         data._write_csv(str(path), "h", np.array([[-0.0, 0.0], [0.0, 0.0], [-0.0, 0.0]]),
@@ -856,8 +868,26 @@ class TestParseCache:
         floor = data._OPENSSL_MIN_BYTES
         assert data._sha256(floor - 1) is data._builtin_sha256
         assert data._sha256(floor) is hashlib.sha256
-        assert data._builtin_sha256.__module__ in ("_sha2", "_sha256")
 
+    def test_python_without_its_own_sha256_uses_openssls(self, tmp_path):
+        """On a build without _sha2 and _sha256, as some FIPS builds are,
+        data imports and every digest goes through hashlib."""
+        code = textwrap.dedent("""
+            import hashlib, sys
+            sys.modules["_sha2"] = sys.modules["_sha256"] = None  # import fails
+            from ensemblekit import data
+            assert data._sha256(0) is hashlib.sha256
+            rows = [[0.5, -1.0], [2.0, 3.0]]
+            digest = data._write_csv(sys.argv[1], "a,b", data.np.array(rows), "%.17g")
+            with open(sys.argv[1], "rb") as fh:
+                assert digest == hashlib.sha256(fh.read()).digest()
+        """)
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "rows.csv")],
+                              capture_output=True, text=True, env=_child_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.skipif(data._builtin_sha256.__module__ not in ("_sha2", "_sha256"),
+                        reason="this Python has no SHA-256 of its own")
     def test_small_loads_and_report_leave_openssl_unloaded(self, tmp_path):
         """A process that loads both splits of a 2000 x 20 dataset from
         their caches, and reports, never loads OpenSSL's _hashlib: each
