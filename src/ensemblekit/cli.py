@@ -310,6 +310,9 @@ def _load_cells(path: str) -> Dict[Tuple[str, str, str], List[float]]:
 
 def cmd_report(args) -> int:
     cells = _load_cells(args.records)
+    out_path = args.out or args.records + ".summary.csv"
+    if os.path.exists(out_path) and os.path.samefile(out_path, args.records):
+        raise ConfigError(f"--out {out_path} is the records file; the summary would replace it")
     # Mean, std and run count of each (dataset, row, metric), in sorted order.
     stats = {key: (float(np.mean(cells[key])), float(np.std(cells[key])), len(cells[key]))
              for key in sorted(cells)}
@@ -338,7 +341,6 @@ def cmd_report(args) -> int:
             print(line)
         print()
 
-    out_path = args.out or args.records + ".summary.csv"
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["dataset", "method", "metric", "mean", "std", "n_runs", "best"])

@@ -11,8 +11,7 @@ The on-disk layout is one directory per dataset: ``manifest.json`` plus
 ``<split>_predictions.csv`` / ``<split>_labels.csv``, read by ``np.loadtxt``
 and written by ``_write_csv`` as ``np.savetxt`` would write them with
 ``%.17g`` (17 significant digits, so a save/load round trip is exact; class
-labels use ``%d``), but formatting each distinct row once and hashing the
-bytes as they are written.
+labels use ``%d``), but formatting each distinct row once.
 ``save_metadataset`` writes a dataset it is given; ``save_synthetic``
 writes the bytes ``save_metadataset(generate(spec))`` would, drawing each
 split where it is written, so no process holds both splits. Both write
@@ -20,15 +19,17 @@ into a staging directory inside the target and move the files into place
 only when every split is written, so a failure leaves no dataset.
 
 Beside each split's CSV files, the writers put a parse cache,
-``<split>_cache.npy``: three ``np.save`` records holding the sha256 of the
-split's two CSV files and of its two arrays, the float64 predictions and
-the float64 labels. A load takes a split from its cache only when the
-cache opens, its digests equal a fresh sha256 of the CSV bytes beside it
-and of the arrays it holds, and its shapes fit the manifest; each split's
-cache is judged on its own. ``%.17g`` and ``%d`` round-trip exactly, so
-with both digests equal a hit returns the arrays a parse of those bytes
-would. Anything else parses the CSV files, with the parse's errors; the
-loaders never write a cache, and deleting one only forces a parse.
+``<split>_cache.npy``: three ``np.save`` records, its key and then the
+float64 predictions and labels. The writers and the loaders take the key
+alike, with ``_split_digest``: the sha256 of the two CSV files, each read
+back and sized by its real size, then of the two arrays. A load takes a
+split from its cache only when the cache opens, its key equals a fresh one
+of the CSV files beside it and of the arrays it holds, and its shapes fit
+the manifest; each split's cache is judged on its own. ``%.17g`` and ``%d``
+round-trip exactly, so with both digests equal a hit returns the arrays a
+parse of those bytes would. Anything else parses the CSV files, with the
+parse's errors; the loaders never write a cache, and deleting one only
+forces a parse.
 
 Each sha256 is CPython's own below ``_OPENSSL_MIN_BYTES`` (4 MiB) and
 OpenSSL's, through ``hashlib`` imported then, from there up: the same
@@ -227,9 +228,9 @@ def _sanitize_split(split: Split, task: TaskKind, split_name: str) -> Split:
     check_cube(preds, f"{split_name} split")
     c = preds.shape[2]
     if task is TaskKind.CLASSIFICATION and c < 2:
-        raise DataValidationError("classification datasets need at least 2 classes")
+        raise DataValidationError(f"{split_name} split: classification needs 2 or more classes")
     if task is TaskKind.REGRESSION and c != 1:
-        raise DataValidationError(f"regression datasets use a single prediction column, got {c}")
+        raise DataValidationError(f"{split_name} split: regression needs 1 column, got {c}")
     labels = check_labels(split.labels, preds.shape[0], task, c, split_name)
     preds.flags.writeable = False
     labels.flags.writeable = False
@@ -384,7 +385,7 @@ def save_synthetic(spec: SyntheticSpec, path: str) -> str:
 def _write_dataset(path: str, name: str, task: TaskKind, n_models: int, n_classes: int,
                    source: Callable[[str], Split], n_values: int) -> None:
     """Write a dataset directory whose splits are ``source(split_name)``:
-    each split's CSV files by _write_csv, then its cache with their digests.
+    each split's CSV files by _write_csv, then its cache keyed by _split_digest.
 
     The files go into a staging directory inside ``path`` and move into
     ``path`` only once every split is written, so an error, in ``source``
@@ -409,11 +410,11 @@ def _write_dataset(path: str, name: str, task: TaskKind, n_models: int, n_classe
         stem = os.path.join(staging, split_name)
         # C order and float64 labels: the arrays _parse_split returns.
         preds = np.ascontiguousarray(split.predictions)
-        digests = (_write_csv(f"{stem}_predictions.csv", header, preds, _FLOAT_FMT)
-                   + _write_csv(f"{stem}_labels.csv", "label", split.labels, label_fmt))
+        _write_csv(f"{stem}_predictions.csv", header, preds, _FLOAT_FMT)
+        _write_csv(f"{stem}_labels.csv", "label", split.labels, label_fmt)
         labels = split.labels.astype(np.float64)
         with open(stem + _CACHE_SUFFIX, "wb") as fh:
-            np.save(fh, np.frombuffer(digests + _array_digest(preds, labels), dtype=np.uint8))
+            np.save(fh, np.frombuffer(_split_digest(stem, preds, labels), dtype=np.uint8))
             np.save(fh, preds)
             np.save(fh, labels)
 
@@ -443,35 +444,31 @@ def _sha256(n_bytes: int) -> Callable:
     return hashlib.sha256
 
 
-def _write_csv(path: str, header: str, rows: np.ndarray, fmt: str) -> bytes:
+def _write_csv(path: str, header: str, rows: np.ndarray, fmt: str) -> None:
     """Write the bytes ``np.savetxt(path, rows, fmt, delimiter=",",
     header=header, comments="")`` would, N >= 1 rows of any shape flattened
-    to lines, and return their sha256, taken as they are written. Rows are
-    told apart by the sha256 of their bytes, as the parse cache trusts, so
-    -0.0 is not 0.0: each distinct row is formatted once and its text kept
-    only until its last repeat."""
+    to lines. Rows are told apart by the sha256 of their bytes, as the parse
+    cache trusts, so -0.0 is not 0.0: each distinct row is formatted once
+    and its text kept only until its last repeat."""
     rows = np.ascontiguousarray(rows).reshape(len(rows), -1)
     line, step = ",".join([fmt] * rows.shape[1]) + "\n", max(1, _CHUNK_BYTES // rows[0].nbytes)
     row_sha256 = _sha256(rows.nbytes)
     digests = [row_sha256(row).digest() for row in rows]
     last = {digest: i for i, digest in enumerate(digests)}
-    # The file's digest is sized by the most its text can take: 25 bytes a
-    # value, separator included, for %.17g and for %d of an int64.
-    sha, texts, lines, end = _sha256(rows.size * 25)(), {}, [header + "\n"], len(rows) - 1
+    texts, lines, end = {}, [header + "\n"], len(rows) - 1
     with open(path, "wb") as fh:
         for i, digest in enumerate(digests):
             if digest not in texts:
                 texts[digest] = line % tuple(rows[i].tolist())
             lines.append(texts.pop(digest) if last[digest] == i else texts[digest])
             if len(lines) > step or i == end:
-                text, lines = "".join(lines).encode(), []
-                sha.update(text)
-                fh.write(text)
-    return sha.digest()
+                fh.write("".join(lines).encode())
+                lines = []
 
 
-def _csv_digest(stem: str) -> bytes:
-    """The sha256 digests of a split's predictions and labels CSV files."""
+def _split_digest(stem: str, preds: np.ndarray, labels: np.ndarray) -> bytes:
+    """The cache key of the split at ``stem``: the sha256 of its predictions
+    CSV, of its labels CSV, then of C-ordered float64 ``preds`` and ``labels``."""
     digests = b""
     for kind in ("predictions", "labels"):
         with open(f"{stem}_{kind}.csv", "rb") as fh:
@@ -480,14 +477,9 @@ def _csv_digest(stem: str) -> bytes:
             for chunk in iter(lambda: fh.read(1 << 16), b""):
                 sha.update(chunk)
         digests += sha.digest()
-    return digests
-
-
-def _array_digest(preds: np.ndarray, labels: np.ndarray) -> bytes:
-    """The sha256 digest of the bytes of a split's C-ordered arrays."""
     sha = _sha256(preds.nbytes + labels.nbytes)(preds)
     sha.update(labels)
-    return sha.digest()
+    return digests + sha.digest()
 
 
 def _cached_split(stem: str, n_models: int, n_classes: int) -> Optional[Split]:
@@ -503,7 +495,7 @@ def _cached_split(stem: str, n_models: int, n_classes: int) -> Optional[Split]:
         fits = (preds.dtype == np.float64 and labels.dtype == np.float64
                 and preds.shape[1:] == (n_models, n_classes) and labels.shape == preds.shape[:1]
                 and preds.flags.c_contiguous)
-        if fits and digest == _csv_digest(stem) + _array_digest(preds, labels):
+        if fits and digest == _split_digest(stem, preds, labels):
             return _OwnedSplit(predictions=preds, labels=labels)
     except (OSError, ValueError, EOFError, MemoryError):
         pass
@@ -515,7 +507,7 @@ def _is_number(cell: str) -> bool:
         float(cell)
     except ValueError:
         return False
-    return "_" not in cell  # float() takes digit separators; numpy does not
+    return "_" not in cell and cell.strip().isascii()  # float() takes "1_0" and "١"
 
 
 def _csv_fault(path: str, n_columns: int) -> Optional[str]:

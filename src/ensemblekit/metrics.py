@@ -157,7 +157,7 @@ def ambiguity(weights: np.ndarray, base_preds: np.ndarray) -> float:
         raise ShapeError(f"base_preds must be (N, M), got shape {base_preds.shape}")
     if base_preds.shape[0] == 0:
         raise DataValidationError("ensemble base predictions need at least one instance")
-    if weights.ndim == 1:
+    if weights.shape == base_preds.shape[1:]:
         weights = np.broadcast_to(weights, base_preds.shape)
     if weights.shape != base_preds.shape:
         raise ShapeError(

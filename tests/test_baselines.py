@@ -297,6 +297,20 @@ class TestAkaikeWeights:
         np.testing.assert_allclose(baselines.akaike_weights(np.full(4, 1.3)), 0.25)
 
 
+class TestInputErrors:
+    @pytest.mark.parametrize("call, error, fragment", [
+        (lambda: baselines.predict_static(np.full(3, 1 / 3), np.full((4, 2, 2), 0.5)),
+         ShapeError, "weights (3,)"),
+        (lambda: baselines.akaike_weights([]), ShapeError, "losses"),
+        (lambda: baselines.akaike_weights([1.0, np.nan]), ConfigError, "losses"),
+    ], ids=["predict-static-weights", "akaike-empty", "akaike-nan"])
+    def test_error_names_its_argument(self, call, error, fragment):
+        with pytest.raises(error) as err:
+            call()
+        assert type(err.value) is error
+        assert fragment in str(err.value)
+
+
 class TestConstantMA:
     """Softmax-parameterized constant mixture fit by full-batch Adam."""
 

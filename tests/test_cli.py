@@ -1190,6 +1190,32 @@ class TestReport:
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["report", "--records", str(tmp_path / "none.jsonl")]) == 2
 
+    def test_blank_lines_are_skipped(self, tmp_path, capsys):
+        path = tmp_path / "records.jsonl"
+        record = '{"dataset": "d", "method": "a", "normalized": {"nll": 1.0}}\n'
+        path.write_text("\n" + record + "  \n" + record)
+        assert main(["report", "--records", str(path)]) == 0
+        assert "  a                 1.0000 ± 0.0000*" in capsys.readouterr().out.splitlines()
+        with open(str(path) + ".summary.csv") as fh:
+            assert fh.read().splitlines()[1:] == ["d,a,nll,1,0,2,true"]
+
+    @pytest.mark.parametrize("spelling", ["same", "dot-dot", "symlink"])
+    def test_out_naming_the_records_exits_2_and_keeps_them(self, tmp_path, monkeypatch, capsys,
+                                                          spelling):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        os.symlink("runs.jsonl", "link.jsonl")
+        self._write_records("runs.jsonl", [{"dataset": "d", "method": "a",
+                                            "normalized": {"nll": 1.0}}])
+        before = (tmp_path / "runs.jsonl").read_bytes()
+        out = {"same": "runs.jsonl", "dot-dot": "./sub/../runs.jsonl",
+               "symlink": "link.jsonl"}[spelling]
+        assert main(["report", "--records", "runs.jsonl", "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        _assert_only_error_line(captured.err, f"--out {out} is the records file")
+        assert (tmp_path / "runs.jsonl").read_bytes() == before
+
     def test_corrupt_line_exits_2(self, tmp_path, capsys):
         path = str(tmp_path / "records.jsonl")
         with open(path, "w") as fh:

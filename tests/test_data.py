@@ -188,6 +188,27 @@ class TestSplitValidation:
         assert not (tmp_path / "ds").exists()
 
 
+def _saved_experts(tmp_path):
+    """A small experts dataset saved under ``tmp_path / "ds"``."""
+    out = tmp_path / "ds"
+    save_metadataset(generate(SyntheticSpec(kind="experts", n_instances=10, n_models=2,
+                                            n_classes=3, seed=0)), str(out))
+    return out
+
+
+def _load_without_manifest(tmp_path):
+    out = _saved_experts(tmp_path)
+    os.remove(out / "manifest.json")
+    load_metadataset(str(out))
+
+
+def _load_with_label_header(tmp_path):
+    out = _saved_experts(tmp_path)
+    path = out / "val_labels.csv"
+    path.write_text(path.read_text().replace("label", "target", 1))
+    load_metadataset(str(out))
+
+
 class TestInputChecks:
     """check_cube and check_labels are the one rule for a prediction cube
     and a label vector, at load and at every public entry point."""
@@ -257,6 +278,25 @@ class TestInputChecks:
         # A RuntimeWarning on the way would fail here: the suite turns it into an error.
         with pytest.raises(DataValidationError, match="^here labels must"):
             data.check_labels(np.array(labels), 2, TaskKind.CLASSIFICATION, 2, "here")
+
+    @pytest.mark.parametrize("call, error, fragment", [
+        (lambda tmp: MetaDataset("t", "classification", _tiny_classification(), None),
+         ConfigError, "task must be a TaskKind"),
+        (lambda tmp: MetaDataset("t", TaskKind.CLASSIFICATION, None,
+                                 Split(np.ones((2, 1, 1)), np.ones(2))),
+         DataValidationError, "test split"),
+        (lambda tmp: MetaDataset("t", TaskKind.REGRESSION,
+                                 Split(np.full((2, 1, 2), 0.5), np.ones(2)), None),
+         DataValidationError, "val split"),
+        (_load_without_manifest, FileNotFoundError, "{tmp}/ds/manifest.json"),
+        (_load_with_label_header, DataFormatError, "{tmp}/ds/val_labels.csv"),
+    ], ids=["string-task", "one-class-column", "two-regression-columns", "no-manifest",
+            "labels-header"])
+    def test_public_input_error_names_its_argument(self, tmp_path, call, error, fragment):
+        with pytest.raises(error) as err:
+            call(tmp_path)
+        assert type(err.value) is error
+        assert fragment.format(tmp=tmp_path) in str(err.value)
 
     def test_regression_labels(self):
         labels = data.check_labels([1, 2], 2, TaskKind.REGRESSION, 1, "here")
@@ -444,9 +484,9 @@ def _ragged(lines):
     return lines[:2] + [lines[2].rsplit(",", 1)[0]] + lines[3:]
 
 
-def _non_numeric(lines):
+def _non_numeric(lines, cell="abc"):
     _, sep, rest = lines[3].partition(",")
-    return lines[:3] + ["abc" + sep + rest] + lines[4:]
+    return lines[:3] + [cell + sep + rest] + lines[4:]
 
 
 _MALFORMED = [
@@ -506,9 +546,13 @@ class TestCsvFiles:
         "edit, where",
         [
             (_non_numeric, "line 4, column 1: 'abc' is not a number"),
+            (lambda lines: _non_numeric(lines, "\u0661"),
+             "line 4, column 1: '\u0661' is not a number"),
+            (lambda lines: _non_numeric(lines, "\uff11"),
+             "line 4, column 1: '\uff11' is not a number"),
             (_ragged, "line 3 has 5 columns, expected 6"),
         ],
-        ids=["non-numeric", "ragged-row"],
+        ids=["non-numeric", "arabic-indic-digit", "fullwidth-digit", "ragged-row"],
     )
     def test_malformed_row_names_file_line(self, tmp_path, edit, where):
         """Lines count from 1 with the header as line 1, as an editor
@@ -539,7 +583,7 @@ _MANY = _RNG.random((1000, 3))
 
 class TestCsvWriter:
     """_write_csv writes the bytes np.savetxt writes, formatting each
-    distinct row once, and returns their sha256."""
+    distinct row once."""
 
     @pytest.mark.parametrize("rows, fmt", [
         (np.array([[-0.0, 0.0], [0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [0.0, 0.0]]), "%.17g"),
@@ -554,24 +598,10 @@ class TestCsvWriter:
         (np.tile(_RNG.random((3, 4, 3)), (40, 1, 1)), "%.17g"),
     ], ids=["signed-zeros", "late-repeats", "all-equal", "single-row", "column-d",
             "column-g", "wide", "cube", "interleaved", "cycle-of-three"])
-    def test_bytes_and_digest_match_savetxt(self, tmp_path, rows, fmt, sha256_impl):
+    def test_bytes_match_savetxt(self, tmp_path, rows, fmt, sha256_impl):
         path = tmp_path / "written.csv"
-        digest = data._write_csv(str(path), "h", rows, fmt)
-        written = path.read_bytes()
-        assert written == _savetxt_bytes(tmp_path, rows, fmt)
-        assert digest == hashlib.sha256(written).digest()
-
-    @pytest.mark.parametrize("value, fmt", [(-2.2250738585072014e-308, "%.17g"),
-                                            (np.iinfo(np.int64).min, "%d")])
-    def test_file_digest_is_sized_by_the_longest_text(self, tmp_path, monkeypatch, value, fmt):
-        """Row digests are sized by the array's bytes, the file's digest by
-        25 bytes a value, which the longest text a value takes fills."""
-        sizes, choose = [], data._sha256
-        monkeypatch.setattr(data, "_sha256", lambda n: sizes.append(n) or choose(n))
-        path = tmp_path / "written.csv"
-        data._write_csv(str(path), "h", np.full((4, 3), value), fmt)
-        assert sizes == [96, 300]
-        assert path.stat().st_size - len("h\n") <= 300
+        assert data._write_csv(str(path), "h", rows, fmt) is None
+        assert path.read_bytes() == _savetxt_bytes(tmp_path, rows, fmt)
 
     def test_signed_zeros_are_different_rows(self, tmp_path):
         path = tmp_path / "written.csv"
@@ -851,18 +881,39 @@ class TestParseCache:
         assert calls == ["val"]
         _assert_same_arrays(back, parsed)
 
-    def test_csv_digest_reads_in_small_chunks(self, tmp_path, sha256_impl):
-        """A digest reads its files in small chunks, so it holds little."""
+    def test_split_digest_reads_in_small_chunks(self, tmp_path, sha256_impl):
+        """A split's digest reads its files in small chunks, so it holds little."""
         ds = generate(SyntheticSpec(kind="experts", n_instances=2000, n_models=20,
                                     n_classes=20, seed=0))
         save_metadataset(ds, str(tmp_path))
         stem = str(tmp_path / "val")
         assert os.path.getsize(stem + "_predictions.csv") > 2 << 20
-        digest, peak = traced_peak(lambda: data._csv_digest(stem))
+        preds, labels = ds.val.predictions, ds.val.labels.astype(np.float64)
+        digest, peak = traced_peak(lambda: data._split_digest(stem, preds, labels))
         assert peak < 256 << 10
         whole = [hashlib.sha256((tmp_path / f"val_{kind}.csv").read_bytes()).digest()
                  for kind in ("predictions", "labels")]
+        whole.append(hashlib.sha256(preds.tobytes() + labels.tobytes()).digest())
         assert digest == b"".join(whole)
+
+    @pytest.mark.parametrize("kind", ["experts", "preferred", "poly"])
+    def test_cache_key_is_pinned(self, tmp_path, kind, sha256_impl):
+        """Each cache's first record is the sha256 of the predictions CSV,
+        then of the labels CSV, then of the float64 predictions' bytes
+        followed by the float64 labels' bytes."""
+        with open(GOLDEN_CSV) as fh:
+            golden = json.load(fh)[kind]
+        ds = generate(SyntheticSpec(**golden["spec"]))
+        save_metadataset(ds, str(tmp_path))
+        for split_name in data.SPLIT_NAMES:
+            split = getattr(ds, split_name)
+            arrays = (split.predictions.astype(np.float64).tobytes()
+                      + split.labels.astype(np.float64).tobytes())
+            texts = [golden["files"][f"{split_name}_{name}.csv"].encode()
+                     for name in ("predictions", "labels")]
+            want = b"".join(hashlib.sha256(raw).digest() for raw in texts + [arrays])
+            with open(tmp_path / f"{split_name}_cache.npy", "rb") as fh:
+                assert np.load(fh).tobytes() == want, split_name
 
     def test_digest_constructor_is_chosen_by_size(self):
         floor = data._OPENSSL_MIN_BYTES
@@ -877,12 +928,18 @@ class TestParseCache:
             sys.modules["_sha2"] = sys.modules["_sha256"] = None  # import fails
             from ensemblekit import data
             assert data._sha256(0) is hashlib.sha256
-            rows = [[0.5, -1.0], [2.0, 3.0]]
-            digest = data._write_csv(sys.argv[1], "a,b", data.np.array(rows), "%.17g")
-            with open(sys.argv[1], "rb") as fh:
-                assert digest == hashlib.sha256(fh.read()).digest()
+            preds, labels = data.np.array([[[0.5], [-1.0]], [[2.0], [3.0]]]), data.np.ones(2)
+            data._write_csv(sys.argv[1] + "_predictions.csv", "a,b", preds, "%.17g")
+            data._write_csv(sys.argv[1] + "_labels.csv", "label", labels, "%.17g")
+            texts = []
+            for name in ("predictions", "labels"):
+                with open(f"{sys.argv[1]}_{name}.csv", "rb") as fh:
+                    texts.append(fh.read())
+            want = [hashlib.sha256(raw).digest()
+                    for raw in texts + [preds.tobytes() + labels.tobytes()]]
+            assert data._split_digest(sys.argv[1], preds, labels) == b"".join(want)
         """)
-        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "rows.csv")],
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "val")],
                               capture_output=True, text=True, env=_child_env(), timeout=60)
         assert proc.returncode == 0, proc.stderr
 

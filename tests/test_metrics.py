@@ -212,6 +212,20 @@ class TestLabelChecks:
             metric(scores, np.array(labels))
 
 
+class TestInputErrors:
+    @pytest.mark.parametrize("call, fragment", [
+        (lambda: metrics.nll(np.array([0.4, 0.6]), np.array([0, 1])), "probs"),
+        (lambda: metrics.error_rate(np.array([0.4, 0.6]), np.array([0, 1])), "probs"),
+        (lambda: metrics.ambiguity(np.ones(1), np.ones((2, 1, 1))), "base_preds"),
+        (lambda: metrics.ambiguity(np.full(3, 1 / 3), np.ones((2, 2))), "weights shape (3,)"),
+    ], ids=["nll-1d", "error-rate-1d", "ambiguity-3d", "ambiguity-weights"])
+    def test_shape_error_names_its_argument(self, call, fragment):
+        with pytest.raises(ShapeError) as err:
+            call()
+        assert type(err.value) is ShapeError
+        assert fragment in str(err.value)
+
+
 class TestAucBinary:
     """Rank-based AUC with tie averaging."""
 
