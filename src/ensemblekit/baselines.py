@@ -16,7 +16,7 @@ from typing import Tuple
 import numpy as np
 
 from . import metrics, nn
-from .data import TaskKind, check_integer, check_labels, check_seed
+from .data import TaskKind, check_integer, check_labels
 from .errors import ConfigError, ShapeError
 
 DEFAULT_N = 50
@@ -85,7 +85,7 @@ def random_n(n_models: int, n: int = DEFAULT_N, seed: int = 0) -> ModelSelection
     """Uniform ensemble of N distinct models drawn uniformly at random."""
     check_integer("n", n, 1)
     check_integer("n_models", n_models, 1)
-    check_seed(seed)
+    check_integer("seed", seed, 0)
     n = min(n, n_models)
     rng = np.random.default_rng(seed)
     picks = rng.choice(n_models, size=n, replace=False)

@@ -159,8 +159,6 @@ def _static_weights(ds: MetaDataset, method: str, config: neural.NEConfig,
         "quick": lambda: baselines.quick_select(val_p, val_y, ds.task, n=n),
         "greedy": lambda: baselines.greedy_select(val_p, val_y, ds.task, n_slots=n),
     }
-    if method not in selections:
-        raise ConfigError(f"unknown method {method!r}")
     return selections[method]().weights(), {"n": n}
 
 
@@ -189,8 +187,6 @@ def cmd_synth(args) -> int:
 
 def cmd_run(args) -> int:
     seeds = _parse_list(args.seeds, "--seeds", int)
-    if min(seeds) < 0:
-        raise ConfigError(f"--seeds must be non-negative integers, got {args.seeds!r}")
     rates = _parse_list(args.dropout_rate, "--dropout-rate", float)
     if len(rates) > 1 and args.method not in _NE_MODE_BY_METHOD:
         raise ConfigError(f"{args.method} has no dropout rate; a list of "
@@ -323,6 +319,14 @@ def cmd_report(args) -> int:
         candidate = (-mean if metric_name in _HIGHER_IS_BETTER else mean, row)
         best[dataset, metric_name] = min(best.get((dataset, metric_name), candidate), candidate)
 
+    # Written before the table is printed, so a report that cannot write prints nothing.
+    with open(out_path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["dataset", "method", "metric", "mean", "std", "n_runs", "best"])
+        for (dataset, row, metric_name), (mean, std, n_runs) in stats.items():
+            writer.writerow([dataset, row, metric_name, f"{mean:.12g}", f"{std:.12g}", n_runs,
+                             str(best[dataset, metric_name][1] == row).lower()])
+
     for dataset in sorted({key[0] for key in stats}):
         rows = sorted({row for d, row, _ in stats if d == dataset})
         metric_names = sorted({m for d, _, m in stats if d == dataset})
@@ -340,13 +344,6 @@ def cmd_report(args) -> int:
                 line += f"{mean:>12.4f} ±{std:7.4f}{flag}"
             print(line)
         print()
-
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["dataset", "method", "metric", "mean", "std", "n_runs", "best"])
-        for (dataset, row, metric_name), (mean, std, n_runs) in stats.items():
-            writer.writerow([dataset, row, metric_name, f"{mean:.12g}", f"{std:.12g}", n_runs,
-                             str(best[dataset, metric_name][1] == row).lower()])
     print(f"summary written to {out_path}")
     return 0
 

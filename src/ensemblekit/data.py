@@ -513,10 +513,11 @@ def _is_number(cell: str) -> bool:
 def _csv_fault(path: str, n_columns: int) -> Optional[str]:
     """Describe the first data line of ``path`` that np.loadtxt cannot
     read: a row with the wrong number of cells, or a cell that is not a
-    number. Lines and columns count from 1; the header is line 1."""
+    number. Lines and columns count from 1; the header is line 1. Like
+    np.loadtxt, it skips empty lines only: a line of blanks is one cell."""
     with open(path, "r") as fh:
         for line_no, line in enumerate(fh, start=1):
-            if line_no == 1 or not line.strip():
+            if line_no == 1 or line == "\n":
                 continue
             cells = line.rstrip("\n").split(",")
             if len(cells) != n_columns:
@@ -530,8 +531,6 @@ def _csv_fault(path: str, n_columns: int) -> Optional[str]:
 def _read_csv(path: str, n_columns: int) -> Tuple[List[str], np.ndarray]:
     """Return the header cells and the (rows, n_columns) float64 body of a
     CSV file; every error names the file."""
-    if not os.path.isfile(path):
-        raise FileNotFoundError(f"missing dataset file: {path}")
     with open(path, "r") as fh:
         header = fh.readline().rstrip("\n")
         try:
@@ -553,7 +552,8 @@ def _read_csv(path: str, n_columns: int) -> Tuple[List[str], np.ndarray]:
 
 def _read_manifest(path: str) -> Tuple[str, TaskKind, int, int]:
     """The name, task, n_models and n_classes of the dataset directory
-    ``path``, from its checked manifest."""
+    ``path``, from its checked manifest, once every split's two CSV files
+    are found: a loader refuses an incomplete directory before any read."""
     manifest_path = os.path.join(path, "manifest.json")
     if not os.path.isdir(path):
         raise FileNotFoundError(f"dataset directory not found: {path}")
@@ -593,6 +593,11 @@ def _read_manifest(path: str) -> Tuple[str, TaskKind, int, int]:
         raise DataFormatError(
             f"{manifest_path}: 'name' must be a non-empty JSON string, got {json.dumps(name)}"
         )
+    for split_name in SPLIT_NAMES:
+        for kind in ("predictions", "labels"):
+            csv_path = os.path.join(path, f"{split_name}_{kind}.csv")
+            if not os.path.isfile(csv_path):
+                raise FileNotFoundError(f"missing dataset file: {csv_path}")
     return name, task, manifest["n_models"], manifest["n_classes"]
 
 
@@ -676,13 +681,13 @@ class SyntheticSpec:
                 f"unknown synthetic kind '{self.kind}', expected one of {sorted(GENERATORS)}"
             )
         # n_classes: experts never labels class 0, so C = 2 would label every instance 1.
-        for name, least in (("n_instances", 2), ("n_models", 2), ("n_classes", 3), ("degree", 1)):
+        for name, least in (("n_instances", 2), ("n_models", 2), ("n_classes", 3), ("degree", 1),
+                            ("seed", 0)):
             check_integer(name, getattr(self, name), least)
         if not _is_real(self.rho_p) or not 0.0 <= self.rho_p <= 1.0:
             raise ConfigError(f"rho_p must lie in [0, 1], got {self.rho_p!r}")
         if not _is_real(self.noise_scale) or not 0.0 <= self.noise_scale < np.inf:
             raise ConfigError(f"noise_scale must be a finite number >= 0, got {self.noise_scale!r}")
-        check_seed(self.seed)
 
 
 def _is_real(value) -> bool:
@@ -690,21 +695,14 @@ def _is_real(value) -> bool:
 
 
 def check_integer(name: str, value, least: int) -> None:
-    """The count rule of every size, step, model-count and model-index
-    argument in the package: raise ConfigError naming ``name`` unless
+    """The count rule of every size, step, model-count, model-index and
+    seed argument in the package: raise ConfigError naming ``name`` unless
     ``value`` is an integer, numpy's included, not a bool, and at least
     ``least``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ConfigError(f"{name} must be at least {least}, got {value}")
-
-
-def check_seed(seed) -> None:
-    """Raise ConfigError unless ``seed`` is a random seed: an integer, not
-    a bool, >= 0."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def generate(spec: SyntheticSpec) -> MetaDataset:

@@ -39,8 +39,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import metrics, nn
-from .data import (MetaDataset, SyntheticSpec, TaskKind, check_cube, check_integer, check_seed,
-                   generate)
+from .data import MetaDataset, SyntheticSpec, TaskKind, check_cube, check_integer, generate
 from .errors import ConfigError, NumericError, ShapeError
 
 MODE_STACKING = "stacking"
@@ -83,7 +82,7 @@ class NEConfig:
         for name in ("layers", "hidden_dim", "steps", "batch_size"):
             check_integer(name, getattr(self, name), 1)
         nn.check_learning_rate(self.learning_rate)
-        check_seed(self.seed)
+        check_integer("seed", self.seed, 0)
 
     @property
     def retain_prob(self) -> float:
@@ -354,7 +353,7 @@ def diversity_limit_oracle(
         raise ConfigError(f"retain_prob must lie in (0, 1], got {retain_prob!r}")
     check_integer("n_samples", n_samples, 2)
     check_integer("n_masks", n_masks, 1)
-    check_seed(seed)
+    check_integer("seed", seed, 0)
     data_seed, mask_seed = (int(s) for s in np.random.SeedSequence(seed).generate_state(2))
     ds = generate(SyntheticSpec(kind="preferred", n_instances=n_samples, n_models=n_models,
                                 rho_p=rho_p, seed=data_seed))

@@ -162,12 +162,6 @@ class TestRandomN:
         sel = baselines.random_n(3, n=50, seed=0)
         assert sorted(sel.indices) == [0, 1, 2]
 
-    @pytest.mark.parametrize("seed", [-1, True])
-    def test_rejects_a_bad_seed(self, seed):
-        message = f"seed must be a non-negative integer, got {seed!r}"
-        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-            baselines.random_n(5, n=2, seed=seed)
-
 
 class TestGreedySelect:
     """Greedy forward selection with replacement and a mandatory number

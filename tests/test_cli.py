@@ -235,7 +235,7 @@ class TestSynthAndValidate:
         out = str(tmp_path / "ds")
         assert main(["synth", "--kind", "experts", "--out", out, "--seed", "-1"]) == 2
         _assert_only_error_line(capsys.readouterr().err,
-                                "seed must be a non-negative integer, got -1")
+                                "seed must be at least 0, got -1")
         assert not os.path.exists(out)
 
     def test_unknown_kind_is_an_argparse_error(self, tmp_path):
@@ -527,6 +527,30 @@ class TestOneSplitAtATime:
                                 f"{path}: line 2, column 1: 'abc' is not a number")
         assert fitted == [("greedy", 0, None), ("greedy", 1, None)]
         assert out.read_bytes() == before
+
+    def test_missing_test_file_exits_2_before_any_fit(self, tmp_path, monkeypatch, capfd):
+        """An incomplete dataset directory is refused before the first fit,
+        which at the default steps would take minutes."""
+        data = _synth(tmp_path)
+        path = os.path.join(data, "test_labels.csv")
+        os.remove(path)
+        calls = []
+        train = neural.train
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(neural, "train", spy)
+        _split_io(monkeypatch, forked=False)  # fits in this process, where the spy counts
+        out = str(tmp_path / "runs.jsonl")
+        capfd.readouterr()
+        assert main(["run", "ne-ma", "--data", data, "--out", out, "--seeds", "0,1"]
+                    + FAST_NE) == 2
+        _assert_only_error_line(capfd.readouterr().err, f"missing dataset file: {path}")
+        assert calls == []
+        assert not os.path.exists(out)
+        assert not os.path.exists(out + ".lock")
 
     @pytest.mark.parametrize("forked", [False, True], ids=["serial", "forked"])
     def test_overflowing_draw_exits_2_with_one_line(self, tmp_path, monkeypatch, capfd, forked):
@@ -941,8 +965,7 @@ class TestDropoutRates:
     @pytest.mark.parametrize("seeds", ["-1", "0,-1"])
     def test_negative_seed_exits_2_before_loading(self, tmp_path, monkeypatch, capsys, seeds):
         self._assert_rejected_before_loading(tmp_path, monkeypatch, "random", "0.75", seeds)
-        _assert_only_error_line(capsys.readouterr().err,
-                                f"--seeds must be non-negative integers, got {seeds!r}")
+        _assert_only_error_line(capsys.readouterr().err, "seed must be at least 0, got -1")
 
     @pytest.mark.parametrize("method, extra, fragment", [
         ("greedy", ["--lr", "nan"], "learning rate must be a finite number > 0, got nan"),
@@ -1215,6 +1238,19 @@ class TestReport:
         assert captured.out == ""
         _assert_only_error_line(captured.err, f"--out {out} is the records file")
         assert (tmp_path / "runs.jsonl").read_bytes() == before
+
+    def test_unwritable_out_exits_2_before_printing(self, tmp_path, capsys):
+        """A report that cannot write its summary prints only its error line."""
+        records = tmp_path / "runs.jsonl"
+        self._write_records(str(records), [{"dataset": "d", "method": "a",
+                                            "normalized": {"nll": 1.0}}])
+        before = records.read_bytes()
+        out = str(tmp_path / "no-such-dir" / "summary.csv")
+        assert main(["report", "--records", str(records), "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        _assert_only_error_line(captured.err, "No such file or directory")
+        assert records.read_bytes() == before
 
     def test_corrupt_line_exits_2(self, tmp_path, capsys):
         path = str(tmp_path / "records.jsonl")
