@@ -16,20 +16,20 @@ MemoryError, 3 numeric failure (a non-finite training loss or metric;
 nothing is appended then).
 
 Each (seed, rate) task of `run` is a copy of one `NEConfig`, so every
-flag is checked, for every method, before the data is read. `validate`
-and `run` hold one split at a time: `validate` counts each split and
-drops it before it reads the next, and `run` loads the validation split
-and fits every task on it, then drops it, and only then loads the test
-split and scores every fit on it. The fits, and then the scoring, run
-in forked child processes, one per task and at most one per usable CPU
-at a time; a single task, a single CPU or a platform without fork runs
-them one after another in this process. The mapper is `data.fork_map`,
-which also writes the dataset splits. The parent loads each split, holds
-the lock, appends the records seed-major in the order `--seeds` and
-`--dropout-rate` list them and prints; only tasks, fits (a combiner's
-parameters or static weights) and records cross between processes, so
-the records are the same either way. A worker's error re-raises in the
-parent, type and message; a worker that dies is WorkerDiedError, exit 2.
+flag is checked, for every method, before the data is read, as is an
+`--out` that names a directory. `validate` and `run` hold one split at
+a time: `validate` counts each split and drops it before it reads the
+next, and `run` fits every task on the validation split, drops it, and
+only then loads the test split and scores every fit on it, in task
+order, in its own process. The fits run in forked child processes, one
+per task and at most one per usable CPU at a time; a single task, a
+single CPU or a platform without fork runs them one after another in
+this process. The mapper is `data.fork_map`, which also writes the
+dataset splits. Only tasks and fits (a combiner's parameters or static
+weights) cross between processes, so the records, appended under the
+lock seed-major in the order `--seeds` and `--dropout-rate` list them,
+are the same either way. A worker's error re-raises in the parent, type
+and message; a worker that dies is WorkerDiedError, exit 2.
 """
 
 from __future__ import annotations
@@ -198,6 +198,8 @@ def cmd_run(args) -> int:
     # + 0.0 records a rate of -0.0 as 0.0.
     tasks = [replace(config, seed=seed, dropout_rate=rate + 0.0)
              for seed in seeds for rate in rates]
+    if os.path.isdir(args.out):
+        raise ConfigError(f"--out {args.out} is a directory, not a records file")
     fit_ds = load_split(args.data, "val")
     dataset, kind = fit_ds.name, fit_ds.task
     best = baselines.single_best(fit_ds.val.predictions, fit_ds.val.labels, kind)
@@ -215,28 +217,6 @@ def cmd_run(args) -> int:
             fitted, echo = _static_weights(fit_ds, args.method, task, args.n)
         return fitted, echo, time.perf_counter() - start
 
-    def score(job: Tuple[neural.NEConfig, Tuple[object, Dict, float]]) -> dict:
-        """A task's record: its fit scored on the test split."""
-        task, (fitted, echo, fit_seconds) = job
-        start = time.perf_counter()
-        if neural_method:
-            predictions, mode = neural.predict(fitted, test.predictions), task.mode
-        else:
-            predictions, mode = baselines.predict_static(fitted, test.predictions), ""
-        report = _evaluate(kind, predictions, test.labels)
-        normalized = metrics.normalize_report(report, reference)
-        where = f"{dataset} {_label(args.method, echo)} seed {task.seed}"
-        return {
-            "dataset": dataset,
-            "method": args.method,
-            "mode": mode,
-            "seed": task.seed,
-            "metrics": _finite(report.as_dict(), where),
-            "normalized": _finite(normalized.as_dict(), where),
-            "wall_time_seconds": fit_seconds + time.perf_counter() - start,
-            "config": echo,
-        }
-
     with _locked_output(args.out):
         fits = fork_map(fit, tasks)
         # The last reference to the validation arrays, which is also fit's
@@ -244,9 +224,23 @@ def cmd_run(args) -> int:
         del fit_ds
         test = load_split(args.data, "test").test
         reference = _evaluate(kind, test.predictions[:, best, :], test.labels)
-        # Scored in forked children too: a full-split forward pass grows
-        # only its own short-lived child, never the parent.
-        records = fork_map(score, list(zip(tasks, fits)))
+        predict = neural.predict if neural_method else baselines.predict_static
+        records = []
+        for task, (fitted, echo, fit_seconds) in zip(tasks, fits):
+            start = time.perf_counter()
+            report = _evaluate(kind, predict(fitted, test.predictions), test.labels)
+            normalized = metrics.normalize_report(report, reference)
+            where = f"{dataset} {_label(args.method, echo)} seed {task.seed}"
+            records.append({
+                "dataset": dataset,
+                "method": args.method,
+                "mode": task.mode if neural_method else "",
+                "seed": task.seed,
+                "metrics": _finite(report.as_dict(), where),
+                "normalized": _finite(normalized.as_dict(), where),
+                "wall_time_seconds": fit_seconds + time.perf_counter() - start,
+                "config": echo,
+            })
         _append_records(args.out, records)
     for record in records:
         print(

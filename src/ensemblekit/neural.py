@@ -25,7 +25,7 @@ inputs and weights. Everything is deterministic in the config seed.
 The forward pass returns the combiner's prediction in both modes: (B, C)
 class probabilities, or the (B, 1) regression value. The training loss
 is ``metrics.loss`` of the entries ``metrics.loss_index`` picks from it,
-and ``predict`` is the same pass, unmasked.
+and ``predict`` is the same pass, unmasked, which keeps no activations.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from __future__ import annotations
 import functools
 import itertools
 import numbers
+import operator
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -178,7 +179,8 @@ def _forward(
     only, scaled by 1/gamma, and a pass that keeps all M at gamma = 1
     reads the cube as it is. The ma gate scores the kept models only,
     models-major, as (k, B) scores softmaxed over the models. The cache
-    starts with ``keep``; the ma cache ends with theta, (B, k).
+    starts with ``keep``; the ma cache ends with theta, (B, k). Inference,
+    a pass without a mask, keeps no column activations: ``acts`` is None.
     """
     keep = np.arange(cube.shape[1]) if mask is None else np.flatnonzero(mask)
     kept = x = cube
@@ -187,11 +189,12 @@ def _forward(
         # the models of a transposed layout would round differently.
         kept = cube.take(keep, axis=1)
         x = kept * (1.0 / retain_prob)
-    # The column kernel: one shared network scores or embeds each class column.
-    outs, acts = zip(*(nn.forward(params.nets[0], x[:, :, c], columns=keep)
-                       for c in range(x.shape[2])))
+    # The column kernel: one shared network scores or embeds each class column;
+    # only training keeps the columns' activations, for _backward.
+    columns = (nn.forward(params.nets[0], x[:, :, c], columns=keep) for c in range(x.shape[2]))
+    outs, acts = zip(*columns) if mask is not None else (map(operator.itemgetter(0), columns), None)
     if params.mode == MODE_STACKING:
-        out = np.concatenate(outs, axis=1)
+        out = np.concatenate(list(outs), axis=1)
         if out.shape[1] > 1:
             out = nn.softmax(out)
         return out, (keep, acts, out)

@@ -46,7 +46,7 @@ def test_criterion_1_gradient_oracle():
         batch = int(rng.integers(4, 9))
         dropout = float(rng.choice([0.0, 0.25, 0.5, 0.75]))
         gamma = 1.0 - dropout
-        mask = neural.sample_mask(n_models, gamma, rng) if dropout > 0.0 else None
+        mask = neural.sample_mask(n_models, gamma, rng) if dropout > 0.0 else np.ones(n_models)
 
         if n_classes >= 2:
             task = TaskKind.CLASSIFICATION

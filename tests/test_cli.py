@@ -501,6 +501,42 @@ class TestOneSplitAtATime:
             above = child_peak_rss_mb(argv, env) - floor
             assert above < 1.5 * cube_mib, (name, above, cube_mib)
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="ru_maxrss is counted in KiB on Linux only")
+    def test_ne_ma_run_on_two_seeds_stays_below_two_cubes(self, tmp_path):
+        """`run ne-ma` scores both fits in its own process, on a test split
+        of 40 classes. Inference keeps no class column's activations; a
+        cache of all 40 would take about four cubes. The floor is that of
+        test_cli_children_stay_below_two_cubes."""
+        env = _child_env()
+        floor = child_peak_rss_mb(["validate", "--data", _synth(tmp_path, "tiny")], env,
+                                  preload=["hashlib"])
+        n, models, classes = 2000, 20, 40
+        cube_mib = n * models * classes * 8 / 2**20
+        data = _synth(tmp_path, "ds", n=n, models=models, classes=classes)
+        above = child_peak_rss_mb(["run", "ne-ma", "--data", data, "--out",
+                                   str(tmp_path / "runs.jsonl"), "--seeds", "0,1",
+                                   "--steps", "5", "--batch-size", "64"], env) - floor
+        assert above < 2 * cube_mib, (above, cube_mib)
+
+    def test_directory_out_exits_2_before_loading(self, tmp_path, monkeypatch, capsys):
+        """An --out that names a directory is refused before the load, not
+        after every fit, and creates neither a records file nor a lock."""
+        data = _synth(tmp_path)
+        out = tmp_path / "runs"
+        out.mkdir()
+        calls = []
+        monkeypatch.setattr(cli, "load_split", lambda *args: calls.append("load_split"))
+        monkeypatch.setattr(neural, "train", lambda *args: calls.append("train"))
+        before = sorted(os.listdir(tmp_path))
+        capsys.readouterr()
+        assert main(["run", "ne-ma", "--data", data, "--out", str(out), "--seeds", "0,1"]
+                    + FAST_NE) == 2
+        _assert_only_error_line(capsys.readouterr().err, f"--out {out} is a directory")
+        assert calls == []
+        assert sorted(os.listdir(tmp_path)) == before
+        assert os.listdir(out) == []
+
     def test_bad_test_split_exits_2_after_the_fit(self, tmp_path, monkeypatch, capfd):
         data = _synth(tmp_path)
         out = tmp_path / "runs.jsonl"
@@ -613,6 +649,31 @@ class TestSeedMapper:
         assert [seed for seed, _, _ in results] == [2, 0, 1, 3]
         assert all(pid != os.getpid() for _, pid, _ in results)
         assert alive == {"now": 0, "most": 2}
+
+    def test_run_forks_once_and_scores_in_this_process(self, tmp_path, monkeypatch):
+        """One fork round, for the fits; the parent scores every fit, in
+        task order."""
+        data = _synth(tmp_path)
+        _split_io(monkeypatch, forked=True)
+        maps, scored = [], []
+        fork_map, predict = cli.fork_map, neural.predict
+
+        def counted_map(worker, tasks):
+            maps.append((worker.__name__, len(tasks)))
+            return fork_map(worker, tasks)
+
+        def spy(params, cube):
+            scored.append(os.getpid())
+            return predict(params, cube)
+
+        monkeypatch.setattr(cli, "fork_map", counted_map)
+        monkeypatch.setattr(neural, "predict", spy)
+        out = str(tmp_path / "runs.jsonl")
+        assert main(["run", "ne-ma", "--data", data, "--out", out, "--seeds", "1,0"]
+                    + FAST_NE) == 0
+        assert maps == [("fit", 2)]
+        assert scored == [os.getpid()] * 2
+        assert [r["seed"] for r in _read_records(out)] == [1, 0]
 
     def test_nested_call_keeps_the_outer_worker(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})

@@ -12,6 +12,7 @@ from ensemblekit.errors import ConfigError, DataValidationError, NumericError, S
 from ensemblekit import neural, nn
 from ensemblekit.data import MetaDataset, SyntheticSpec, TaskKind, generate
 from gradcheck import finite_difference_gradients, gradient_errors, ma_step_reference, training_loss
+from peakmem import traced_peak
 
 
 def _jitter(params, rng, scale=0.3):
@@ -182,19 +183,21 @@ class TestTrainingGateWeights:
     @pytest.mark.parametrize("mask", [np.ones(4), None], ids=["full", "unmasked"])
     def test_full_mask_equals_plain_softmax(self, mask):
         """A pass that keeps every model names them all in ``keep``, masked
-        or not, and a full mask at delta = 0 trains as the unmasked pass."""
+        or not, and a full mask at delta = 0 trains as the full-width
+        reference step."""
         rng = np.random.default_rng(10)
         params = _ma_params(4, 10, rng)
         cube = rng.normal(size=(5, 4, 1))
         got = _training_weights(params, cube, mask, 1.0)
         np.testing.assert_allclose(got, neural.ma_weights(params, cube), atol=1e-15)
         labels = rng.normal(size=5)
+        full = np.ones(4)
         loss, grad = neural._loss_and_gradients(params, cube, labels, TaskKind.REGRESSION,
-                                                mask, 1.0)
-        plain_loss, plain_grad = neural._loss_and_gradients(
-            params, cube, labels, TaskKind.REGRESSION, None, 1.0)
-        assert loss == plain_loss
-        np.testing.assert_array_equal(grad, plain_grad)
+                                                full, 1.0)
+        want_loss, want_grad, _ = ma_step_reference(params, cube, labels,
+                                                    TaskKind.REGRESSION, full, 1.0)
+        assert abs(loss - want_loss) <= 1e-12
+        np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-12)
 
     def test_single_survivor_gets_unit_weight(self):
         rng = np.random.default_rng(11)
@@ -384,6 +387,24 @@ class TestForwardContract:
         got = neural.predict(params, cube)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("mode", ["stacking", "ma"])
+    @pytest.mark.parametrize("n_models,n_classes", [(1, 1), (4, 1), (3, 2), (5, 7)])
+    def test_inference_equals_the_full_mask_pass_bit_for_bit(self, mode, n_models, n_classes):
+        """Inference keeps no activations and training keeps them all, with
+        the same operations in the same order: a full mask at gamma = 1
+        gives predict's and ma_weights' bits."""
+        rng = np.random.default_rng(25)
+        config = neural.NEConfig(mode=mode, layers=3, hidden_dim=5, seed=9)
+        params = neural.init_ne_params(config, n_models)
+        _jitter(params, rng)
+        raw = rng.uniform(0.1, 1.0, size=(11, n_models, n_classes))
+        cube = raw / raw.sum(axis=2, keepdims=True) if n_classes > 1 else raw
+        out, cache = neural._forward(params, cube, np.ones(n_models), 1.0)
+        got = neural.predict(params, cube)
+        assert got.tobytes() == (out[:, 0] if n_classes == 1 else out).tobytes()
+        if mode == "ma":
+            assert neural.ma_weights(params, cube).tobytes() == cache[-1].tobytes()
+
     def test_masked_stacking_forward_gives_simplex_rows(self):
         rng = np.random.default_rng(24)
         params, cube, _, _ = _random_case(rng, "stacking", 3)
@@ -393,6 +414,24 @@ class TestForwardContract:
         assert out.shape == (cube.shape[0], 3)
         assert np.all(out > 0)
         np.testing.assert_allclose(out.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+class TestInferenceMemory:
+    """predict and ma_weights keep no class column's activations: at M=50
+    and C=100 each adds under a tenth of its cube's bytes to its traced
+    peak (before, a cache of every column took about twice the cube)."""
+
+    @pytest.mark.parametrize("mode,entry_point", [
+        ("stacking", neural.predict), ("ma", neural.predict), ("ma", neural.ma_weights),
+    ], ids=["stacking-predict", "ma-predict", "ma-ma_weights"])
+    def test_peak_stays_below_a_tenth_of_the_cube(self, mode, entry_point):
+        rng = np.random.default_rng(26)
+        raw = rng.uniform(0.1, 1.0, size=(500, 50, 100))
+        cube = raw / raw.sum(axis=2, keepdims=True)
+        del raw
+        params = neural.init_ne_params(neural.NEConfig(mode=mode), 50)
+        _, peak = traced_peak(lambda: entry_point(params, cube))
+        assert peak < 0.1 * cube.nbytes, peak / cube.nbytes
 
 
 class TestPickle:
@@ -430,15 +469,28 @@ class TestTrainingGradients:
     @pytest.mark.parametrize("mode", ["stacking", "ma"])
     @pytest.mark.parametrize("n_classes", [1, 3])
     def test_unmasked(self, mode, n_classes):
+        """Every model kept at delta = 0: a full mask, since only training
+        passes one."""
         rng = np.random.default_rng(16)
         params, cube, labels, task = _random_case(rng, mode, n_classes)
-        loss, grad = neural._loss_and_gradients(params, cube, labels, task, None, 1.0)
+        mask = np.ones(cube.shape[1])
+        loss, grad = neural._loss_and_gradients(params, cube, labels, task, mask, 1.0)
         numeric = finite_difference_gradients(
-            lambda: training_loss(params, cube, labels, task, None, 1.0),
+            lambda: training_loss(params, cube, labels, task, mask, 1.0),
             [params.flat],
         )
         rel, _ = gradient_errors([grad], numeric)
         assert rel < 1e-4
+
+    @pytest.mark.parametrize("mode", ["stacking", "ma"])
+    @pytest.mark.parametrize("n_classes", [1, 3])
+    def test_inference_pass_has_no_gradient(self, mode, n_classes):
+        """A pass without a mask keeps no activations, so asking it for a
+        gradient raises instead of returning a partial one."""
+        rng = np.random.default_rng(16)
+        params, cube, labels, task = _random_case(rng, mode, n_classes)
+        with pytest.raises(TypeError):
+            neural._loss_and_gradients(params, cube, labels, task, None, 1.0)
 
     @pytest.mark.parametrize("mode", ["stacking", "ma"])
     @pytest.mark.parametrize("n_classes", [1, 3])
