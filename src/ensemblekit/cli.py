@@ -17,19 +17,20 @@ nothing is appended then).
 
 Each (seed, rate) task of `run` is a copy of one `NEConfig`, so every
 flag is checked, for every method, before the data is read, as is an
-`--out` that names a directory. `validate` and `run` hold one split at
-a time: `validate` counts each split and drops it before it reads the
-next, and `run` fits every task on the validation split, drops it, and
-only then loads the test split and scores every fit on it, in task
-order, in its own process. The fits run in forked child processes, one
-per task and at most one per usable CPU at a time; a single task, a
-single CPU or a platform without fork runs them one after another in
-this process. The mapper is `data.fork_map`, which also writes the
-dataset splits. Only tasks and fits (a combiner's parameters or static
-weights) cross between processes, so the records, appended under the
-lock seed-major in the order `--seeds` and `--dropout-rate` list them,
-are the same either way. A worker's error re-raises in the parent, type
-and message; a worker that dies is WorkerDiedError, exit 2.
+`--out` that names a directory or whose directory does not exist.
+`validate` and `run` hold one split at a time: `validate` counts each
+split and drops it before it reads the next, and `run` fits every task
+on the validation split, drops it, and only then loads the test split
+and scores every fit on it, in task order, in its own process. The fits
+run in forked child processes, one per task and at most one per usable
+CPU at a time; a single task, a single CPU or a platform without fork
+runs them one after another in this process. The mapper is
+`data.fork_map`, which also writes the dataset splits. Only tasks and
+fits (a combiner's parameters or static weights) cross between
+processes, so the records, appended under the lock seed-major in the
+order `--seeds` and `--dropout-rate` list them, are the same either
+way. A worker's error re-raises in the parent, type and message; a
+worker that dies is WorkerDiedError, exit 2.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import numpy as np
 
 from . import baselines, metrics, neural
 from .data import GENERATORS, SPLIT_NAMES, MetaDataset, SyntheticSpec, TaskKind, fork_map
-from .data import check_integer, load_split, save_synthetic
+from .data import check_integer, check_real, load_split, save_synthetic
 from .errors import ConfigError, DataFormatError, EnsembleKitError, LockError, NumericError
 
 METHODS = (
@@ -126,14 +127,14 @@ def _evaluate(task: TaskKind, predictions: np.ndarray, labels: np.ndarray) -> me
 
 def _label(method: str, config: dict) -> str:
     """A record's row in `report`: ``method@<rate>`` when its config names
-    a dropout rate (else neural.check_dropout_rate's ConfigError, a
-    ValueError), or the plain method name. The rate is written with ``:g``
-    when that reads back as the same number, else in full, so distinct
-    rates get distinct rows."""
+    a dropout rate (else data.check_real's ConfigError, a ValueError),
+    or the plain method name. The rate is written with ``:g`` when that
+    reads back as the same number, else in full, so distinct rates get
+    distinct rows."""
     rate = config.get("dropout_rate")
     if rate is None:
         return method
-    neural.check_dropout_rate(rate)
+    check_real("dropout rate", rate, "[0, 1)")
     text = f"{rate + 0.0:g}"  # + 0.0: a rate of -0.0 shares the row of 0
     return f"{method}@{text if float(text) == rate else repr(rate)}"
 
@@ -200,6 +201,8 @@ def cmd_run(args) -> int:
              for seed in seeds for rate in rates]
     if os.path.isdir(args.out):
         raise ConfigError(f"--out {args.out} is a directory, not a records file")
+    if not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise ConfigError(f"--out {args.out} is in a directory that does not exist")
     fit_ds = load_split(args.data, "val")
     dataset, kind = fit_ds.name, fit_ds.task
     best = baselines.single_best(fit_ds.val.predictions, fit_ds.val.labels, kind)

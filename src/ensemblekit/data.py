@@ -684,25 +684,31 @@ class SyntheticSpec:
         for name, least in (("n_instances", 2), ("n_models", 2), ("n_classes", 3), ("degree", 1),
                             ("seed", 0)):
             check_integer(name, getattr(self, name), least)
-        if not _is_real(self.rho_p) or not 0.0 <= self.rho_p <= 1.0:
-            raise ConfigError(f"rho_p must lie in [0, 1], got {self.rho_p!r}")
-        if not _is_real(self.noise_scale) or not 0.0 <= self.noise_scale < np.inf:
-            raise ConfigError(f"noise_scale must be a finite number >= 0, got {self.noise_scale!r}")
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+        check_real("rho_p", self.rho_p, "[0, 1]")
+        check_real("noise_scale", self.noise_scale, "[0, inf)")
 
 
 def check_integer(name: str, value, least: int) -> None:
     """The count rule of every size, step, model-count, model-index and
     seed argument in the package: raise ConfigError naming ``name`` unless
     ``value`` is an integer, numpy's included, not a bool, and at least
-    ``least``."""
+    ``least``. Every other number goes through ``check_real``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ConfigError(f"{name} must be at least {least}, got {value}")
+
+
+def check_real(name: str, value, interval: str) -> None:
+    """The number rule of every rate, scale and learning rate in the
+    package: raise ConfigError naming ``name`` unless ``value`` is a real
+    number, numpy's included, not a bool, in ``interval``, written as the
+    message shows it: "[0, 1)", "(0, inf)" and so on. NaN lies in none."""
+    low, high = (float(bound) for bound in interval[1:-1].split(","))
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (low <= value if interval[0] == "[" else low < value)
+            or not (value <= high if interval[-1] == "]" else value < high)):
+        raise ConfigError(f"{name} must be a number in {interval}, got {value!r}")
 
 
 def generate(spec: SyntheticSpec) -> MetaDataset:

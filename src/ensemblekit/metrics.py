@@ -82,28 +82,35 @@ def loss_gradient(values: np.ndarray, targets: np.ndarray, task: TaskKind) -> np
     return 2.0 * (values - np.asarray(targets, dtype=np.float64)) / n
 
 
+def _probs_and_labels(probs, labels, where: str) -> tuple:
+    """``probs`` as a float64 (N, C) array of finite entries in [0, 1],
+    with check_cube's 1e-12 slack, and ``labels`` checked against it;
+    ``where`` starts each message."""
+    probs = np.asarray(probs, dtype=np.float64)
+    if probs.ndim != 2:
+        raise ShapeError(f"probs must be (N, C), got shape {probs.shape}")
+    labels = check_labels(labels, len(probs), TaskKind.CLASSIFICATION, probs.shape[1], where)
+    # NaN fails both comparisons.
+    if not (np.all(probs >= -1e-12) and np.all(probs <= 1.0 + 1e-12)):
+        raise DataValidationError(f"{where} probabilities must be finite and in [0, 1]")
+    return probs, labels
+
+
 def nll(probs: np.ndarray, labels: np.ndarray) -> float:
     """Mean negative log-likelihood of the true class, clamped.
 
     ``probs`` has shape (N, C); each probability is clamped into
     [1e-7, 1 - 1e-7] before the log so degenerate predictions stay finite.
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 2:
-        raise ShapeError(f"probs must be (N, C), got shape {probs.shape}")
+    probs, labels = _probs_and_labels(probs, labels, "nll")
     task = TaskKind.CLASSIFICATION
-    labels = check_labels(labels, len(probs), task, probs.shape[1], "nll")
     return float(loss(probs[loss_index(labels, task)], labels, task))
 
 
 def error_rate(probs: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of instances whose argmax class (ties to the lowest index)
     differs from the label."""
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 2:
-        raise ShapeError(f"probs must be (N, C), got shape {probs.shape}")
-    labels = check_labels(labels, len(probs), TaskKind.CLASSIFICATION, probs.shape[1],
-                          "error_rate")
+    probs, labels = _probs_and_labels(probs, labels, "error_rate")
     return float(np.mean(np.argmax(probs, axis=1) != labels))
 
 
@@ -115,6 +122,8 @@ def auc_binary(scores: np.ndarray, labels: np.ndarray) -> float:
     """
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
     labels = check_labels(labels, scores.shape[0], TaskKind.CLASSIFICATION, 2, "auc_binary")
+    if not np.all(np.isfinite(scores)):
+        raise DataValidationError("auc_binary scores must be finite")
     n_pos = int(np.sum(labels == 1))
     n_neg = int(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
@@ -40,20 +39,14 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import metrics, nn
-from .data import MetaDataset, SyntheticSpec, TaskKind, check_cube, check_integer, generate
+from .data import (MetaDataset, SyntheticSpec, TaskKind, check_cube, check_integer, check_real,
+                   generate)
 from .errors import ConfigError, NumericError, ShapeError
 
 MODE_STACKING = "stacking"
 MODE_MA = "ma"
 
 _MASK_RESAMPLE_LIMIT = 100
-
-
-def check_dropout_rate(rate) -> None:
-    """Raise ConfigError unless ``rate`` is a dropout rate: a number, not a
-    bool, in [0, 1)."""
-    if isinstance(rate, bool) or not isinstance(rate, numbers.Real) or not 0.0 <= rate < 1.0:
-        raise ConfigError(f"dropout rate must be a number in [0, 1), got {rate!r}")
 
 
 @dataclass(frozen=True)
@@ -79,10 +72,10 @@ class NEConfig:
     def __post_init__(self):
         if self.mode not in (MODE_STACKING, MODE_MA):
             raise ConfigError(f"mode must be '{MODE_STACKING}' or '{MODE_MA}', got {self.mode!r}")
-        check_dropout_rate(self.dropout_rate)
+        check_real("dropout rate", self.dropout_rate, "[0, 1)")
         for name in ("layers", "hidden_dim", "steps", "batch_size"):
             check_integer(name, getattr(self, name), 1)
-        nn.check_learning_rate(self.learning_rate)
+        check_real("learning rate", self.learning_rate, "(0, inf)")
         check_integer("seed", self.seed, 0)
 
     @property
@@ -152,7 +145,7 @@ def sample_mask(n_models: int, retain_prob: float, rng: np.random.Generator) -> 
     comes up empty, one uniformly chosen model is forced on.
     """
     if not 0.0 < retain_prob <= 1.0:
-        raise ConfigError(f"retain_prob must lie in (0, 1], got {retain_prob}")
+        raise ConfigError(f"retain_prob must be a number in (0, 1], got {retain_prob!r}")
     for _ in range(_MASK_RESAMPLE_LIMIT):
         mask = (rng.random(n_models) < retain_prob).astype(np.float64)
         if mask.any():
@@ -351,9 +344,7 @@ def diversity_limit_oracle(
     masks. As rho_p -> 1 the result approaches the dropout rate
     1 - retain_prob; with full retention it approaches 0.
     """
-    if (isinstance(retain_prob, bool) or not isinstance(retain_prob, numbers.Real)
-            or not 0.0 < retain_prob <= 1.0):
-        raise ConfigError(f"retain_prob must lie in (0, 1], got {retain_prob!r}")
+    check_real("retain_prob", retain_prob, "(0, 1]")
     check_integer("n_samples", n_samples, 2)
     check_integer("n_masks", n_masks, 1)
     check_integer("seed", seed, 0)

@@ -12,12 +12,12 @@ were zero, and its gradient adds into W0[:, columns] alone.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .data import check_real
 from .errors import ConfigError, NumericError, ShapeError
 
 
@@ -171,16 +171,9 @@ class AdamState:
     step_count: int = 0
 
 
-def check_learning_rate(rate) -> None:
-    """Raise ConfigError unless ``rate`` is a learning rate: a finite
-    number > 0, not a bool."""
-    if isinstance(rate, bool) or not isinstance(rate, numbers.Real) or not 0.0 < rate < np.inf:
-        raise ConfigError(f"learning rate must be a finite number > 0, got {rate!r}")
-
-
 def adam_init(params: np.ndarray, learning_rate: float = 1e-3) -> AdamState:
     """Zero-initialized Adam state for a parameter vector."""
-    check_learning_rate(learning_rate)
+    check_real("learning rate", learning_rate, "(0, inf)")
     return AdamState(np.zeros_like(params), np.zeros_like(params), learning_rate)
 
 

@@ -244,14 +244,14 @@ class TestSynthAndValidate:
         assert err.value.code == 2
 
     @pytest.mark.parametrize("kind, flag, value, fragment", [
-        ("experts", "--rho", "7", "rho_p must lie in [0, 1], got 7.0"),
+        ("experts", "--rho", "7", "rho_p must be a number in [0, 1], got 7.0"),
         ("experts", "--degree", "0", "degree must be at least 1, got 0"),
-        ("experts", "--noise", "nan", "noise_scale must be a finite number >= 0, got nan"),
+        ("experts", "--noise", "nan", "noise_scale must be a number in [0, inf), got nan"),
         ("preferred", "--classes", "2", "n_classes must be at least 3, got 2"),
-        ("preferred", "--noise", "inf", "noise_scale must be a finite number >= 0, got inf"),
-        ("poly", "--rho", "-0.5", "rho_p must lie in [0, 1], got -0.5"),
-        ("poly", "--noise", "nan", "noise_scale must be a finite number >= 0, got nan"),
-        ("poly", "--noise", "inf", "noise_scale must be a finite number >= 0, got inf"),
+        ("preferred", "--noise", "inf", "noise_scale must be a number in [0, inf), got inf"),
+        ("poly", "--rho", "-0.5", "rho_p must be a number in [0, 1], got -0.5"),
+        ("poly", "--noise", "nan", "noise_scale must be a number in [0, inf), got nan"),
+        ("poly", "--noise", "inf", "noise_scale must be a number in [0, inf), got inf"),
     ])
     def test_every_flag_is_checked_for_every_kind_before_writing(
             self, tmp_path, capsys, kind, flag, value, fragment):
@@ -329,7 +329,7 @@ class TestRun:
         assert main(["run", method, "--data", data, "--out", out, "--seeds", seeds,
                      "--lr", lr] + FAST_NE) == 2
         _assert_only_error_line(capsys.readouterr().err,
-                                f"learning rate must be a finite number > 0, got {float(lr)!r}")
+                                f"learning rate must be a number in (0, inf), got {float(lr)!r}")
         assert not os.path.exists(out)
 
     def test_mode_flag_is_rejected(self, tmp_path):
@@ -536,6 +536,22 @@ class TestOneSplitAtATime:
         assert calls == []
         assert sorted(os.listdir(tmp_path)) == before
         assert os.listdir(out) == []
+
+    def test_out_in_a_missing_directory_exits_2_before_loading(self, tmp_path, monkeypatch,
+                                                                capsys):
+        """An --out whose directory does not exist is refused before the
+        load, naming --out, and creates neither a records file nor a lock."""
+        data = _synth(tmp_path)
+        out = tmp_path / "nodir" / "runs.jsonl"
+        calls = []
+        monkeypatch.setattr(cli, "load_split", lambda *args: calls.append("load_split"))
+        before = sorted(os.listdir(tmp_path))
+        capsys.readouterr()
+        assert main(["run", "greedy", "--data", data, "--out", str(out), "--seeds", "0"]) == 2
+        _assert_only_error_line(capsys.readouterr().err,
+                                f"--out {out} is in a directory that does not exist")
+        assert calls == []
+        assert sorted(os.listdir(tmp_path)) == before
 
     def test_bad_test_split_exits_2_after_the_fit(self, tmp_path, monkeypatch, capfd):
         data = _synth(tmp_path)
@@ -1029,8 +1045,8 @@ class TestDropoutRates:
         _assert_only_error_line(capsys.readouterr().err, "seed must be at least 0, got -1")
 
     @pytest.mark.parametrize("method, extra, fragment", [
-        ("greedy", ["--lr", "nan"], "learning rate must be a finite number > 0, got nan"),
-        ("ma", ["--lr", "inf"], "learning rate must be a finite number > 0, got inf"),
+        ("greedy", ["--lr", "nan"], "learning rate must be a number in (0, inf), got nan"),
+        ("ma", ["--lr", "inf"], "learning rate must be a number in (0, inf), got inf"),
         ("random", ["--layers", "0"], "layers must be at least 1, got 0"),
         ("akaike", ["--steps", "0"], "steps must be at least 1, got 0"),
         ("single-best", ["--batch-size", "0"], "batch_size must be at least 1, got 0"),

@@ -1,6 +1,6 @@
 """Tests for dataset containers, on-disk format, split I/O in forked
 workers against the serial loop, the three synthetic generators, and the
-count rule every exported count argument shares."""
+count and number rules every exported count and rate argument shares."""
 
 import dataclasses
 import hashlib
@@ -14,6 +14,8 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ensemblekit.errors import ConfigError, DataFormatError, DataValidationError, ShapeError
 from ensemblekit import baselines, cli, data, neural
@@ -1337,18 +1339,18 @@ class TestGenerateDispatch:
         ("n_instances", 1, "n_instances must be at least 2, got 1"),
         ("n_models", 1, "n_models must be at least 2, got 1"),
         ("n_classes", 2, "n_classes must be at least 3, got 2"),
-        ("rho_p", 1.5, "rho_p must lie in [0, 1], got 1.5"),
-        ("rho_p", math.nan, "rho_p must lie in [0, 1], got nan"),
-        ("rho_p", "0.5", "rho_p must lie in [0, 1], got '0.5'"),
-        ("rho_p", True, "rho_p must lie in [0, 1], got True"),
-        ("rho_p", None, "rho_p must lie in [0, 1], got None"),
+        ("rho_p", 1.5, "rho_p must be a number in [0, 1], got 1.5"),
+        ("rho_p", math.nan, "rho_p must be a number in [0, 1], got nan"),
+        ("rho_p", "0.5", "rho_p must be a number in [0, 1], got '0.5'"),
+        ("rho_p", True, "rho_p must be a number in [0, 1], got True"),
+        ("rho_p", None, "rho_p must be a number in [0, 1], got None"),
         ("degree", 0, "degree must be at least 1, got 0"),
-        ("noise_scale", -0.1, "noise_scale must be a finite number >= 0, got -0.1"),
-        ("noise_scale", math.nan, "noise_scale must be a finite number >= 0, got nan"),
-        ("noise_scale", math.inf, "noise_scale must be a finite number >= 0, got inf"),
-        ("noise_scale", "0.1", "noise_scale must be a finite number >= 0, got '0.1'"),
-        ("noise_scale", True, "noise_scale must be a finite number >= 0, got True"),
-        ("noise_scale", None, "noise_scale must be a finite number >= 0, got None"),
+        ("noise_scale", -0.1, "noise_scale must be a number in [0, inf), got -0.1"),
+        ("noise_scale", math.nan, "noise_scale must be a number in [0, inf), got nan"),
+        ("noise_scale", math.inf, "noise_scale must be a number in [0, inf), got inf"),
+        ("noise_scale", "0.1", "noise_scale must be a number in [0, inf), got '0.1'"),
+        ("noise_scale", True, "noise_scale must be a number in [0, inf), got True"),
+        ("noise_scale", None, "noise_scale must be a number in [0, inf), got None"),
         ("seed", -1, "seed must be at least 0, got -1"),
     ])
     def test_spec_checks_every_field_for_every_kind_at_construction(
@@ -1438,3 +1440,76 @@ class TestCountRule:
     @pytest.mark.parametrize("call, name, least", COUNT_ARGUMENTS)
     def test_a_numpy_integer_at_its_least_is_a_count(self, call, name, least):
         call(np.int64(least))
+
+
+# Each interval of the number rule: whether a float lies in it, its closed
+# bounds and its open ones.
+INTERVALS = {
+    "[0, 1)": (lambda x: 0 <= x < 1, [0.0], [1.0]),
+    "(0, 1]": (lambda x: 0 < x <= 1, [1.0], [0.0]),
+    "[0, 1]": (lambda x: 0 <= x <= 1, [0.0, 1.0], []),
+    "(0, inf)": (lambda x: 0 < x < math.inf, [], [0.0, math.inf]),
+    "[0, inf)": (lambda x: 0 <= x < math.inf, [0.0], [math.inf]),
+}
+
+# Every rate, scale and learning rate argument of an exported function or
+# class: a call that takes the value, the argument's name and its interval.
+REAL_ARGUMENTS = [
+    pytest.param(lambda v: neural.NEConfig(dropout_rate=v), "dropout rate", "[0, 1)",
+                 id="NEConfig-dropout_rate"),
+    pytest.param(lambda v: neural.NEConfig(learning_rate=v), "learning rate", "(0, inf)",
+                 id="NEConfig-learning_rate"),
+    pytest.param(lambda v: SyntheticSpec(kind="poly", rho_p=v), "rho_p", "[0, 1]",
+                 id="SyntheticSpec-rho_p"),
+    pytest.param(lambda v: SyntheticSpec(kind="poly", noise_scale=v), "noise_scale", "[0, inf)",
+                 id="SyntheticSpec-noise_scale"),
+    pytest.param(lambda v: baselines.fit_constant_ma(_CUBE, _LABELS, _CLS, steps=1,
+                                                     learning_rate=v),
+                 "learning rate", "(0, inf)", id="fit_constant_ma-learning_rate"),
+    pytest.param(lambda v: neural.diversity_limit_oracle(v, 0.9, 3, n_samples=10, n_masks=2),
+                 "retain_prob", "(0, 1]", id="diversity_limit_oracle-retain_prob"),
+]
+
+
+class TestNumberRule:
+    """data.check_real is the one rule of every exported rate, scale and
+    learning rate argument."""
+
+    @pytest.mark.parametrize("call, name, interval", REAL_ARGUMENTS)
+    @pytest.mark.parametrize("value", [True, "0.5", None, math.nan])
+    def test_a_number_must_be_a_real_in_its_interval(self, call, name, interval, value):
+        message = f"{name} must be a number in {interval}, got {value!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            call(value)
+
+    @pytest.mark.parametrize("call, name, interval", REAL_ARGUMENTS)
+    def test_a_numpy_float_at_a_closed_bound_is_accepted(self, call, name, interval):
+        for bound in INTERVALS[interval][1]:
+            call(np.float64(bound))
+
+    @pytest.mark.parametrize("call, name, interval", REAL_ARGUMENTS)
+    def test_an_open_bound_is_refused(self, call, name, interval):
+        for bound in INTERVALS[interval][2]:
+            with pytest.raises(ConfigError):
+                call(bound)
+
+    @pytest.mark.parametrize("call, name, interval", REAL_ARGUMENTS)
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(value=st.floats(allow_nan=True, allow_infinity=True) | st.floats(-2.0, 2.0))
+    def test_a_float_is_accepted_exactly_inside_its_interval(self, call, name, interval, value):
+        """Any float, and floats near the bounds of every interval."""
+        try:
+            call(value)
+        except ConfigError:
+            assert not INTERVALS[interval][0](value)
+        else:
+            assert INTERVALS[interval][0](value)
+
+    @pytest.mark.parametrize("value", [0.0, 1.5, -0.25, math.nan, np.float64(2.0)])
+    def test_sample_mask_states_the_rule(self, value):
+        """sample_mask keeps its own per-step comparison, with the rule's message."""
+        with pytest.raises(ConfigError) as rule:
+            data.check_real("retain_prob", value, "(0, 1]")
+        with pytest.raises(ConfigError) as mask:
+            neural.sample_mask(3, value, np.random.default_rng(0))
+        assert str(mask.value) == str(rule.value)

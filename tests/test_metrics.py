@@ -4,6 +4,7 @@ NLL, error rate, tie-averaged AUC, MSE, Gaussian regression NLL,
 ambiguity, and report helpers."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -224,6 +225,27 @@ class TestInputErrors:
             call()
         assert type(err.value) is ShapeError
         assert fragment in str(err.value)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: metrics.nll([[1.5, -0.5]], [0]),
+         "nll probabilities must be finite and in [0, 1]"),
+        (lambda: metrics.auc_binary([math.nan, 0.2], [1, 0]), "auc_binary scores must be finite"),
+        (lambda: metrics.error_rate([[math.nan, 0.5]], [1]),
+         "error_rate probabilities must be finite and in [0, 1]"),
+    ], ids=["nll-outside-unit-interval", "auc-nan-score", "error-rate-nan"])
+    def test_a_classification_scorer_refuses_what_is_not_a_probability(self, call, message):
+        with pytest.raises(DataValidationError, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_the_probability_slack_is_check_cubes(self):
+        """An entry within 1e-12 of [0, 1] is scored; one further out is not."""
+        probs = np.array([[1.0 + 1e-13, -1e-13], [0.25, 0.75]])
+        assert metrics.nll(probs, [0, 1]) == pytest.approx(-math.log(0.75) / 2 + 1e-7 / 2,
+                                                          rel=1e-6)
+        assert metrics.error_rate(probs, [0, 0]) == 0.5
+        for scorer in (metrics.nll, metrics.error_rate):
+            with pytest.raises(DataValidationError):
+                scorer([[1.0 + 1e-11, -1e-11]], [0])
 
 
 class TestAucBinary:

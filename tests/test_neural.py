@@ -90,7 +90,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("rate", [0.0, -1e-3, float("nan"), float("inf"), True])
     def test_config_and_adam_share_one_learning_rate_rule(self, rate):
-        message = f"learning rate must be a finite number > 0, got {rate!r}"
+        message = f"learning rate must be a number in (0, inf), got {rate!r}"
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             neural.NEConfig(learning_rate=rate)
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
@@ -625,6 +625,6 @@ class TestDiversityOracle:
         with pytest.raises(ConfigError, match="seed must be at least 0, got -1"):
             neural.diversity_limit_oracle(0.5, 0.9, 5, seed=-1)
         for rate in ("0.5", True, None):
-            message = f"retain_prob must lie in (0, 1], got {rate!r}"
+            message = f"retain_prob must be a number in (0, 1], got {rate!r}"
             with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
                 neural.diversity_limit_oracle(rate, 0.9, 5)
